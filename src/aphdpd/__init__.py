@@ -54,7 +54,6 @@ from .predistorter import (
     identity_coefficients,
     pack_coefficients,
     predistort_parallel,
-    predistort_sample,
     predistort_serial,
     unpack_coefficients,
 )

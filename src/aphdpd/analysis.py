@@ -119,12 +119,21 @@ def suppression_db(reference: Spectrum, test: Spectrum, f_lo: float, f_hi: float
 
 def nmse_db(test: IqBuffer, reference: IqBuffer) -> float:
     """Normalized mean-square error of test vs reference, in dB."""
+    return nmse_db_samples(test.samples, reference.samples)
+
+
+def nmse_db_samples(test: np.ndarray, reference: np.ndarray) -> float:
+    """nmse_db over raw sample arrays, compared in double precision.
+
+    A complex128 `test` is used as is, so a caller's double-precision
+    result is never rounded to complex64 first.
+    """
     if len(test) != len(reference) or len(reference) == 0:
         raise ConfigurationError(
             f"buffers must be nonempty and equal length, got {len(test)} vs {len(reference)}"
         )
-    ref = reference.samples.astype(np.complex128)
-    err = test.samples.astype(np.complex128) - ref
+    ref = reference.astype(np.complex128)
+    err = test.astype(np.complex128) - ref
     denom = float(np.sum(ref.real**2 + ref.imag**2))
     if denom == 0.0:
         raise DegenerateInputError("reference signal is identically zero")

@@ -31,7 +31,7 @@ from .predistorter import (
     predistort_parallel,
     predistort_serial,
 )
-from .waveforms import IqBuffer
+from .waveforms import IqBuffer, white_gaussian
 
 BENCH_CSV_HEADER = [
     "workers",
@@ -74,10 +74,7 @@ class BenchResult:
 
 def make_bench_buffer(n_samples: int, sample_rate_hz: float = 61.44e6) -> IqBuffer:
     """The fixed random buffer all benchmark runs process."""
-    rng = np.random.default_rng(_BUFFER_SEED)
-    x = rng.normal(size=n_samples) + 1j * rng.normal(size=n_samples)
-    x *= _BUFFER_RMS / np.sqrt(np.mean(x.real**2 + x.imag**2))
-    return IqBuffer(x.astype(np.complex64), sample_rate_hz)
+    return white_gaussian(n_samples, _BUFFER_RMS, _BUFFER_SEED, sample_rate_hz)
 
 
 def run_bench(

@@ -178,9 +178,7 @@ def parse_experiment_config(doc: dict, seed_override: int | None = None) -> Expe
 
     tr = _require(doc, "training", "")
     _reject_unknown(
-        tr,
-        ("n_training_samples", "iterations", "ridge_lambda", "regress_on_input", "feedback_noise_db"),
-        "training.",
+        tr, ("n_training_samples", "iterations", "ridge_lambda", "feedback_noise_db"), "training."
     )
     ridge = tr.get("ridge_lambda")
     training = TrainingConfig(
@@ -188,7 +186,6 @@ def parse_experiment_config(doc: dict, seed_override: int | None = None) -> Expe
         iterations=int(tr.get("iterations", 3)),
         ridge_lambda=None if ridge is None else float(ridge),
         seed=seed,
-        regress_on_input=bool(tr.get("regress_on_input", False)),
         feedback_noise_db=(
             None if tr.get("feedback_noise_db") is None else float(tr["feedback_noise_db"])
         ),

@@ -20,6 +20,7 @@ All evaluation is pure, elementwise, and double precision internally.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -46,15 +47,19 @@ class IqModulatorModel:
     phase_imbalance_deg: float = 0.0
     lo_leakage: complex = 0.0
 
+    @cached_property
+    def _imbalance(self) -> complex:
+        """g*exp(j*phi), shared by k1 and k2."""
+        g = 10.0 ** (self.gain_imbalance_db / 20.0)
+        return g * np.exp(1j * np.deg2rad(self.phase_imbalance_deg))
+
     @property
     def k1(self) -> complex:
-        g = 10.0 ** (self.gain_imbalance_db / 20.0)
-        return (1.0 + g * np.exp(1j * np.deg2rad(self.phase_imbalance_deg))) / 2.0
+        return (1.0 + self._imbalance) / 2.0
 
     @property
     def k2(self) -> complex:
-        g = 10.0 ** (self.gain_imbalance_db / 20.0)
-        return (1.0 - g * np.exp(1j * np.deg2rad(self.phase_imbalance_deg))) / 2.0
+        return (1.0 - self._imbalance) / 2.0
 
     @property
     def is_ideal(self) -> bool:
@@ -75,6 +80,14 @@ class TxChain:
     modulator: IqModulatorModel
     pa: PaModel
 
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """Modulator then PA over raw samples, cast to complex64.
+
+        Unlike run_tx_chain this does not reject the result: a chain driven
+        past single-precision range returns non-finite samples.
+        """
+        return np.asarray(pa_evaluate(iq_modulate(x, self.modulator), self.pa), np.complex64)
+
 
 def pa_evaluate(x, pa: PaModel):
     """alpha1*x + alpha3*|x|^2*x + alpha5*|x|^4*x (scalar or array)."""
@@ -93,6 +106,4 @@ def iq_modulate(x, m: IqModulatorModel):
 
 def run_tx_chain(x: IqBuffer, chain: TxChain) -> IqBuffer:
     """Push a buffer through modulator + PA, elementwise."""
-    v = iq_modulate(x.samples, chain.modulator)
-    out = pa_evaluate(v, chain.pa)
-    return IqBuffer(np.asarray(out, dtype=np.complex64), x.sample_rate_hz)
+    return IqBuffer(chain.apply(x.samples), x.sample_rate_hz)

@@ -4,8 +4,9 @@
          + sum_q sum_k hq[q,k] * psibar_q(x[n-k])
          + c
 
-with a serial reference path and a chunked, halo-overlapped data-parallel
-path that is bit-identical to it.
+by one chunked, halo-overlapped, data-parallel engine. The serial
+reference path is its one-worker case, and every chunk length and worker
+count gives the same bits.
 
 Bit identity is a structural property here, not a tolerance: every sample's
 value is produced by the same sequence of elementwise IEEE operations no
@@ -46,9 +47,9 @@ from .basis import ORTHOGONAL, BranchSets, PolyBasis, _members
 from .exceptions import ConfigurationError
 from .waveforms import IqBuffer
 
-# Serial-path internal block size. Whole-buffer evaluation thrashes the cache
-# (~5x slower at 1M samples); any block size gives identical bits.
-SERIAL_BLOCK_LEN = 65536
+# Chunk length of the serial path and default of the parallel one.
+# Whole-buffer evaluation thrashes the cache (~5x slower at 1M samples);
+# any chunk length gives identical bits.
 DEFAULT_CHUNK_LEN = 65536
 
 
@@ -179,7 +180,7 @@ def unpack_coefficients(
 
 @dataclass(frozen=True)
 class ChunkPlan:
-    """How the parallel path splits a stream: chunk length, halo, workers."""
+    """How the engine splits a stream: chunk length, halo, workers."""
 
     chunk_len: int
     halo: int
@@ -278,69 +279,41 @@ class _CompiledKernel:
         return acc
 
 
-def _run_chunked(
-    x: np.ndarray, kernel: _CompiledKernel, chunk_len: int, executor: ThreadPoolExecutor | None
-) -> np.ndarray:
-    n = x.size
-    out = np.empty(n, dtype=np.complex64)
-    halo = kernel.l_max - 1
-    starts = range(0, n, chunk_len)
-
-    def one_chunk(start: int) -> None:
-        end = min(start + chunk_len, n)
-        window_start = max(0, start - halo)
-        result = kernel(x[window_start:end])
-        out[start:end] = result[start - window_start :]
-
-    if executor is None:
-        for start in starts:
-            one_chunk(start)
-    else:
-        # Materialize to propagate worker exceptions; writes are disjoint.
-        list(executor.map(one_chunk, starts))
-    return out
-
-
-def predistort_sample(
-    history_window, coeffs: CoefficientVector, cfg: AphConfig
-) -> complex:
-    """Evaluate one output sample from its input history.
-
-    The window holds the last l_max inputs ending at the current sample,
-    zero-filled before stream start. Runs the same compiled kernel as the
-    streaming paths, so it agrees with them bit-for-bit.
-    """
-    window = np.asarray(history_window, dtype=np.complex64)
-    if window.shape != (cfg.l_max,):
-        raise ConfigurationError(
-            f"history window must hold exactly {cfg.l_max} samples, got {window.shape}"
-        )
-    kernel = _CompiledKernel(coeffs, cfg)
-    return complex(kernel(window)[-1])
-
-
 def predistort_serial(x: IqBuffer, coeffs: CoefficientVector, cfg: AphConfig) -> IqBuffer:
-    """Reference path: sequential evaluation of the whole stream."""
-    kernel = _CompiledKernel(coeffs, cfg)
-    if len(x) == 0:
-        return IqBuffer(np.empty(0, dtype=np.complex64), x.sample_rate_hz)
-    out = _run_chunked(x.samples, kernel, SERIAL_BLOCK_LEN, executor=None)
-    return IqBuffer(out, x.sample_rate_hz)
+    """Reference path: the engine with one worker and the default chunk length."""
+    return predistort_parallel(x, coeffs, cfg, ChunkPlan.for_config(cfg))
 
 
 def predistort_parallel(
     x: IqBuffer, coeffs: CoefficientVector, cfg: AphConfig, plan: ChunkPlan
 ) -> IqBuffer:
-    """Data-parallel path: chunks with recomputed halos, bit-identical to serial."""
+    """The engine: chunks with recomputed halos, bit-identical to serial.
+
+    One worker evaluates the chunks in order on the calling thread; more
+    share them through a thread pool.
+    """
     if plan.halo != cfg.l_max - 1:
         raise ConfigurationError(
             f"plan halo {plan.halo} does not match config (needs {cfg.l_max - 1})"
         )
     kernel = _CompiledKernel(coeffs, cfg)
-    if len(x) == 0:
-        return IqBuffer(np.empty(0, dtype=np.complex64), x.sample_rate_hz)
-    with ThreadPoolExecutor(max_workers=plan.n_workers) as executor:
-        out = _run_chunked(x.samples, kernel, plan.chunk_len, executor)
+    samples = x.samples
+    n = samples.size
+    out = np.empty(n, dtype=np.complex64)
+    starts = range(0, n, plan.chunk_len)
+
+    def one_chunk(start: int) -> None:
+        end = min(start + plan.chunk_len, n)
+        window_start = max(0, start - plan.halo)
+        out[start:end] = kernel(samples[window_start:end])[start - window_start :]
+
+    if plan.n_workers == 1:
+        for start in starts:
+            one_chunk(start)
+    else:
+        with ThreadPoolExecutor(max_workers=plan.n_workers) as executor:
+            # Materialize to propagate worker exceptions; writes are disjoint.
+            list(executor.map(one_chunk, starts))
     return IqBuffer(out, x.sample_rate_hz)
 
 

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analysis import nmse_db_samples
 from .basis import BasisMatrix, build_basis_matrix
 from .exceptions import (
     ConditioningError,
@@ -34,11 +35,9 @@ from .exceptions import (
     DivergenceError,
     InsufficientDataError,
 )
-from .impairments import TxChain, run_tx_chain
+from .impairments import TxChain
 from .predistorter import AphConfig, CoefficientVector, identity_coefficients, predistort_serial
-from .waveforms import IqBuffer
-
-NMSE_FLOOR_DB = -300.0
+from .waveforms import IqBuffer, white_gaussian
 
 # Default stimulus drive when the caller supplies no waveform factory.
 # Well below the fold-over amplitude of typical compressive PA models, so
@@ -54,10 +53,6 @@ class TrainingConfig:
     Gram diagonal (1e-8 x trace/cols): strong enough to absorb degenerate
     regressor directions, far too weak to bias a well-posed fit.
 
-    regress_on_input switches the regression matrix from scaled feedback
-    to the raw stimulus (a deliberately available alternative reading of
-    the learning rule, kept for comparison runs).
-
     feedback_noise_db, when set, adds complex white noise to the feedback
     capture at the given power relative to the feedback signal.
     """
@@ -66,7 +61,6 @@ class TrainingConfig:
     iterations: int = 3
     ridge_lambda: float | None = None
     seed: int = 0
-    regress_on_input: bool = False
     feedback_noise_db: float | None = None
 
     def __post_init__(self):
@@ -183,56 +177,39 @@ def ls_solve(psi, target, ridge_lambda: float = 0.0) -> CoefficientVector:
 
 def _default_waveform_factory(n: int, seed: int) -> IqBuffer:
     """Complex white Gaussian stimulus at the default drive (rate-agnostic)."""
-    rng = np.random.default_rng(seed)
-    x = rng.normal(size=n) + 1j * rng.normal(size=n)
-    x *= DEFAULT_TRAINING_RMS / np.sqrt(np.mean(x.real**2 + x.imag**2))
-    return IqBuffer(x.astype(np.complex64), 1.0)
+    return white_gaussian(n, DEFAULT_TRAINING_RMS, seed, 1.0)
 
 
-def _apply_stage(fn, *args, candidate: bool):
-    """Run one pipeline stage; non-finite output means a diverged system.
+def _chain_output(chain: TxChain, z: IqBuffer, *, candidate: bool) -> IqBuffer | None:
+    """The chain's response to z. Non-finite samples mean the system diverged.
 
     For the committed state that is a hard error (the drive is too hot for
     the chain); for a candidate evaluation it just disqualifies the
     candidate (returns None).
     """
-    try:
-        return fn(*args)
-    except ConfigurationError as err:
-        if candidate:
-            return None
-        raise DivergenceError(
-            "transmit chain produced non-finite samples; reduce the drive level"
-        ) from err
+    s = chain.apply(z.samples)
+    if np.all(np.isfinite(s)):
+        return IqBuffer(s, z.sample_rate_hz)
+    if candidate:
+        return None
+    raise DivergenceError("transmit chain produced non-finite samples; reduce the drive level")
 
 
 def _linearization_nmse_db(
     chain: TxChain, cfg: AphConfig, coeffs: CoefficientVector, stimulus: IqBuffer, *,
     candidate: bool,
 ) -> float:
-    """NMSE (dB) between the chain output and the ideally scaled stimulus.
+    """NMSE (dB) between the gain-normalized chain output and the stimulus.
 
     Returns +inf for a candidate whose evaluation blows up.
     """
-    z = _apply_stage(predistort_serial, stimulus, coeffs, cfg, candidate=candidate)
-    if z is None:
-        return float("inf")
-    s = _apply_stage(run_tx_chain, z, chain, candidate=candidate)
+    s = _chain_output(chain, predistort_serial(stimulus, coeffs, cfg), candidate=candidate)
     if s is None:
         return float("inf")
-    y = stimulus.samples.astype(np.complex128)
-    sv = s.samples.astype(np.complex128)
-    denom = float(np.sum(y.real**2 + y.imag**2))
-    if denom == 0.0:
-        raise DegenerateInputError("validation stimulus is all-zero")
-    gain = np.vdot(y, sv) / denom
+    gain = estimate_gain(stimulus, s)
     if gain == 0:
         return float("inf")
-    err = sv / gain - y
-    ratio = float(np.sum(err.real**2 + err.imag**2)) / denom
-    if not np.isfinite(ratio):
-        return float("inf")
-    return max(10.0 * float(np.log10(max(ratio, 1e-300))), NMSE_FLOOR_DB)
+    return nmse_db_samples(s.samples.astype(np.complex128) / gain, stimulus.samples)
 
 
 def _add_feedback_noise(s: IqBuffer, noise_db: float, rng: np.random.Generator) -> IqBuffer:
@@ -272,20 +249,16 @@ def ila_train(
     records: list[IterationRecord] = []
     for i in range(1, tcfg.iterations + 1):
         y = wave(m, tcfg.seed + i)
-        z = _apply_stage(predistort_serial, y, coeffs, cfg, candidate=False)
-        s = _apply_stage(run_tx_chain, z, chain, candidate=False)
+        z = predistort_serial(y, coeffs, cfg)
+        s = _chain_output(chain, z, candidate=False)
         if tcfg.feedback_noise_db is not None:
             rng = np.random.default_rng(tcfg.seed + 7919 * i)
             s = _add_feedback_noise(s, tcfg.feedback_noise_db, rng)
         gain = estimate_gain(z, s)
 
-        if tcfg.regress_on_input:
-            regressor = y
-        else:
-            regressor = IqBuffer(
-                (s.samples.astype(np.complex128) / gain).astype(np.complex64),
-                s.sample_rate_hz,
-            )
+        regressor = IqBuffer(
+            (s.samples.astype(np.complex128) / gain).astype(np.complex64), s.sample_rate_hz
+        )
         psi = build_basis_matrix(regressor, cfg.sets, cfg.taps_main, cfg.taps_conj, cfg.basis)
         target = np.zeros(psi.n_rows, dtype=np.complex128)
         target[: len(z)] = z.samples.astype(np.complex128)

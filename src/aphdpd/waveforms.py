@@ -131,6 +131,14 @@ def compose_multicarrier(
     return IqBuffer(total.astype(np.complex64), sample_rate_hz)
 
 
+def white_gaussian(n_samples: int, rms: float, seed: int, sample_rate_hz: float) -> IqBuffer:
+    """Complex white Gaussian noise scaled, in double precision, to an exact RMS."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=n_samples) + 1j * rng.normal(size=n_samples)
+    x *= rms / np.sqrt(np.mean(x.real**2 + x.imag**2))
+    return IqBuffer(x.astype(np.complex64), sample_rate_hz)
+
+
 def normalize_power(buf: IqBuffer, target_rms: float) -> IqBuffer:
     """Scale a buffer to an exact RMS amplitude.
 

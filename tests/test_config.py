@@ -63,10 +63,13 @@ class TestParse:
         with pytest.raises(ConfigurationError, match="sampel_rate_hz"):
             parse_experiment_config(doc)
 
-    def test_unknown_nested_key(self):
+    @pytest.mark.parametrize(
+        "section, key", [("dpd", "ordering"), ("training", "regress_on_input")]
+    )
+    def test_unknown_nested_key(self, section, key):
         doc = _doc()
-        doc["dpd"]["ordering"] = "high"
-        with pytest.raises(ConfigurationError, match="ordering"):
+        doc[section][key] = True
+        with pytest.raises(ConfigurationError, match=key):
             parse_experiment_config(doc)
 
     def test_per_branch_tap_list(self):

@@ -30,7 +30,6 @@ from aphdpd import (
     identity_coefficients,
     pack_coefficients,
     predistort_parallel,
-    predistort_sample,
     predistort_serial,
     unpack_coefficients,
 )
@@ -171,33 +170,9 @@ class TestKernelCorrectness:
         assert_array_equal(out[:100], base[:100])
         assert out[100] != base[100]
 
-    def test_stream_start_zero_history(self):
-        """The first output only sees x[0]; memory taps read zeros."""
-        x = _buffer(32, seed=15)
-        coeffs = _random_coeffs(CFG)
-        first = predistort_serial(x, coeffs, CFG).samples[0]
-        window = np.zeros(CFG.l_max, dtype=np.complex64)
-        window[-1] = x.samples[0]
-        assert predistort_sample(window, coeffs, CFG) == complex(first)
-
     def test_empty_buffer(self):
         out = predistort_serial(IqBuffer(np.empty(0, np.complex64), 1e6), _random_coeffs(CFG), CFG)
         assert len(out) == 0
-
-
-class TestPredistortSample:
-    def test_agrees_with_stream(self):
-        x = _buffer(50, seed=20)
-        coeffs = _random_coeffs(CFG)
-        stream = predistort_serial(x, coeffs, CFG).samples
-        padded = np.concatenate([np.zeros(CFG.l_max - 1, np.complex64), x.samples])
-        for n in range(len(x)):
-            window = padded[n : n + CFG.l_max]
-            assert predistort_sample(window, coeffs, CFG) == complex(stream[n])
-
-    def test_window_length_checked(self):
-        with pytest.raises(ConfigurationError):
-            predistort_sample(np.zeros(3, np.complex64), _random_coeffs(CFG), CFG)
 
 
 class TestChunkPlan:
