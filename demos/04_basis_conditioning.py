@@ -20,13 +20,9 @@ from aphdpd import (
     fit_orthogonal_basis,
     load_experiment_config,
 )
+from aphdpd.training import normal_matrix_condition
 
 ROOT = Path(__file__).resolve().parents[1]
-
-
-def normal_matrix_condition(psi) -> float:
-    a = psi.values
-    return float(np.linalg.cond(a.conj().T @ a))
 
 
 def main() -> None:
@@ -38,9 +34,9 @@ def main() -> None:
         ("plain monomial", PolyBasis.plain(sets)),
         ("fitted orthogonal", fit_orthogonal_basis(buf, sets)),
     ):
-        psi = build_basis_matrix(buf, sets, (5, 5, 5), (5, 5), basis)
+        a = build_basis_matrix(buf, sets, (5, 5, 5), (5, 5), basis).values
         print(f"{label:>18} basis: normal-matrix condition "
-              f"{normal_matrix_condition(psi):.2e}")
+              f"{normal_matrix_condition(a.conj().T @ a):.2e}")
 
     basis = fit_orthogonal_basis(buf, sets)
     x = buf.samples.astype(np.complex128)

@@ -19,8 +19,10 @@ from .analysis import (
 from .basis import (
     BasisMatrix,
     BranchSets,
+    NormalEquations,
     PolyBasis,
     build_basis_matrix,
+    build_normal_equations,
     evaluate_branch,
     fit_orthogonal_basis,
 )

@@ -1,6 +1,8 @@
 """Polynomial branch basis: odd-order envelope polynomials and their
-statistically orthogonalized variants, plus the convolution-structured
-regression matrix used by least-squares training.
+statistically orthogonalized variants, plus the normal equations of the
+convolution-structured regression matrix that least-squares training
+solves (built from lagged branch correlations) and that dense matrix
+itself as a reference.
 
 A main branch of order p evaluates
 
@@ -246,6 +248,28 @@ class BasisMatrix:
         return self.values.shape[1]
 
 
+def _branch_layout(
+    n: int, sets: BranchSets, taps_main: tuple[int, ...], taps_conj: tuple[int, ...]
+) -> tuple[tuple[str, int, int], ...]:
+    """(family, order, taps) per branch in column order, after checking the
+    tap counts against the branch sets and the buffer length n."""
+    if len(taps_main) != len(sets.main_orders) or len(taps_conj) != len(sets.conj_orders):
+        raise ConfigurationError("tap counts must align with the branch sets")
+    if any(t < 1 for t in (*taps_main, *taps_conj)):
+        raise ConfigurationError("every branch needs at least one tap")
+    l_max = max(*taps_main, *taps_conj)
+    if n < l_max:
+        raise InsufficientDataError(f"buffer of {n} samples is shorter than {l_max} taps")
+    return tuple(
+        (family, order, n_taps)
+        for family, orders, taps in (
+            ("main", sets.main_orders, taps_main),
+            ("conj", sets.conj_orders, taps_conj),
+        )
+        for order, n_taps in zip(orders, taps)
+    )
+
+
 def build_basis_matrix(
     y: IqBuffer,
     sets: BranchSets,
@@ -258,31 +282,102 @@ def build_basis_matrix(
     Column block k of a branch holds the branch polynomial sequence delayed
     by k samples with zero padding; blocks are ordered main branches
     ascending, conjugate branches ascending, then the all-ones column.
+    Training never forms this matrix (see `build_normal_equations`); it is
+    the dense reference the normal equations are checked against.
     """
-    if len(taps_main) != len(sets.main_orders) or len(taps_conj) != len(sets.conj_orders):
-        raise ConfigurationError("tap counts must align with the branch sets")
-    if any(t < 1 for t in (*taps_main, *taps_conj)):
-        raise ConfigurationError("every branch needs at least one tap")
-
     n = len(y)
-    l_max = max(*taps_main, *taps_conj)
-    if n < l_max:
-        raise InsufficientDataError(f"buffer of {n} samples is shorter than {l_max} taps")
-
-    rows = n + l_max - 1
-    layout = []
+    layout = _branch_layout(n, sets, taps_main, taps_conj)
+    rows = n + max(t for _, _, t in layout) - 1
     blocks = []
-    for family, orders, taps in (
-        ("main", sets.main_orders, taps_main),
-        ("conj", sets.conj_orders, taps_conj),
-    ):
-        for order, n_taps in zip(orders, taps):
-            seq = evaluate_branch(y.samples, order, family == "conj", basis)
-            block = np.zeros((rows, n_taps), dtype=np.complex128)
-            for k in range(n_taps):
-                block[k : k + n, k] = seq
-            blocks.append(block)
-            layout.append((family, order, n_taps))
+    for family, order, n_taps in layout:
+        seq = evaluate_branch(y.samples, order, family == "conj", basis)
+        block = np.zeros((rows, n_taps), dtype=np.complex128)
+        for k in range(n_taps):
+            block[k : k + n, k] = seq
+        blocks.append(block)
     blocks.append(np.ones((rows, 1), dtype=np.complex128))
 
-    return BasisMatrix(np.hstack(blocks), tuple(layout))
+    return BasisMatrix(np.hstack(blocks), layout)
+
+
+@dataclass(frozen=True)
+class NormalEquations:
+    """The normal equations A^H A h = A^H b of the regression matrix A that
+    `build_basis_matrix` would build, without A itself.
+
+    branches holds the branch sequences psi_a (one row each, column order)
+    and target the zero-padded b; with the tap layout they define A, so the
+    data residual ||A h - b|| is a sum of short branch FIRs.
+    """
+
+    gram: np.ndarray
+    rhs: np.ndarray
+    column_layout: tuple[tuple[str, int, int], ...]
+    branches: np.ndarray
+    target: np.ndarray
+
+    def residual_norm(self, h: np.ndarray) -> float:
+        """||A h - b|| from the branch FIRs plus the constant column."""
+        out = np.full(len(self.target), h[-1], dtype=np.complex128)
+        col = 0
+        for seq, (_, _, n_taps) in zip(self.branches, self.column_layout):
+            out[: len(seq) + n_taps - 1] += np.convolve(seq, h[col : col + n_taps])
+            col += n_taps
+        return float(np.linalg.norm(out - self.target))
+
+
+def build_normal_equations(
+    y: IqBuffer,
+    target: np.ndarray,
+    sets: BranchSets,
+    taps_main: tuple[int, ...],
+    taps_conj: tuple[int, ...],
+    basis: PolyBasis,
+) -> NormalEquations:
+    """A^H A and A^H b for the `build_basis_matrix` layout, from lagged
+    branch correlations.
+
+    Column (a, k) is psi_a delayed by k, so every Gram entry is a lagged
+    correlation c_ab[d] = sum_m conj(psi_a[m]) psi_b[m + d] at d = k - l,
+    and c_ab[-d] = conj(c_ba[d]). One branch-by-branch product per lag
+    d = 0..l_max-1 gives them all. The all-ones column contributes the
+    branch sums and the row count; A^H b is the same correlation against
+    the target, which is zero-padded to the row count.
+    """
+    n = len(y)
+    layout = _branch_layout(n, sets, taps_main, taps_conj)
+    l_max = max(t for _, _, t in layout)
+    rows = n + l_max - 1
+    b = np.asarray(target, dtype=np.complex128)
+    if b.ndim != 1 or len(b) > rows:
+        raise ConfigurationError(f"target of shape {b.shape} exceeds the {rows} matrix rows")
+    b = np.concatenate([b, np.zeros(rows - len(b), dtype=np.complex128)])
+
+    psi = np.stack(
+        [evaluate_branch(y.samples, order, family == "conj", basis) for family, order, _ in layout]
+    )
+    psi_h = psi.conj()
+    # corr[l_max - 1 + d, a, c] = c_ac[d] for d in -(l_max-1)..(l_max-1).
+    corr = np.empty((2 * l_max - 1, len(layout), len(layout)), dtype=np.complex128)
+    for d in range(l_max):
+        corr[l_max - 1 + d] = psi_h[:, : n - d] @ psi[:, d:].T
+    corr[: l_max - 1] = corr[: l_max - 1 : -1].conj().transpose(0, 2, 1)
+    # proj[k, a] = sum_m conj(psi_a[m]) b[m + k]
+    proj = np.stack([psi_h @ b[k : k + n] for k in range(l_max)])
+
+    starts = np.cumsum([0] + [t for _, _, t in layout])
+    cols = int(starts[-1]) + 1
+    gram = np.empty((cols, cols), dtype=np.complex128)
+    rhs = np.empty(cols, dtype=np.complex128)
+    sums = psi.sum(axis=1)
+    for a, (_, _, ta) in enumerate(layout):
+        rows_a = slice(starts[a], starts[a] + ta)
+        for c, (_, _, tc) in enumerate(layout):
+            lag = np.arange(ta)[:, None] - np.arange(tc)[None, :] + l_max - 1
+            gram[rows_a, starts[c] : starts[c] + tc] = corr[lag, a, c]
+        gram[rows_a, -1] = np.conj(sums[a])
+        gram[-1, rows_a] = sums[a]
+        rhs[rows_a] = proj[:ta, a]
+    gram[-1, -1] = rows
+    rhs[-1] = b.sum()
+    return NormalEquations(gram, rhs, layout, psi, b)

@@ -75,7 +75,12 @@ def _cmd_train(args) -> int:
     _write_json(report.to_json_list(), args.report_out)
     print(f"baseline NMSE: {report.baseline_nmse_db:.2f} dB")
     for rec in report.records:
-        tag = "accepted" if rec.accepted else "kept previous"
+        if rec.accepted:
+            tag = "accepted"
+        elif rec.candidate_nmse_db is None:
+            tag = "kept previous; candidate diverged"
+        else:
+            tag = f"kept previous; candidate {rec.candidate_nmse_db:.2f} dB"
         print(f"iteration {rec.iteration}: NMSE {rec.nmse_db:.2f} dB ({tag})")
     return 0
 

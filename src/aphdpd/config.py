@@ -13,6 +13,7 @@ and the analysis bands. Complex values are written as [re, im] pairs.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -30,10 +31,15 @@ SEED_ENV_VAR = "DPD_SEED"
 _BASIS_FIT_SEED_OFFSET = 500
 
 
-def _require(doc: dict, key: str, where: str):
-    if key not in doc:
+_REQUIRED = object()
+
+
+def _require(doc: dict, key: str, where: str, default=_REQUIRED):
+    if key in doc:
+        return doc[key]
+    if default is _REQUIRED:
         raise ConfigurationError(f"config missing required key '{where}{key}'")
-    return doc[key]
+    return default
 
 
 def _reject_unknown(doc: dict, allowed, where: str) -> None:
@@ -42,12 +48,44 @@ def _reject_unknown(doc: dict, allowed, where: str) -> None:
         raise ConfigurationError(f"unknown config key '{where}{unknown[0]}'")
 
 
+# JSON booleans are Python ints; neither a count nor a quantity may be one.
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# Python's json module reads NaN and Infinity; no quantity here may be either.
+def _is_number(value) -> bool:
+    return (_is_int(value) or isinstance(value, float)) and math.isfinite(value)
+
+
+def _number(doc: dict, key: str, where: str, default=_REQUIRED) -> float:
+    value = _require(doc, key, where, default)
+    if not _is_number(value):
+        raise ConfigurationError(f"'{where}{key}' must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _optional_number(doc: dict, key: str, where: str) -> float | None:
+    """A number, or None when the key is absent or null."""
+    return None if doc.get(key) is None else _number(doc, key, where)
+
+
+def _integer(doc: dict, key: str, where: str, default=_REQUIRED) -> int:
+    value = _require(doc, key, where, default)
+    if not _is_int(value):
+        raise ConfigurationError(f"'{where}{key}' must be an integer, got {value!r}")
+    return value
+
+
+def _section(doc: dict, key: str, where: str = "") -> dict:
+    value = _require(doc, key, where)
+    if not isinstance(value, dict):
+        raise ConfigurationError(f"'{where}{key}' must be a JSON object, got {value!r}")
+    return value
+
+
 def _complex_pair(value, where: str) -> complex:
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 2
-        or not all(isinstance(v, (int, float)) for v in value)
-    ):
+    if not isinstance(value, (list, tuple)) or len(value) != 2 or not all(map(_is_number, value)):
         raise ConfigurationError(f"'{where}' must be a [re, im] pair, got {value!r}")
     return complex(value[0], value[1])
 
@@ -104,9 +142,9 @@ class ExperimentConfig:
 
 
 def _parse_taps(value, n_branches: int, where: str) -> tuple[int, ...]:
-    if isinstance(value, int):
+    if _is_int(value):
         return (value,) * n_branches
-    if isinstance(value, list) and all(isinstance(v, int) for v in value):
+    if isinstance(value, list) and all(map(_is_int, value)):
         if len(value) != n_branches:
             raise ConfigurationError(
                 f"'{where}' lists {len(value)} tap counts for {n_branches} branches"
@@ -132,10 +170,10 @@ def parse_experiment_config(doc: dict, seed_override: int | None = None) -> Expe
     )
     _reject_unknown(doc, top_allowed, "")
 
-    fs = float(_require(doc, "sample_rate_hz", ""))
-    n_samples = int(_require(doc, "n_samples", ""))
-    seed = int(_require(doc, "seed", ""))
-    drive_rms = float(_require(doc, "drive_rms", ""))
+    fs = _number(doc, "sample_rate_hz", "")
+    n_samples = _integer(doc, "n_samples", "")
+    seed = _integer(doc, "seed", "")
+    drive_rms = _number(doc, "drive_rms", "")
     if n_samples < 1:
         raise ConfigurationError(f"'n_samples' must be >= 1, got {n_samples}")
     if drive_rms <= 0:
@@ -149,22 +187,24 @@ def parse_experiment_config(doc: dict, seed_override: int | None = None) -> Expe
     carriers = []
     for i, entry in enumerate(raw_carriers):
         where = f"carriers[{i}]."
+        if not isinstance(entry, dict):
+            raise ConfigurationError(f"'carriers[{i}]' must be a JSON object, got {entry!r}")
         _reject_unknown(entry, ("center_offset_hz", "bandwidth_hz", "power_db"), where)
         spec = CarrierSpec(
-            float(_require(entry, "center_offset_hz", where)),
-            float(_require(entry, "bandwidth_hz", where)),
-            float(entry.get("power_db", 0.0)),
+            _number(entry, "center_offset_hz", where),
+            _number(entry, "bandwidth_hz", where),
+            _number(entry, "power_db", where, 0.0),
         )
         spec.check_fits(fs)
         carriers.append(spec)
 
-    dpd = _require(doc, "dpd", "")
+    dpd = _section(doc, "dpd")
     _reject_unknown(
         dpd, ("max_order_main", "max_order_conj", "taps_main", "taps_conj", "basis_mode"), "dpd."
     )
     sets = BranchSets.odd_orders_up_to(
-        int(_require(dpd, "max_order_main", "dpd.")),
-        int(_require(dpd, "max_order_conj", "dpd.")),
+        _integer(dpd, "max_order_main", "dpd."),
+        _integer(dpd, "max_order_conj", "dpd."),
     )
     taps_main = _parse_taps(
         _require(dpd, "taps_main", "dpd."), len(sets.main_orders), "dpd.taps_main"
@@ -176,22 +216,19 @@ def parse_experiment_config(doc: dict, seed_override: int | None = None) -> Expe
     if basis_mode not in (PLAIN, ORTHOGONAL):
         raise ConfigurationError(f"'dpd.basis_mode' must be plain or orthogonal, got {basis_mode!r}")
 
-    tr = _require(doc, "training", "")
+    tr = _section(doc, "training")
     _reject_unknown(
         tr, ("n_training_samples", "iterations", "ridge_lambda", "feedback_noise_db"), "training."
     )
-    ridge = tr.get("ridge_lambda")
     training = TrainingConfig(
-        n_training_samples=int(_require(tr, "n_training_samples", "training.")),
-        iterations=int(tr.get("iterations", 3)),
-        ridge_lambda=None if ridge is None else float(ridge),
+        n_training_samples=_integer(tr, "n_training_samples", "training."),
+        iterations=_integer(tr, "iterations", "training.", 3),
+        ridge_lambda=_optional_number(tr, "ridge_lambda", "training."),
         seed=seed,
-        feedback_noise_db=(
-            None if tr.get("feedback_noise_db") is None else float(tr["feedback_noise_db"])
-        ),
+        feedback_noise_db=_optional_number(tr, "feedback_noise_db", "training."),
     )
 
-    pa_doc = _require(doc, "pa", "")
+    pa_doc = _section(doc, "pa")
     _reject_unknown(pa_doc, ("alpha1", "alpha3", "alpha5"), "pa.")
     pa = PaModel(
         _complex_pair(_require(pa_doc, "alpha1", "pa."), "pa.alpha1"),
@@ -199,26 +236,26 @@ def parse_experiment_config(doc: dict, seed_override: int | None = None) -> Expe
         _complex_pair(pa_doc.get("alpha5", [0.0, 0.0]), "pa.alpha5"),
     )
 
-    mod_doc = _require(doc, "iq_modulator", "")
+    mod_doc = _section(doc, "iq_modulator")
     _reject_unknown(
         mod_doc, ("gain_imbalance_db", "phase_imbalance_deg", "lo_leakage"), "iq_modulator."
     )
     modulator = IqModulatorModel(
-        float(mod_doc.get("gain_imbalance_db", 0.0)),
-        float(mod_doc.get("phase_imbalance_deg", 0.0)),
+        _number(mod_doc, "gain_imbalance_db", "iq_modulator.", 0.0),
+        _number(mod_doc, "phase_imbalance_deg", "iq_modulator.", 0.0),
         _complex_pair(mod_doc.get("lo_leakage", [0.0, 0.0]), "iq_modulator.lo_leakage"),
     )
 
-    an = _require(doc, "analysis", "")
+    an = _section(doc, "analysis")
     _reject_unknown(an, ("nfft", "overlap", "bands"), "analysis.")
-    nfft = int(an.get("nfft", 4096))
-    overlap = float(an.get("overlap", 0.5))
+    nfft = _integer(an, "nfft", "analysis.", 4096)
+    overlap = _number(an, "overlap", "analysis.", 0.5)
     raw_bands = _require(an, "bands", "analysis.")
     if not isinstance(raw_bands, list):
         raise ConfigurationError("'analysis.bands' must be a list of [f_lo, f_hi] pairs")
     bands = []
     for i, band in enumerate(raw_bands):
-        if not isinstance(band, list) or len(band) != 2:
+        if not isinstance(band, list) or len(band) != 2 or not all(map(_is_number, band)):
             raise ConfigurationError(f"'analysis.bands[{i}]' must be a [f_lo, f_hi] pair")
         lo, hi = float(band[0]), float(band[1])
         if not lo < hi:
@@ -253,7 +290,7 @@ def load_experiment_config(path, respect_env: bool = True) -> ExperimentConfig:
     with open(path) as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as err:
+        except ValueError as err:  # JSONDecodeError, UnicodeDecodeError
             raise ConfigurationError(f"{path}: invalid JSON ({err})") from err
     seed_override = None
     if respect_env and os.environ.get(SEED_ENV_VAR):

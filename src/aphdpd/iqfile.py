@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import _is_int, _is_number
 from .exceptions import ConfigurationError
 from .waveforms import IqBuffer
 
@@ -32,6 +33,28 @@ def write_iq(buf: IqBuffer, path: str | Path, sidecar: bool = True) -> None:
         sidecar_path(path).write_text(json.dumps(meta) + "\n")
 
 
+def _read_sidecar(meta_file: Path, n_held: int) -> tuple[float, int]:
+    """(sample rate, declared sample count) from a sidecar document; the
+    count defaults to the n_held samples the data file holds."""
+    try:
+        meta = json.loads(meta_file.read_text())
+    except ValueError as err:  # JSONDecodeError, UnicodeDecodeError
+        raise ConfigurationError(f"{meta_file}: invalid JSON ({err})") from err
+    if not isinstance(meta, dict):
+        raise ConfigurationError(f"{meta_file}: sidecar must be a JSON object")
+    if "sample_rate_hz" not in meta:
+        raise ConfigurationError(f"{meta_file}: sidecar missing 'sample_rate_hz'")
+    rate = meta["sample_rate_hz"]
+    if not _is_number(rate):
+        raise ConfigurationError(
+            f"{meta_file}: 'sample_rate_hz' must be a finite number, got {rate!r}"
+        )
+    n = meta.get("n_samples", n_held)
+    if not _is_int(n):
+        raise ConfigurationError(f"{meta_file}: 'n_samples' must be an integer, got {n!r}")
+    return float(rate), n
+
+
 def read_iq(path: str | Path, sample_rate_hz: float | None = None) -> IqBuffer:
     """Read an interleaved float32 I/Q file.
 
@@ -47,9 +70,7 @@ def read_iq(path: str | Path, sample_rate_hz: float | None = None) -> IqBuffer:
 
     meta_file = sidecar_path(path)
     if meta_file.exists():
-        meta = json.loads(meta_file.read_text())
-        rate = float(meta["sample_rate_hz"])
-        n_declared = int(meta.get("n_samples", len(raw) // 8))
+        rate, n_declared = _read_sidecar(meta_file, len(raw) // 8)
         if n_declared != len(raw) // 8:
             raise ConfigurationError(
                 f"{path}: sidecar declares {n_declared} samples, file holds {len(raw) // 8}"

@@ -5,6 +5,15 @@ seed-derived waveform, scales the feedback by the estimated complex chain
 gain, regresses the predistorter input on the scaled feedback, and solves
 a ridge-stabilized least-squares problem in double precision.
 
+The regression never forms its rows x cols matrix A. Its normal
+equations A^H A and A^H b come straight from lagged correlations of the
+branch sequences (`basis.build_normal_equations`), and the small
+cols x cols system is solved by Cholesky (`_lstsq_ridge`). Without ridge
+(lambda = 0) a normal matrix whose condition number exceeds the package's
+one singularity limit (`basis._MOMENT_COND_LIMIT`) is reported as a
+ConditioningError rather than solved. The data residual ||A h - b|| is
+recomputed from the branch FIRs.
+
 Plain iterate-and-replace learning is not a descent method: once near its
 fixed point, consecutive fits wander by several dB because the update has
 no memory of how good the previous solution was (near-degenerate regressor
@@ -27,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import nmse_db_samples
-from .basis import BasisMatrix, build_basis_matrix
+from .basis import _MOMENT_COND_LIMIT, BasisMatrix, build_normal_equations
 from .exceptions import (
     ConditioningError,
     ConfigurationError,
@@ -77,13 +86,19 @@ class TrainingConfig:
 @dataclass(frozen=True)
 class IterationRecord:
     """State after one training iteration (the kept state, not necessarily
-    the fresh candidate: `accepted` says whether the candidate replaced it)."""
+    the fresh candidate: `accepted` says whether the candidate replaced it).
+
+    candidate_nmse_db is the fresh candidate's validation NMSE (None when
+    its evaluation diverged); ridge_lambda is the lambda its solve used.
+    """
 
     iteration: int
     coefficients: CoefficientVector
     nmse_db: float
+    candidate_nmse_db: float | None
     residual_norm: float
     condition_estimate: float
+    ridge_lambda: float
     gain: complex
     accepted: bool
 
@@ -91,8 +106,10 @@ class IterationRecord:
         return {
             "iteration": self.iteration,
             "nmse_db": self.nmse_db,
+            "candidate_nmse_db": self.candidate_nmse_db,
             "residual_norm": self.residual_norm,
             "condition_estimate": self.condition_estimate,
+            "ridge_lambda": self.ridge_lambda,
             "gain": [self.gain.real, self.gain.imag],
             "accepted": self.accepted,
             "coefficients": [[float(v.real), float(v.imag)] for v in self.coefficients.h],
@@ -128,30 +145,43 @@ def estimate_gain(pa_in: IqBuffer, pa_out: IqBuffer) -> complex:
     return complex(np.vdot(a, b) / denom)
 
 
-def _lstsq_ridge(
-    values: np.ndarray, target: np.ndarray, ridge_lambda: float
-) -> tuple[np.ndarray, float, float]:
-    """Solve min ||A h - b||^2 + lambda ||h||^2 in double precision.
+def normal_matrix_condition(normal: np.ndarray) -> float:
+    """2-norm condition number of a Hermitian normal matrix from its
+    eigenvalues; inf when it is not positive definite."""
+    eig = np.linalg.eigvalsh(normal)
+    return float(eig[-1] / eig[0]) if eig[0] > 0 else float("inf")
 
-    Returns (h, data residual norm ||A h - b||, condition estimate of the
-    normal matrix A^H A + lambda I). Raises ConditioningError when the
-    unregularized problem is rank-deficient.
+
+def _lstsq_ridge(
+    gram: np.ndarray, rhs: np.ndarray, ridge_lambda: float
+) -> tuple[np.ndarray, float]:
+    """Solve the ridge normal equations (G + lambda I) h = r in double precision.
+
+    G = A^H A and r = A^H b are the normal equations of
+    min ||A h - b||^2 + lambda ||h||^2; the solve is a Cholesky
+    factorization of G + lambda I and two triangular solves. Returns
+    (h, cond(G + lambda I)), the condition number from the eigenvalues,
+    which equals the squared condition number of the stacked ridge matrix
+    [A; sqrt(lambda) I]. Raises ConditioningError when the factorization
+    fails, or when lambda = 0 and the condition number exceeds the
+    package's singularity limit (basis._MOMENT_COND_LIMIT): the
+    unregularized problem is then numerically rank-deficient.
     """
-    rows, cols = values.shape
-    if ridge_lambda > 0.0:
-        a = np.vstack([values, np.sqrt(ridge_lambda) * np.eye(cols, dtype=values.dtype)])
-        b = np.concatenate([target, np.zeros(cols, dtype=target.dtype)])
-    else:
-        a, b = values, target
-    h, _, rank, sv = np.linalg.lstsq(a, b, rcond=None)
-    cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else float("inf")
-    if ridge_lambda == 0.0 and rank < cols:
+    normal = gram + ridge_lambda * np.eye(gram.shape[0])
+    cond = normal_matrix_condition(normal)
+    if ridge_lambda == 0.0 and cond > _MOMENT_COND_LIMIT:
         raise ConditioningError(
-            f"regression matrix is numerically singular (rank {rank} of {cols})",
+            f"regression matrix is numerically singular (cond(A^H A) ~ {cond:.3g})",
             condition_estimate=cond,
         )
-    residual = float(np.linalg.norm(values @ h - target))
-    return h, residual, cond**2
+    try:
+        chol = np.linalg.cholesky(normal)
+    except np.linalg.LinAlgError as err:
+        raise ConditioningError(
+            f"normal matrix is not positive definite: {err}", condition_estimate=cond
+        ) from err
+    h = np.linalg.solve(chol.conj().T, np.linalg.solve(chol, rhs))
+    return h, cond
 
 
 def ls_solve(psi, target, ridge_lambda: float = 0.0) -> CoefficientVector:
@@ -171,7 +201,7 @@ def ls_solve(psi, target, ridge_lambda: float = 0.0) -> CoefficientVector:
         raise ConfigurationError(
             f"target length {b.shape} does not match {values.shape[0]} matrix rows"
         )
-    h, _, _ = _lstsq_ridge(values, b, float(ridge_lambda))
+    h, _ = _lstsq_ridge(values.conj().T @ values, values.conj().T @ b, float(ridge_lambda))
     return CoefficientVector(h.astype(np.complex64))
 
 
@@ -259,17 +289,15 @@ def ila_train(
         regressor = IqBuffer(
             (s.samples.astype(np.complex128) / gain).astype(np.complex64), s.sample_rate_hz
         )
-        psi = build_basis_matrix(regressor, cfg.sets, cfg.taps_main, cfg.taps_conj, cfg.basis)
-        target = np.zeros(psi.n_rows, dtype=np.complex128)
-        target[: len(z)] = z.samples.astype(np.complex128)
-
-        values = psi.values
+        normal = build_normal_equations(
+            regressor, z.samples, cfg.sets, cfg.taps_main, cfg.taps_conj, cfg.basis
+        )
         if tcfg.ridge_lambda is None:
-            gram_trace = float(np.sum(values.real**2 + values.imag**2))
-            lam = 1e-8 * gram_trace / psi.n_cols
+            lam = 1e-8 * float(np.trace(normal.gram).real) / len(normal.rhs)
         else:
             lam = float(tcfg.ridge_lambda)
-        h, residual, cond = _lstsq_ridge(values, target, lam)
+        h, cond = _lstsq_ridge(normal.gram, normal.rhs, lam)
+        residual = normal.residual_norm(h)
         candidate = CoefficientVector(h.astype(np.complex64))
 
         candidate_nmse = _linearization_nmse_db(
@@ -284,8 +312,10 @@ def ila_train(
                 iteration=i,
                 coefficients=coeffs,
                 nmse_db=current_nmse,
+                candidate_nmse_db=candidate_nmse if np.isfinite(candidate_nmse) else None,
                 residual_norm=residual,
                 condition_estimate=cond,
+                ridge_lambda=lam,
                 gain=gain,
                 accepted=accepted,
             )

@@ -21,6 +21,7 @@ from aphdpd import (
     IqBuffer,
     PolyBasis,
     build_basis_matrix,
+    build_normal_equations,
     evaluate_branch,
     fit_orthogonal_basis,
 )
@@ -203,3 +204,29 @@ class TestBuildBasisMatrix:
         buf = IqBuffer(np.ones(4, np.complex64), 1e6)
         with pytest.raises(InsufficientDataError):
             build_basis_matrix(buf, TABLE_SETS, (5, 5, 5), (5, 5), basis)
+
+
+class TestBuildNormalEquations:
+    @pytest.mark.parametrize("mode", ["plain", "orthogonal"])
+    @pytest.mark.parametrize(
+        "sets, taps_main, taps_conj",
+        [
+            (BranchSets((1,), (1,)), (2,), (1,)),
+            (TABLE_SETS, (3, 1, 4), (2, 5)),
+        ],
+    )
+    def test_matches_dense_normal_equations(self, mode, sets, taps_main, taps_conj):
+        buf = _training_buffer(n=3000, seed=31)
+        basis = PolyBasis.plain(sets) if mode == "plain" else fit_orthogonal_basis(buf, sets)
+        rng = np.random.default_rng(32)
+        z = rng.normal(size=len(buf)) + 1j * rng.normal(size=len(buf))
+        a = build_basis_matrix(buf, sets, taps_main, taps_conj, basis).values
+        b = np.concatenate([z, np.zeros(a.shape[0] - len(z))])
+        ne = build_normal_equations(buf, z, sets, taps_main, taps_conj, basis)
+
+        gram = a.conj().T @ a
+        rhs = a.conj().T @ b
+        assert np.linalg.norm(ne.gram - gram) <= 1e-12 * np.linalg.norm(gram)
+        assert np.linalg.norm(ne.rhs - rhs) <= 1e-12 * np.linalg.norm(rhs)
+        h = rng.normal(size=a.shape[1]) + 1j * rng.normal(size=a.shape[1])
+        assert ne.residual_norm(h) == pytest.approx(np.linalg.norm(a @ h - b), rel=1e-12)

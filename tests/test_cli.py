@@ -101,8 +101,12 @@ class TestTrain:
         rows = json.loads(report.read_text())
         assert isinstance(rows, list) and len(rows) == 2
         assert rows[0]["iteration"] == 1
+        assert {"candidate_nmse_db", "ridge_lambda"} <= set(rows[0])
         printed = capsys.readouterr().out
         assert "baseline" in printed and "iteration 2" in printed
+        for row, line in zip(rows, printed.splitlines()[1:]):
+            if not row["accepted"]:
+                assert "candidate" in line
 
     def test_coefficient_file_is_self_contained(self, config_path, tmp_path):
         coeffs = tmp_path / "coeffs.json"
@@ -147,6 +151,15 @@ class TestPredistortSimulate:
         rc = cli.main(["predistort", config_path, str(tmp_path / "no.json"), wave, wave + ".o"])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_malformed_sidecar_is_one_error_line(self, config_path, tmp_path, capsys):
+        wave = tmp_path / "wave.iq"
+        cli.main(["generate", config_path, str(wave)])
+        (tmp_path / "wave.iq.json").write_text("{not json")
+        capsys.readouterr()
+        assert cli.main(["simulate", config_path, str(wave), str(tmp_path / "o.iq")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
     def test_simulate_ideal_chain_passthrough(self, tmp_path, monkeypatch):
         monkeypatch.delenv("DPD_SEED", raising=False)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -102,6 +103,26 @@ class TestParse:
         doc = _doc()
         doc["pa"]["alpha1"] = [1.0]
         with pytest.raises(ConfigurationError):
+            parse_experiment_config(doc)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("carriers", [1]),
+            ("seed", "abc"),
+            ("training.ridge_lambda", "x"),
+            ("training.iterations", 2.5),
+            ("sample_rate_hz", float("inf")),
+        ],
+    )
+    def test_value_type_checked_and_named(self, key, value):
+        doc = _doc()
+        section, _, leaf = key.partition(".")
+        if leaf:
+            doc[section][leaf] = value
+        else:
+            doc[section] = value
+        with pytest.raises(ConfigurationError, match=re.escape(key)):
             parse_experiment_config(doc)
 
     def test_seed_override_wins(self):

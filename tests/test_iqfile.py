@@ -86,3 +86,25 @@ def test_rate_contradiction_rejected(tmp_path):
     write_iq(_buf(fs=5e6), path)
     with pytest.raises(ConfigurationError):
         read_iq(path, sample_rate_hz=6e6)
+
+
+@pytest.mark.parametrize(
+    "sidecar",
+    [
+        "{not json",
+        "[1, 2]",
+        '{"n_samples": 10}',
+        '{"sample_rate_hz": "fast", "n_samples": 10}',
+        '{"sample_rate_hz": NaN, "n_samples": 10}',
+        '{"sample_rate_hz": 5e6, "n_samples": 10.5}',
+        '{"sample_rate_hz": 5e6, "n_samples": "10"}',
+    ],
+    ids=["malformed", "not-object", "no-rate", "rate-text", "rate-nan", "count-fraction",
+         "count-text"],
+)
+def test_malformed_sidecar_is_configuration_error(tmp_path, sidecar):
+    path = tmp_path / "a.iq"
+    write_iq(_buf(n=10, fs=5e6), path)
+    sidecar_path(path).write_text(sidecar)
+    with pytest.raises(ConfigurationError, match="a.iq.json"):
+        read_iq(path)

@@ -191,9 +191,28 @@ class TestIlaTrain:
         rows = report.to_json_list()
         assert [r["iteration"] for r in rows] == [1, 2]
         for row in rows:
-            assert set(row) >= {"iteration", "nmse_db", "gain", "accepted",
-                                "residual_norm", "condition_estimate", "coefficients"}
+            assert set(row) >= {"iteration", "nmse_db", "candidate_nmse_db", "gain",
+                                "accepted", "residual_norm", "condition_estimate",
+                                "ridge_lambda", "coefficients"}
             assert len(row["coefficients"]) == CFG.n_coefficients
+            assert row["ridge_lambda"] > 0.0  # automatic level
+            if row["accepted"]:
+                assert row["candidate_nmse_db"] == row["nmse_db"]
+            else:
+                assert row["candidate_nmse_db"] is None or row["candidate_nmse_db"] > row["nmse_db"]
+
+    def test_never_builds_the_dense_matrix(self, monkeypatch):
+        """Training solves normal equations built from branch correlations."""
+
+        def dense(*args):
+            raise AssertionError("training built the dense regression matrix")
+
+        monkeypatch.setattr("aphdpd.basis.build_basis_matrix", dense)
+        monkeypatch.setattr("aphdpd.training.build_basis_matrix", dense, raising=False)
+        _, report = ila_train(
+            REF_CHAIN, CFG, TrainingConfig(n_training_samples=2000, iterations=2)
+        )
+        assert report.nmse_db[-1] < report.baseline_nmse_db
 
     def test_too_few_samples_rejected(self):
         with pytest.raises(InsufficientDataError):
