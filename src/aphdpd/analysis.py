@@ -19,13 +19,16 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal
 
 from .exceptions import ConfigurationError, DegenerateInputError, InsufficientDataError
 from .waveforms import IqBuffer
 
 NMSE_FLOOR_DB = -300.0
 _LOG_FLOOR = 1e-300
+
+# Samples per FFT batch in welch_psd: its working memory is a few times
+# this many complex64 samples, whatever the buffer length.
+_WELCH_BATCH_SAMPLES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -57,8 +60,16 @@ class Spectrum:
 def welch_psd(buf: IqBuffer, nfft: int = 4096, overlap: float = 0.5) -> Spectrum:
     """Averaged-periodogram PSD of a complex baseband buffer.
 
-    Hann window, `nfft`-point segments overlapping by the given fraction,
-    density scaling. Requires at least one full segment.
+    Periodic Hann window, `nfft`-point segments overlapping by the given
+    fraction (rounded to whole samples), density scaling, no detrending.
+    Requires at least one full segment.
+
+    Precision: segments are windowed and transformed in single precision
+    (complex64, as the samples are stored; numpy >= 2 keeps complex64
+    through the FFT), and the periodograms are summed in double precision.
+
+    Segments go through the FFT in batches of about `_WELCH_BATCH_SAMPLES`
+    samples, so memory does not grow with the buffer length.
     """
     if nfft < 2:
         raise ConfigurationError(f"nfft must be >= 2, got {nfft}")
@@ -68,16 +79,17 @@ def welch_psd(buf: IqBuffer, nfft: int = 4096, overlap: float = 0.5) -> Spectrum
         raise InsufficientDataError(
             f"need at least nfft={nfft} samples for one segment, got {len(buf)}"
         )
-    freq, psd = signal.welch(
-        buf.samples,
-        fs=buf.sample_rate_hz,
-        window="hann",
-        nperseg=nfft,
-        noverlap=int(round(nfft * overlap)),
-        detrend=False,
-        return_onesided=False,
-        scaling="density",
-    )
+    step = nfft - int(round(nfft * overlap))
+    window = (0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(nfft) / nfft)).astype(np.float32)
+    segments = np.lib.stride_tricks.sliding_window_view(buf.samples, nfft)[::step]
+    batch = max(1, _WELCH_BATCH_SAMPLES // nfft)
+    acc = np.zeros(nfft)
+    for start in range(0, len(segments), batch):
+        spectra = np.fft.fft(segments[start : start + batch] * window, axis=-1)
+        acc += (spectra.real**2 + spectra.imag**2).sum(axis=0, dtype=np.float64)
+    window_power = float(np.sum(np.square(window, dtype=np.float64)))
+    psd = acc / (len(segments) * buf.sample_rate_hz * window_power)
+    freq = np.fft.fftfreq(nfft, 1.0 / buf.sample_rate_hz)
     freq = np.fft.fftshift(freq)
     psd = np.fft.fftshift(psd)
     if nfft % 2 == 0:
@@ -86,7 +98,7 @@ def welch_psd(buf: IqBuffer, nfft: int = 4096, overlap: float = 0.5) -> Spectrum
         freq = np.roll(freq, -1)
         psd = np.roll(psd, -1)
         freq[-1] = buf.sample_rate_hz / 2.0
-    return Spectrum(freq, np.maximum(psd.real, 0.0), buf.sample_rate_hz)
+    return Spectrum(freq, psd, buf.sample_rate_hz)
 
 
 def band_power_db(spec: Spectrum, f_lo: float, f_hi: float) -> float:

@@ -23,9 +23,9 @@ in `predistorter`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .exceptions import ConditioningError, ConfigurationError, InsufficientDataError
 from .waveforms import IqBuffer
@@ -186,6 +186,25 @@ def evaluate_branch(x, branch_order: int, conjugate: bool, basis: PolyBasis):
     return complex(result) if result.ndim == 0 else result
 
 
+def _lower_triangular_inverse(chol: np.ndarray) -> np.ndarray:
+    """inv(L) of a small lower-triangular L by forward substitution.
+
+    The rounding follows LAPACK's triangular solve on FMA hardware: each
+    pivot row is scaled by the reciprocal of its diagonal, and each
+    elimination step c - b*l is rounded once, as a fused multiply-add does
+    (exact rational arithmetic, then one rounding to double). The fitted
+    coefficient tables therefore keep the bits a LAPACK solve gives them.
+    """
+    k = len(chol)
+    inv = np.eye(k)
+    for p in range(k):
+        inv[p] *= 1.0 / chol[p, p]
+        for i in range(p + 1, k):
+            lip = Fraction(float(chol[i, p]))
+            inv[i] = [float(Fraction(c) - Fraction(b) * lip) for c, b in zip(inv[i], inv[p])]
+    return inv
+
+
 def fit_orthogonal_basis(training: IqBuffer, sets: BranchSets) -> PolyBasis:
     """Orthogonalize both branch families over a training sample set.
 
@@ -222,7 +241,7 @@ def fit_orthogonal_basis(training: IqBuffer, sets: BranchSets) -> PolyBasis:
                 condition_estimate=cond,
             ) from err
         # Rows of inv(L): coefficients of each orthonormal branch over the monomials.
-        inv_chol = solve_triangular(chol, np.eye(k), lower=True)
+        inv_chol = _lower_triangular_inverse(chol)
         return {order: inv_chol[i, : i + 1].copy() for i, order in enumerate(orders)}
 
     return PolyBasis(ORTHOGONAL, sets, family(sets.main_orders), family(sets.conj_orders))
@@ -317,11 +336,13 @@ class NormalEquations:
     target: np.ndarray
 
     def residual_norm(self, h: np.ndarray) -> float:
-        """||A h - b|| from the branch FIRs plus the constant column."""
+        """||A h - b|| from the branch FIRs plus the constant column, each
+        FIR as one shifted add per tap."""
         out = np.full(len(self.target), h[-1], dtype=np.complex128)
         col = 0
         for seq, (_, _, n_taps) in zip(self.branches, self.column_layout):
-            out[: len(seq) + n_taps - 1] += np.convolve(seq, h[col : col + n_taps])
+            for k in range(n_taps):
+                out[k : k + len(seq)] += h[col + k] * seq
             col += n_taps
         return float(np.linalg.norm(out - self.target))
 

@@ -27,6 +27,10 @@ import numpy as np
 from .exceptions import ConfigurationError
 from .waveforms import IqBuffer
 
+# Samples per block in TxChain.apply: keeps the complex128 temporaries
+# cache-sized and the working memory independent of the buffer length.
+_BLOCK_LEN = 65536
+
 
 @dataclass(frozen=True)
 class PaModel:
@@ -83,10 +87,19 @@ class TxChain:
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Modulator then PA over raw samples, cast to complex64.
 
+        Runs in blocks of `_BLOCK_LEN` samples written into one complex64
+        output. The chain is elementwise (every output sample depends on
+        its input sample alone, through the same operations), so the
+        blocking cannot change a bit of the result.
+
         Unlike run_tx_chain this does not reject the result: a chain driven
         past single-precision range returns non-finite samples.
         """
-        return np.asarray(pa_evaluate(iq_modulate(x, self.modulator), self.pa), np.complex64)
+        out = np.empty(x.shape, dtype=np.complex64)
+        for start in range(0, x.size, _BLOCK_LEN):
+            block = slice(start, start + _BLOCK_LEN)
+            out[block] = pa_evaluate(iq_modulate(x[block], self.modulator), self.pa)
+        return out
 
 
 def pa_evaluate(x, pa: PaModel):

@@ -3,6 +3,10 @@
 Repo-wide format: little-endian 32-bit floats, interleaved I,Q,I,Q,...
 with an optional sidecar JSON (`<path>.json`) carrying
 {"sample_rate_hz": <number>, "n_samples": <number>}.
+
+The sample layout is byte for byte little-endian complex64, so files are
+read and written straight from and into the sample array, with no
+interleaving copy.
 """
 
 from __future__ import annotations
@@ -24,10 +28,7 @@ def sidecar_path(path: str | Path) -> Path:
 def write_iq(buf: IqBuffer, path: str | Path, sidecar: bool = True) -> None:
     """Write a buffer as interleaved little-endian float32 I/Q pairs."""
     path = Path(path)
-    interleaved = np.empty(2 * len(buf), dtype="<f4")
-    interleaved[0::2] = buf.samples.real
-    interleaved[1::2] = buf.samples.imag
-    path.write_bytes(interleaved.tobytes())
+    np.ascontiguousarray(buf.samples, dtype="<c8").tofile(path)
     if sidecar:
         meta = {"sample_rate_hz": buf.sample_rate_hz, "n_samples": len(buf)}
         sidecar_path(path).write_text(json.dumps(meta) + "\n")
@@ -62,18 +63,17 @@ def read_iq(path: str | Path, sample_rate_hz: float | None = None) -> IqBuffer:
     caller must supply it.
     """
     path = Path(path)
-    raw = path.read_bytes()
-    if len(raw) % 8:
-        raise ConfigurationError(
-            f"{path}: size {len(raw)} is not a whole number of complex64 samples"
-        )
+    size = path.stat().st_size
+    if size % 8:
+        raise ConfigurationError(f"{path}: size {size} is not a whole number of complex64 samples")
+    n_held = size // 8
 
     meta_file = sidecar_path(path)
     if meta_file.exists():
-        rate, n_declared = _read_sidecar(meta_file, len(raw) // 8)
-        if n_declared != len(raw) // 8:
+        rate, n_declared = _read_sidecar(meta_file, n_held)
+        if n_declared != n_held:
             raise ConfigurationError(
-                f"{path}: sidecar declares {n_declared} samples, file holds {len(raw) // 8}"
+                f"{path}: sidecar declares {n_declared} samples, file holds {n_held}"
             )
         if sample_rate_hz is not None and sample_rate_hz != rate:
             raise ConfigurationError(
@@ -84,8 +84,4 @@ def read_iq(path: str | Path, sample_rate_hz: float | None = None) -> IqBuffer:
     else:
         raise ConfigurationError(f"{path}: no sidecar JSON and no sample_rate_hz given")
 
-    interleaved = np.frombuffer(raw, dtype="<f4")
-    samples = np.empty(len(raw) // 8, dtype=np.complex64)
-    samples.real = interleaved[0::2]
-    samples.imag = interleaved[1::2]
-    return IqBuffer(samples, rate)
+    return IqBuffer(np.fromfile(path, dtype="<c8"), rate)

@@ -14,10 +14,9 @@ matter how the stream is split. Two rules make that true:
 
 * Each branch FIR is evaluated as a tap-ascending shifted accumulation
   (acc[k:] += h_k * psi[:-k]), so sample n is always built as
-  (((h0*psi_n) + h1*psi_{n-1}) + ...) regardless of window length. Library
-  convolutions were rejected: scipy.signal.lfilter's single-coefficient
-  denominator path falls through to np.convolve, which swaps its arguments
-  when a window is not longer than the taps and changes the summation order.
+  (((h0*psi_n) + h1*psi_{n-1}) + ...) regardless of window length.
+  np.convolve was rejected: it swaps its arguments when a window is not
+  longer than the taps, which changes the summation order.
 * Accumulation across branches is fixed: main branches ascending, conjugate
   branches ascending, then the constant c.
 
@@ -338,7 +337,19 @@ def coefficients_to_json_dict(coeffs: CoefficientVector, cfg: AphConfig) -> dict
 
 
 def coefficients_from_json_dict(doc: dict) -> tuple[CoefficientVector, AphConfig]:
-    """Rebuild coefficients plus the AphConfig they were trained under."""
+    """Rebuild coefficients plus the AphConfig they were trained under.
+
+    `h` must be a list of [re, im] number pairs and `c` one such pair; a
+    malformed value raises ConfigurationError naming its key.
+    """
+    from .config import _complex_pair  # config imports this module
+
+    if not isinstance(doc, dict):
+        raise ConfigurationError("a coefficient file must hold a JSON object")
+    if not isinstance(doc.get("h"), list):
+        raise ConfigurationError(f"'h' must be a list of [re, im] pairs, got {doc.get('h')!r}")
+    filters = [_complex_pair(pair, f"h[{i}]") for i, pair in enumerate(doc["h"])]
+    c = _complex_pair(doc.get("c"), "c")
     layout = doc["layout"]
     basis = PolyBasis.from_json_dict(layout["basis"])
     cfg = AphConfig(
@@ -347,8 +358,6 @@ def coefficients_from_json_dict(doc: dict) -> tuple[CoefficientVector, AphConfig
         tuple(layout["taps_conj"]),
         basis,
     )
-    filters = [complex(re, im) for re, im in doc["h"]]
-    c = complex(doc["c"][0], doc["c"][1])
     h = np.array(filters + [c], dtype=np.complex64)
     coeffs = CoefficientVector(h)
     _check_length(coeffs, cfg)

@@ -70,6 +70,29 @@ def gram_schmidt_basis_rows(samples: np.ndarray, orders) -> dict[int, np.ndarray
     return rows
 
 
+def reference_welch(samples, fs: float, nfft: int, overlap: float):
+    """Welch PSD by its definition: a loop over the overlapping segments,
+    each windowed by a periodic Hann window and transformed by an explicit
+    DFT matrix, complex128 throughout, density-scaled. Returns (freq, psd)
+    on the (-fs/2, fs/2] grid in ascending order."""
+    x = np.asarray(samples, dtype=np.complex128)
+    step = nfft - int(round(nfft * overlap))
+    k = np.arange(nfft)
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * k / nfft)
+    dft = np.exp(-2j * np.pi * np.outer(k, k) / nfft)
+    acc = np.zeros(nfft)
+    n_segments = 0
+    for start in range(0, len(x) - nfft + 1, step):
+        spectrum = dft @ (x[start : start + nfft] * window)
+        acc += spectrum.real**2 + spectrum.imag**2
+        n_segments += 1
+    psd = acc / (n_segments * fs * np.sum(window**2))
+    freq = k * fs / nfft
+    freq = np.where(freq > fs / 2, freq - fs, freq)
+    order = np.argsort(freq)
+    return freq[order], psd[order]
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(0xD1D)

@@ -8,6 +8,7 @@ band metrics are checked by additivity and against hand-built spectra.
 from __future__ import annotations
 
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,8 @@ from aphdpd import (
     welch_psd,
     write_spectrum_csv,
 )
+from aphdpd import analysis
+from conftest import reference_welch
 
 FS = 61.44e6
 
@@ -77,6 +80,40 @@ class TestWelchPsd:
     def test_needs_one_full_segment(self):
         with pytest.raises(InsufficientDataError):
             welch_psd(_noise(1000), nfft=4096)
+
+    @pytest.mark.parametrize("nfft", [256, 255])
+    @pytest.mark.parametrize("overlap", [0.0, 0.5, 0.75])
+    @pytest.mark.parametrize("batch_samples", [1 << 20, 2000])
+    def test_matches_segment_loop_oracle(self, nfft, overlap, batch_samples, monkeypatch):
+        """Single-precision transforms, double-precision sums: within 1e-6
+        of the float64 definition in every bin. The 2000-sample batch holds
+        7 segments, which divides none of the segment counts here, so the
+        last batch is a partial one."""
+        monkeypatch.setattr(analysis, "_WELCH_BATCH_SAMPLES", batch_samples)
+        buf = _noise(20_000, seed=17, rms=0.3)
+        spec = welch_psd(buf, nfft=nfft, overlap=overlap)
+        freq, psd = reference_welch(buf.samples, FS, nfft, overlap)
+        n_segments = (len(buf) - nfft) // (nfft - int(round(nfft * overlap))) + 1
+        assert n_segments % (2000 // nfft) != 0
+        assert_allclose(spec.freq_hz, freq, rtol=1e-12, atol=1e-6)
+        assert_allclose(spec.psd, psd, rtol=1e-6, atol=0)
+
+    def test_memory_does_not_grow_with_length(self):
+        """Segments go through the FFT in fixed-size batches, so the peak
+        allocation at 4 Mi samples is that at 1 Mi samples."""
+        x = _noise(4 << 20, seed=18).samples
+
+        def peak_bytes(n):
+            buf = IqBuffer(x[:n], FS)
+            tracemalloc.start()
+            try:
+                welch_psd(buf, nfft=4096)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak_bytes(1 << 20), peak_bytes(4 << 20)
+        assert large <= 1.05 * small
 
     def test_parameter_validation(self):
         buf = _noise(10_000)

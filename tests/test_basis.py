@@ -25,6 +25,7 @@ from aphdpd import (
     evaluate_branch,
     fit_orthogonal_basis,
 )
+from aphdpd.basis import _lower_triangular_inverse
 from conftest import gram_schmidt_basis_rows
 
 TABLE_SETS = BranchSets.odd_orders_up_to(5, 3)
@@ -151,6 +152,15 @@ class TestFitOrthogonalBasis:
             gram /= np.outer(norm, norm)
             off = gram - np.diag(np.diag(gram))
             assert np.max(np.abs(off)) < 1e-3
+
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_lower_triangular_inverse(self, rng, k):
+        chol = np.tril(rng.normal(size=(k, k)))
+        chol[np.diag_indices(k)] = rng.uniform(0.1, 3.0, size=k)
+        inv = _lower_triangular_inverse(chol)
+        assert_allclose(inv @ chol, np.eye(k), atol=1e-12)
+        assert np.all(np.triu(inv, 1) == 0.0)
 
 
 class TestBuildBasisMatrix:

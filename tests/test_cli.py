@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -152,6 +155,30 @@ class TestPredistortSimulate:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("c", [1]), ("c", "0"), ("h", 3), ("h", [[1.0]]), ("h", [[1.0, "x"]]), (None, [1, 2])],
+        ids=["c-short", "c-text", "h-number", "h-short-pair", "h-text", "not-object"],
+    )
+    def test_malformed_coefficients_are_one_error_line(
+        self, config_path, tmp_path, capsys, key, value
+    ):
+        wave = str(tmp_path / "wave.iq")
+        cli.main(["generate", config_path, wave])
+        bad = Path(self._identity_coeffs(config_path, tmp_path))
+        doc = json.loads(bad.read_text())
+        if key is None:
+            doc = value
+        else:
+            doc[key] = value
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert cli.main(["predistort", config_path, str(bad), wave, wave + ".o"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        if key is not None:
+            assert f"'{key}" in err
+
     def test_malformed_sidecar_is_one_error_line(self, config_path, tmp_path, capsys):
         wave = tmp_path / "wave.iq"
         cli.main(["generate", config_path, str(wave)])
@@ -233,6 +260,19 @@ class TestBench:
         assert lines[0].startswith("workers,chunk_len,n_samples")
         assert len(lines) == 3
         assert "Msps" in capsys.readouterr().out
+
+
+def test_import_needs_no_scipy():
+    """The package runs on numpy alone; importing it is most of the
+    start-up of every `dpd` command."""
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = "import sys, aphdpd.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 class TestUsage:

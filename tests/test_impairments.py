@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from aphdpd import (
     IDEAL_MODULATOR,
@@ -17,6 +19,7 @@ from aphdpd import (
     pa_evaluate,
     run_tx_chain,
 )
+from aphdpd.impairments import _BLOCK_LEN
 
 REF_PA = PaModel(
     alpha1=0.9490 - 0.0197j,
@@ -103,3 +106,25 @@ class TestTxChain:
         chain = TxChain(modulator=IDEAL_MODULATOR, pa=PaModel(alpha1=1.0))
         out = run_tx_chain(IqBuffer(x, 1e6), chain)
         assert_allclose(out.samples, x, rtol=1e-7)
+
+    def test_blocks_change_no_bits(self, rng):
+        """Across block boundaries and a partial last block the output is
+        the whole-buffer evaluation, bit for bit."""
+        n = 2 * _BLOCK_LEN + 123
+        x = (0.3 * (rng.normal(size=n) + 1j * rng.normal(size=n))).astype(np.complex64)
+        chain = TxChain(IqModulatorModel(1.0, 5.0, 0.0112 + 0.0112j), REF_PA)
+        whole = pa_evaluate(iq_modulate(x, chain.modulator), chain.pa).astype(np.complex64)
+        assert_array_equal(chain.apply(x).view(np.uint64), whole.view(np.uint64))
+
+    def test_memory_is_output_plus_one_block(self, rng):
+        """The double-precision temporaries live one block at a time: the
+        peak allocation stays under twice the complex64 output."""
+        x = np.zeros(16 * _BLOCK_LEN, dtype=np.complex64)
+        chain = TxChain(IqModulatorModel(1.0, 5.0, 0.0112 + 0.0112j), REF_PA)
+        tracemalloc.start()
+        try:
+            chain.apply(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * x.nbytes

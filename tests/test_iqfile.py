@@ -27,6 +27,30 @@ def test_round_trip_bits(tmp_path):
     assert back.sample_rate_hz == buf.sample_rate_hz
 
 
+def test_round_trip_every_bit_pattern(tmp_path):
+    """Random float32 bit patterns (signed zeros and subnormals included)
+    round-trip bit-exactly. Patterns that are NaN or infinite, payloads
+    included, are kept in the file but rejected on reading, since a buffer
+    holds finite samples only."""
+    rng = np.random.default_rng(3)
+    bits = rng.integers(0, 2**32, size=2 * 4096, dtype=np.uint64).astype(np.uint32)
+    bits[:4] = [0x00000000, 0x80000000, 0x00000001, 0x807FFFFF]
+    values = bits.view(np.float32)
+    finite = np.isfinite(values[0::2]) & np.isfinite(values[1::2])
+    samples = values.view(np.complex64)
+    path = tmp_path / "a.iq"
+    write_iq(IqBuffer(samples[finite], 1e6), path)
+    back = read_iq(path)
+    assert_array_equal(back.samples.view(np.uint32), samples[finite].view(np.uint32))
+
+    nan_payload = np.array([0.5, 0.25, 1.0, 2.0], dtype=np.float32)
+    nan_payload.view(np.uint32)[1] = 0x7FC01234
+    nan_path = tmp_path / "nan.iq"
+    nan_payload.tofile(nan_path)
+    with pytest.raises(ConfigurationError, match="finite"):
+        read_iq(nan_path, sample_rate_hz=1e6)
+
+
 def test_interleaved_float32_layout(tmp_path):
     buf = _buf(n=5)
     path = tmp_path / "a.iq"
