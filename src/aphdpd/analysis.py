@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blocks import run_blocks
 from .exceptions import ConfigurationError, DegenerateInputError, InsufficientDataError
 from .waveforms import IqBuffer
 
@@ -57,7 +58,9 @@ class Spectrum:
         return float(self.freq_hz[1] - self.freq_hz[0])
 
 
-def welch_psd(buf: IqBuffer, nfft: int = 4096, overlap: float = 0.5) -> Spectrum:
+def welch_psd(
+    buf: IqBuffer, nfft: int = 4096, overlap: float = 0.5, n_workers: int = 1
+) -> Spectrum:
     """Averaged-periodogram PSD of a complex baseband buffer.
 
     Periodic Hann window, `nfft`-point segments overlapping by the given
@@ -69,7 +72,11 @@ def welch_psd(buf: IqBuffer, nfft: int = 4096, overlap: float = 0.5) -> Spectrum
     through the FFT), and the periodograms are summed in double precision.
 
     Segments go through the FFT in batches of about `_WELCH_BATCH_SAMPLES`
-    samples, so memory does not grow with the buffer length.
+    samples. The batches run on `n_workers` threads; each returns its
+    double-precision sum, and the sums are added in batch order, as one
+    worker adds them, so the worker count changes no bit of the PSD. The
+    working memory is a few batches per worker plus one `nfft`-point sum
+    per batch (about 1/128 of the buffer at nfft 4096, overlap 0.5).
     """
     if nfft < 2:
         raise ConfigurationError(f"nfft must be >= 2, got {nfft}")
@@ -83,10 +90,14 @@ def welch_psd(buf: IqBuffer, nfft: int = 4096, overlap: float = 0.5) -> Spectrum
     window = (0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(nfft) / nfft)).astype(np.float32)
     segments = np.lib.stride_tricks.sliding_window_view(buf.samples, nfft)[::step]
     batch = max(1, _WELCH_BATCH_SAMPLES // nfft)
-    acc = np.zeros(nfft)
-    for start in range(0, len(segments), batch):
+
+    def batch_power(start: int) -> np.ndarray:
         spectra = np.fft.fft(segments[start : start + batch] * window, axis=-1)
-        acc += (spectra.real**2 + spectra.imag**2).sum(axis=0, dtype=np.float64)
+        return (spectra.real**2 + spectra.imag**2).sum(axis=0, dtype=np.float64)
+
+    acc = np.zeros(nfft)
+    for part in run_blocks(batch_power, range(0, len(segments), batch), n_workers):
+        acc += part
     window_power = float(np.sum(np.square(window, dtype=np.float64)))
     psd = acc / (len(segments) * buf.sample_rate_hz * window_power)
     freq = np.fft.fftfreq(nfft, 1.0 / buf.sample_rate_hz)

@@ -141,25 +141,39 @@ class PolyBasis:
         }
 
     @classmethod
-    def from_json_dict(cls, doc: dict) -> "PolyBasis":
-        sets = BranchSets(tuple(doc["I_P"]), tuple(doc["I_Q"]))
+    def from_json_dict(cls, doc: dict, where: str = "") -> "PolyBasis":
+        """Inverse of to_json_dict. A malformed or unknown field raises
+        ConfigurationError naming its key, prefixed by `where`."""
+        from .config import _complex_pair, _integer_list, _reject_unknown, _require
 
-        def tables(orders, rows, name):
-            if len(rows) != len(orders):
-                raise ConfigurationError(f"{name}: {len(rows)} rows for {len(orders)} branches")
+        _reject_unknown(doc, ("mode", "I_P", "I_Q", "u_main", "u_conj"), where)
+        mode = _require(doc, "mode", where)
+        if mode not in (PLAIN, ORTHOGONAL):
+            raise ConfigurationError(f"'{where}mode' must be plain or orthogonal, got {mode!r}")
+        sets = BranchSets(_integer_list(doc, "I_P", where), _integer_list(doc, "I_Q", where))
+
+        def tables(orders, name):
+            rows = _require(doc, name, where)
+            if not isinstance(rows, list) or len(rows) != len(orders):
+                raise ConfigurationError(
+                    f"'{where}{name}' must list one row per branch ({len(orders)}), got {rows!r}"
+                )
             out = {}
-            for order, row in zip(orders, rows):
-                values = np.array([complex(re, im) for re, im in row])
-                if np.any(values.imag != 0.0):
-                    raise ConfigurationError(f"{name}[{order}]: non-real coefficients unsupported")
-                out[order] = values.real.astype(np.float64)
+            for i, (order, row) in enumerate(zip(orders, rows)):
+                if not isinstance(row, list):
+                    raise ConfigurationError(
+                        f"'{where}{name}[{i}]' must be a list of [re, im] pairs, got {row!r}"
+                    )
+                values = [_complex_pair(v, f"{where}{name}[{i}][{j}]") for j, v in enumerate(row)]
+                if any(v.imag != 0.0 for v in values):
+                    raise ConfigurationError(
+                        f"'{where}{name}[{i}]': non-real coefficients unsupported"
+                    )
+                out[order] = np.array([v.real for v in values], dtype=np.float64)
             return out
 
         return cls(
-            doc["mode"],
-            sets,
-            tables(sets.main_orders, doc["u_main"], "u_main"),
-            tables(sets.conj_orders, doc["u_conj"], "u_conj"),
+            mode, sets, tables(sets.main_orders, "u_main"), tables(sets.conj_orders, "u_conj")
         )
 
 

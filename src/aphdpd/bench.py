@@ -2,8 +2,10 @@
 
 The measured region covers exactly one predistort_parallel call on a
 pre-generated buffer with pre-compiled coefficients: no file I/O, no
-waveform synthesis, no coefficient parsing. Throughput is samples
-divided by wall latency.
+waveform synthesis, no coefficient parsing. With more than one worker
+that call starts its own thread pool, so the timing includes the pool's
+start-up and shutdown, as every `dpd predistort` run pays them.
+Throughput is samples divided by wall latency.
 
 Before any timing, each worker configuration's output is checked
 bit-for-bit against the serial reference; a benchmark of wrong results is

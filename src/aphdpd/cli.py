@@ -5,6 +5,10 @@ paths, worker counts, and workload sizes, so a config plus a seed pins the
 whole run. The DPD_SEED environment variable overrides the config seed
 without editing the file.
 
+The streaming commands run their long stages on every CPU in the
+process's affinity mask (`predistort --workers` overrides it for the
+engine); the worker count never changes an output bit.
+
 All failures print a single `error: ...` line to stderr and exit nonzero
 (2 for usage errors, 1 for everything else).
 """
@@ -20,6 +24,7 @@ import numpy as np
 
 from .analysis import band_power_db, suppression_db, welch_psd, write_spectrum_csv
 from .bench import run_bench, write_bench_csv
+from .blocks import usable_cpus
 from .config import load_experiment_config
 from .exceptions import ConfigurationError, DpdError
 from .iqfile import read_iq, write_iq
@@ -50,12 +55,15 @@ def _write_json(doc, path) -> None:
 
 
 def _load_coefficients(path):
-    try:
-        with open(path) as fh:
+    with open(path) as fh:
+        try:
             doc = json.load(fh)
+        except ValueError as err:  # JSONDecodeError, UnicodeDecodeError
+            raise ConfigurationError(f"{path}: invalid JSON ({err})") from err
+    try:
         return coefficients_from_json_dict(doc)
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as err:
-        raise ConfigurationError(f"{path}: malformed coefficient file ({err})") from err
+    except ConfigurationError as err:
+        raise ConfigurationError(f"{path}: {err}") from err
 
 
 def _cmd_generate(args) -> int:
@@ -101,15 +109,16 @@ def _cmd_simulate(args) -> int:
     if args.with_dpd is not None:
         coeffs, aph = _load_coefficients(args.with_dpd)
         buf = predistort_serial(buf, coeffs, aph)
-    out = run_tx_chain(buf, cfg.tx_chain())
+    out = run_tx_chain(buf, cfg.tx_chain(), n_workers=usable_cpus())
     write_iq(out, args.out_iq)
     return 0
 
 
 def _cmd_evaluate(args) -> int:
     cfg = load_experiment_config(args.config)
+    workers = usable_cpus()
     buf_a = read_iq(args.in_iq)
-    spec_a = welch_psd(buf_a, cfg.nfft, cfg.overlap)
+    spec_a = welch_psd(buf_a, cfg.nfft, cfg.overlap, n_workers=workers)
     if args.in_iq_b is None:
         if args.out is None:
             write_spectrum_csv(spec_a, sys.stdout)
@@ -117,7 +126,7 @@ def _cmd_evaluate(args) -> int:
             write_spectrum_csv(spec_a, args.out)
         return 0
     buf_b = read_iq(args.in_iq_b)
-    spec_b = welch_psd(buf_b, cfg.nfft, cfg.overlap)
+    spec_b = welch_psd(buf_b, cfg.nfft, cfg.overlap, n_workers=workers)
     bands = []
     for lo, hi in cfg.bands:
         bands.append(
@@ -181,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("coeffs")
     p.add_argument("in_iq")
     p.add_argument("out_iq")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=usable_cpus())
     p.add_argument("--chunk-len", type=int, default=DEFAULT_CHUNK_LEN)
     p.set_defaults(func=_cmd_predistort)
 
@@ -226,6 +235,9 @@ def main(argv=None) -> int:
         return 1
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
+        return 1
+    except MemoryError as err:
+        print(f"error: out of memory ({err})", file=sys.stderr)
         return 1
 
 

@@ -38,14 +38,14 @@ def _require(doc: dict, key: str, where: str, default=_REQUIRED):
     if key in doc:
         return doc[key]
     if default is _REQUIRED:
-        raise ConfigurationError(f"config missing required key '{where}{key}'")
+        raise ConfigurationError(f"missing required key '{where}{key}'")
     return default
 
 
 def _reject_unknown(doc: dict, allowed, where: str) -> None:
     unknown = sorted(set(doc) - set(allowed))
     if unknown:
-        raise ConfigurationError(f"unknown config key '{where}{unknown[0]}'")
+        raise ConfigurationError(f"unknown key '{where}{unknown[0]}'")
 
 
 # JSON booleans are Python ints; neither a count nor a quantity may be one.
@@ -75,6 +75,13 @@ def _integer(doc: dict, key: str, where: str, default=_REQUIRED) -> int:
     if not _is_int(value):
         raise ConfigurationError(f"'{where}{key}' must be an integer, got {value!r}")
     return value
+
+
+def _integer_list(doc: dict, key: str, where: str) -> tuple[int, ...]:
+    value = _require(doc, key, where)
+    if not isinstance(value, list) or not all(map(_is_int, value)):
+        raise ConfigurationError(f"'{where}{key}' must be a list of integers, got {value!r}")
+    return tuple(value)
 
 
 def _section(doc: dict, key: str, where: str = "") -> dict:

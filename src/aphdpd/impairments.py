@@ -24,6 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .blocks import run_blocks
 from .exceptions import ConfigurationError
 from .waveforms import IqBuffer
 
@@ -84,21 +85,25 @@ class TxChain:
     modulator: IqModulatorModel
     pa: PaModel
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
+    def apply(self, x: np.ndarray, n_workers: int = 1) -> np.ndarray:
         """Modulator then PA over raw samples, cast to complex64.
 
-        Runs in blocks of `_BLOCK_LEN` samples written into one complex64
-        output. The chain is elementwise (every output sample depends on
-        its input sample alone, through the same operations), so the
-        blocking cannot change a bit of the result.
+        Runs in blocks of `_BLOCK_LEN` samples, on `n_workers` threads,
+        written into one complex64 output. The chain is elementwise (every
+        output sample depends on its input sample alone, through the same
+        operations), so neither the blocking nor the worker count can
+        change a bit of the result.
 
         Unlike run_tx_chain this does not reject the result: a chain driven
         past single-precision range returns non-finite samples.
         """
         out = np.empty(x.shape, dtype=np.complex64)
-        for start in range(0, x.size, _BLOCK_LEN):
+
+        def one_block(start: int) -> None:
             block = slice(start, start + _BLOCK_LEN)
             out[block] = pa_evaluate(iq_modulate(x[block], self.modulator), self.pa)
+
+        run_blocks(one_block, range(0, x.size, _BLOCK_LEN), n_workers)
         return out
 
 
@@ -117,6 +122,6 @@ def iq_modulate(x, m: IqModulatorModel):
     return complex(y) if y.ndim == 0 else y
 
 
-def run_tx_chain(x: IqBuffer, chain: TxChain) -> IqBuffer:
-    """Push a buffer through modulator + PA, elementwise."""
-    return IqBuffer(chain.apply(x.samples), x.sample_rate_hz)
+def run_tx_chain(x: IqBuffer, chain: TxChain, n_workers: int = 1) -> IqBuffer:
+    """Push a buffer through modulator + PA, elementwise, on `n_workers` threads."""
+    return IqBuffer(chain.apply(x.samples, n_workers), x.sample_rate_hz)

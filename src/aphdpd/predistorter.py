@@ -37,12 +37,12 @@ results are reused by higher-order branches.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .basis import ORTHOGONAL, BranchSets, PolyBasis, _members
+from .blocks import run_blocks
 from .exceptions import ConfigurationError
 from .waveforms import IqBuffer
 
@@ -288,8 +288,8 @@ def predistort_parallel(
 ) -> IqBuffer:
     """The engine: chunks with recomputed halos, bit-identical to serial.
 
-    One worker evaluates the chunks in order on the calling thread; more
-    share them through a thread pool.
+    The chunks run on `run_blocks`: one worker evaluates them in order on
+    the calling thread, more share them through a thread pool.
     """
     if plan.halo != cfg.l_max - 1:
         raise ConfigurationError(
@@ -299,20 +299,13 @@ def predistort_parallel(
     samples = x.samples
     n = samples.size
     out = np.empty(n, dtype=np.complex64)
-    starts = range(0, n, plan.chunk_len)
 
     def one_chunk(start: int) -> None:
         end = min(start + plan.chunk_len, n)
         window_start = max(0, start - plan.halo)
         out[start:end] = kernel(samples[window_start:end])[start - window_start :]
 
-    if plan.n_workers == 1:
-        for start in starts:
-            one_chunk(start)
-    else:
-        with ThreadPoolExecutor(max_workers=plan.n_workers) as executor:
-            # Materialize to propagate worker exceptions; writes are disjoint.
-            list(executor.map(one_chunk, starts))
+    run_blocks(one_chunk, range(0, n, plan.chunk_len), plan.n_workers)
     return IqBuffer(out, x.sample_rate_hz)
 
 
@@ -339,24 +332,33 @@ def coefficients_to_json_dict(coeffs: CoefficientVector, cfg: AphConfig) -> dict
 def coefficients_from_json_dict(doc: dict) -> tuple[CoefficientVector, AphConfig]:
     """Rebuild coefficients plus the AphConfig they were trained under.
 
-    `h` must be a list of [re, im] number pairs and `c` one such pair; a
-    malformed value raises ConfigurationError naming its key.
+    Parsed as strictly as the experiment config: `h` must be a list of
+    [re, im] number pairs, `c` one such pair, `layout` an object of integer
+    lists plus the basis, and no key may be unknown. A malformed value
+    raises ConfigurationError naming its key.
     """
-    from .config import _complex_pair  # config imports this module
+    from .config import _complex_pair, _integer_list, _reject_unknown, _section
 
     if not isinstance(doc, dict):
         raise ConfigurationError("a coefficient file must hold a JSON object")
+    _reject_unknown(doc, ("h", "c", "layout"), "")
     if not isinstance(doc.get("h"), list):
         raise ConfigurationError(f"'h' must be a list of [re, im] pairs, got {doc.get('h')!r}")
     filters = [_complex_pair(pair, f"h[{i}]") for i, pair in enumerate(doc["h"])]
     c = _complex_pair(doc.get("c"), "c")
-    layout = doc["layout"]
-    basis = PolyBasis.from_json_dict(layout["basis"])
+    layout = _section(doc, "layout")
+    where = "layout."
+    _reject_unknown(
+        layout, ("main_orders", "conj_orders", "taps_main", "taps_conj", "basis"), where
+    )
     cfg = AphConfig(
-        BranchSets(tuple(layout["main_orders"]), tuple(layout["conj_orders"])),
-        tuple(layout["taps_main"]),
-        tuple(layout["taps_conj"]),
-        basis,
+        BranchSets(
+            _integer_list(layout, "main_orders", where),
+            _integer_list(layout, "conj_orders", where),
+        ),
+        _integer_list(layout, "taps_main", where),
+        _integer_list(layout, "taps_conj", where),
+        PolyBasis.from_json_dict(_section(layout, "basis", where), "layout.basis."),
     )
     h = np.array(filters + [c], dtype=np.complex64)
     coeffs = CoefficientVector(h)

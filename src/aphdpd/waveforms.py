@@ -22,6 +22,9 @@ from .exceptions import ConfigurationError, DegenerateInputError
 # 16-QAM rail levels, normalized to unit mean symbol energy.
 _QAM16_LEVELS = np.array([-3.0, -1.0, 1.0, 3.0]) / np.sqrt(10.0)
 
+# Samples per block of the frequency shift and gain in generate_carrier.
+_BLOCK_LEN = 65536
+
 
 @dataclass(frozen=True)
 class IqBuffer:
@@ -88,26 +91,44 @@ def generate_carrier(
     spec.check_fits(sample_rate_hz)
 
     rng = np.random.default_rng(seed)
+    x = _qam_spectrum(spec.bandwidth_hz, n_samples, sample_rate_hz, rng)
+    np.fft.ifft(x, out=x)
+
+    x /= np.sqrt(np.mean(x.real**2 + x.imag**2))  # unit mean power at baseband
+
+    # Frequency shift and gain in place, one block at a time, so they need
+    # no whole-buffer temporaries. The in-place products are the ones the
+    # whole-buffer form computes; an out-of-place product can differ in the
+    # last bit.
+    w = 2.0 * np.pi * spec.center_offset_hz / sample_rate_hz
+    g = 10.0 ** (spec.power_db / 20.0)
+    out = np.empty(n_samples, dtype=np.complex64)
+    for s in range(0, n_samples, _BLOCK_LEN):
+        e = min(s + _BLOCK_LEN, n_samples)
+        blk = x[s:e]
+        if spec.center_offset_hz != 0.0:
+            # Double-precision phase ramp keeps drift below an ulp over long buffers.
+            blk *= np.exp(1j * (w * np.arange(s, e)))
+        blk *= g
+        out[s:e] = blk
+    return IqBuffer(out, sample_rate_hz)
+
+
+def _qam_spectrum(
+    bandwidth_hz: float, n_samples: int, sample_rate_hz: float, rng: np.random.Generator
+) -> np.ndarray:
+    """A complex128 spectrum holding an independent 16-QAM symbol on every
+    bin whose frequency lies within bandwidth_hz/2 of DC, zero elsewhere."""
     freqs = np.fft.fftfreq(n_samples, d=1.0 / sample_rate_hz)
-    occupied = np.flatnonzero(np.abs(freqs) <= spec.bandwidth_hz / 2.0)
+    occupied = np.flatnonzero(np.abs(freqs) <= bandwidth_hz / 2.0)
+    del freqs
     # The DC bin always qualifies, so `occupied` is never empty.
     symbols = rng.choice(_QAM16_LEVELS, size=occupied.size) + 1j * rng.choice(
         _QAM16_LEVELS, size=occupied.size
     )
-
     spectrum = np.zeros(n_samples, dtype=np.complex128)
     spectrum[occupied] = symbols
-    x = np.fft.ifft(spectrum)
-
-    x /= np.sqrt(np.mean(x.real**2 + x.imag**2))  # unit mean power at baseband
-
-    if spec.center_offset_hz != 0.0:
-        # Double-precision phase ramp keeps drift below an ulp over long buffers.
-        phase = (2.0 * np.pi * spec.center_offset_hz / sample_rate_hz) * np.arange(n_samples)
-        x *= np.exp(1j * phase)
-
-    x *= 10.0 ** (spec.power_db / 20.0)
-    return IqBuffer(x.astype(np.complex64), sample_rate_hz)
+    return spectrum
 
 
 def compose_multicarrier(

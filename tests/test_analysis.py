@@ -98,22 +98,38 @@ class TestWelchPsd:
         assert_allclose(spec.freq_hz, freq, rtol=1e-12, atol=1e-6)
         assert_allclose(spec.psd, psd, rtol=1e-6, atol=0)
 
+    def test_workers_change_no_bits(self, monkeypatch):
+        """Per-batch sums are added in batch order, so 2 or 3 workers give
+        the one-worker PSD bit for bit. The 3000-sample batch holds 11
+        segments of 255, so there are 15 batches and the last is partial."""
+        monkeypatch.setattr(analysis, "_WELCH_BATCH_SAMPLES", 3000)
+        buf = _noise(20_000, seed=19, rms=0.3)
+        serial = welch_psd(buf, nfft=255, overlap=0.5)
+        n_segments = (len(buf) - 255) // (255 - int(round(255 * 0.5))) + 1
+        assert n_segments == 156 and n_segments % 11 != 0
+        for n_workers in (2, 3):
+            spec = welch_psd(buf, nfft=255, overlap=0.5, n_workers=n_workers)
+            assert_array_equal(spec.psd.view(np.uint64), serial.psd.view(np.uint64))
+            assert_array_equal(spec.freq_hz, serial.freq_hz)
+
     def test_memory_does_not_grow_with_length(self):
-        """Segments go through the FFT in fixed-size batches, so the peak
-        allocation at 4 Mi samples is that at 1 Mi samples."""
+        """Segments go through the FFT in fixed-size batches, so on one or
+        two workers the peak allocation at 4 Mi samples is that at 1 Mi
+        samples."""
         x = _noise(4 << 20, seed=18).samples
 
-        def peak_bytes(n):
+        def peak_bytes(n, n_workers):
             buf = IqBuffer(x[:n], FS)
             tracemalloc.start()
             try:
-                welch_psd(buf, nfft=4096)
+                welch_psd(buf, nfft=4096, n_workers=n_workers)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        small, large = peak_bytes(1 << 20), peak_bytes(4 << 20)
-        assert large <= 1.05 * small
+        for n_workers in (1, 2):
+            small, large = peak_bytes(1 << 20, n_workers), peak_bytes(4 << 20, n_workers)
+            assert large <= 1.05 * small
 
     def test_parameter_validation(self):
         buf = _noise(10_000)

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from aphdpd import cli, read_iq
+from aphdpd import analysis, cli, read_iq
 
 FAST_DOC = {
     "sample_rate_hz": 61.44e6,
@@ -86,6 +86,21 @@ class TestGenerate:
         assert cli.main(["generate", str(bad), str(tmp_path / "x.iq")]) == 1
         assert "sample_rate_hz" in capsys.readouterr().err
 
+    def test_allocation_failure_is_one_error_line(
+        self, config_path, tmp_path, monkeypatch, capsys
+    ):
+        """An array too large for memory (say "n_samples": 10**13) ends as
+        one error line; here a CLI-bound name raises instead of allocating."""
+
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 149. TiB for an array")
+
+        monkeypatch.setattr(cli, "write_iq", out_of_memory)
+        capsys.readouterr()
+        assert cli.main(["generate", config_path, str(tmp_path / "x.iq")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory") and len(err.strip().splitlines()) == 1
+
 
 class TestTrain:
     def test_rerun_is_byte_identical(self, config_path, tmp_path):
@@ -157,25 +172,63 @@ class TestPredistortSimulate:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("c", [1]), ("c", "0"), ("h", 3), ("h", [[1.0]]), ("h", [[1.0, "x"]]), (None, [1, 2])],
-        ids=["c-short", "c-text", "h-number", "h-short-pair", "h-text", "not-object"],
+        [
+            ("c", [1]),
+            ("c", "0"),
+            ("h", 3),
+            ("h", [[1.0]]),
+            ("h", [[1.0, "x"]]),
+            (None, "[1, 2]"),
+            (None, "{not json"),
+            ("extra", 1),
+            ("layout", [1]),
+            ("layout.conj_orders", [1.5, 3]),
+            ("layout.taps_main", "5"),
+            ("layout.speed", 1),
+            ("layout.basis.mode", "fancy"),
+            ("layout.basis.u_main", [[[1.0, 0.0]]]),
+            ("layout.basis.u_conj", [[[1.0]], [[0.0, 0.0], [1.0, 0.0]]]),
+        ],
+        ids=[
+            "c-short",
+            "c-text",
+            "h-number",
+            "h-short-pair",
+            "h-text",
+            "not-object",
+            "invalid-json",
+            "unknown-key",
+            "layout-list",
+            "layout-fractional-order",
+            "layout-taps-text",
+            "layout-unknown-key",
+            "basis-mode",
+            "basis-missing-rows",
+            "basis-short-pair",
+        ],
     )
     def test_malformed_coefficients_are_one_error_line(
         self, config_path, tmp_path, capsys, key, value
     ):
+        """`key` is a dotted path into the coefficient document; without
+        one, `value` is the whole file."""
         wave = str(tmp_path / "wave.iq")
         cli.main(["generate", config_path, wave])
         bad = Path(self._identity_coeffs(config_path, tmp_path))
-        doc = json.loads(bad.read_text())
         if key is None:
-            doc = value
+            bad.write_text(value)
         else:
-            doc[key] = value
-        bad.write_text(json.dumps(doc))
+            doc = json.loads(bad.read_text())
+            *parents, leaf = key.split(".")
+            section = doc
+            for name in parents:
+                section = section[name]
+            section[leaf] = value
+            bad.write_text(json.dumps(doc))
         capsys.readouterr()
         assert cli.main(["predistort", config_path, str(bad), wave, wave + ".o"]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert err.startswith(f"error: {bad}:") and len(err.strip().splitlines()) == 1
         if key is not None:
             assert f"'{key}" in err
 
@@ -218,6 +271,36 @@ class TestPredistortSimulate:
         assert cli.main(["simulate", config_path, wave, with_dpd, "--with-dpd", ident]) == 0
         # identity DPD must reproduce the plain simulation exactly
         np.testing.assert_array_equal(read_iq(plain).samples, read_iq(with_dpd).samples)
+
+
+class TestWorkerCount:
+    def test_outputs_do_not_depend_on_cpu_count(self, tmp_path, monkeypatch):
+        """simulate (with and without DPD) and evaluate run on every usable
+        CPU; at 1 and at 2 they write the same bytes. 200k samples make
+        four TX-chain blocks, and a 16 Ki-sample Welch batch makes 25 FFT
+        batches."""
+        monkeypatch.delenv("DPD_SEED", raising=False)
+        monkeypatch.setattr(analysis, "_WELCH_BATCH_SAMPLES", 16384)
+        config = _config_variant(tmp_path, "long.json", n_samples=200_000)
+        wave, coeffs = str(tmp_path / "wave.iq"), str(tmp_path / "coeffs.json")
+        raw, dpd, evaluation = (tmp_path / n for n in ("raw.iq", "dpd.iq", "eval.json"))
+        assert cli.main(["generate", config, wave]) == 0
+        assert cli.main(["train", config, coeffs, str(tmp_path / "report.json")]) == 0
+        written = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(cli, "usable_cpus", lambda cpus=cpus: cpus)
+            assert cli.main(["simulate", config, wave, str(raw)]) == 0
+            assert cli.main(["simulate", config, wave, str(dpd), "--with-dpd", coeffs]) == 0
+            assert cli.main(
+                ["evaluate", config, str(raw), str(dpd), "--out", str(evaluation)]
+            ) == 0
+            written[cpus] = [path.read_bytes() for path in (raw, dpd, evaluation)]
+        assert written[1] == written[2]
+
+    def test_predistort_workers_default_to_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(cli, "usable_cpus", lambda: 3)
+        args = cli.build_parser().parse_args(["predistort", "exp.json", "k.json", "i", "o"])
+        assert args.workers == 3
 
 
 class TestEvaluate:

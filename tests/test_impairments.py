@@ -108,13 +108,17 @@ class TestTxChain:
         assert_allclose(out.samples, x, rtol=1e-7)
 
     def test_blocks_change_no_bits(self, rng):
-        """Across block boundaries and a partial last block the output is
-        the whole-buffer evaluation, bit for bit."""
+        """Across block boundaries and a partial last block, on 1, 2 or 3
+        workers, the output is the whole-buffer evaluation, bit for bit."""
         n = 2 * _BLOCK_LEN + 123
         x = (0.3 * (rng.normal(size=n) + 1j * rng.normal(size=n))).astype(np.complex64)
         chain = TxChain(IqModulatorModel(1.0, 5.0, 0.0112 + 0.0112j), REF_PA)
         whole = pa_evaluate(iq_modulate(x, chain.modulator), chain.pa).astype(np.complex64)
-        assert_array_equal(chain.apply(x).view(np.uint64), whole.view(np.uint64))
+        for n_workers in (1, 2, 3):
+            got = chain.apply(x, n_workers)
+            assert_array_equal(got.view(np.uint64), whole.view(np.uint64))
+        buf = run_tx_chain(IqBuffer(x, 1e6), chain, n_workers=2)
+        assert_array_equal(buf.samples.view(np.uint64), whole.view(np.uint64))
 
     def test_memory_is_output_plus_one_block(self, rng):
         """The double-precision temporaries live one block at a time: the

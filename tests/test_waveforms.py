@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from aphdpd import (
     generate_carrier,
     normalize_power,
 )
+from conftest import reference_generate_carrier
 
 FS = 61.44e6
 
@@ -85,6 +88,29 @@ class TestGenerateCarrier:
         inside = np.sum(np.abs(spectrum[in_band]) ** 2)
         assert inside / total >= 0.99
         assert (total - inside) / total <= 10 ** (-20 / 10)
+
+    @pytest.mark.parametrize("offset", [0.0, 5e6, -3e6])
+    def test_matches_whole_buffer_oracle(self, offset):
+        """The blockwise shift and gain give the whole-buffer bits, across
+        block edges and a partial last block."""
+        spec = CarrierSpec(offset, 9e6, power_db=-4.5)
+        n = 3 * 65536 + 1234
+        buf = generate_carrier(spec, n, FS, seed=21)
+        want = reference_generate_carrier(spec, n, FS, 21)
+        assert_array_equal(buf.samples.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("offset", [0.0, 5e6])
+    def test_synthesis_memory_is_bounded(self, offset):
+        """One complex128 working buffer plus the temporaries of its mean
+        power: at 1 Mi samples the peak stays within 4.5x the output."""
+        spec = CarrierSpec(offset, 9e6, power_db=-3.0)
+        tracemalloc.start()
+        try:
+            buf = generate_carrier(spec, 1 << 20, FS, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * buf.samples.nbytes
 
     @settings(max_examples=25, deadline=None)
     @given(
