@@ -31,6 +31,13 @@ _LOG_FLOOR = 1e-300
 # this many complex64 samples, whatever the buffer length.
 _WELCH_BATCH_SAMPLES = 1 << 20
 
+# Most batches welch_psd has in flight at once, whatever `n_workers` asks.
+# Each worker thread's malloc arena keeps its freed batch temporaries:
+# `dpd evaluate` at 16 Mi samples (2 vCPUs, threads oversubscribed) peaks
+# at 341, 413, 467, 503 and 686 MB RSS on 1, 2, 3, 4 and 8 workers. The
+# cap keeps that below `dpd generate` on any core count.
+_WELCH_MAX_WORKERS = 4
+
 
 @dataclass(frozen=True)
 class Spectrum:
@@ -72,11 +79,12 @@ def welch_psd(
     through the FFT), and the periodograms are summed in double precision.
 
     Segments go through the FFT in batches of about `_WELCH_BATCH_SAMPLES`
-    samples. The batches run on `n_workers` threads; each returns its
-    double-precision sum, and the sums are added in batch order, as one
-    worker adds them, so the worker count changes no bit of the PSD. The
-    working memory is a few batches per worker plus one `nfft`-point sum
-    per batch (about 1/128 of the buffer at nfft 4096, overlap 0.5).
+    samples. The batches run on `n_workers` threads, at most
+    `_WELCH_MAX_WORKERS`; each returns its double-precision sum, and the
+    sums are added in batch order, as one worker adds them, so the worker
+    count changes no bit of the PSD. The working memory is a few batches
+    per worker plus one `nfft`-point sum per batch (about 1/128 of the
+    buffer at nfft 4096, overlap 0.5).
     """
     if nfft < 2:
         raise ConfigurationError(f"nfft must be >= 2, got {nfft}")
@@ -95,8 +103,9 @@ def welch_psd(
         spectra = np.fft.fft(segments[start : start + batch] * window, axis=-1)
         return (spectra.real**2 + spectra.imag**2).sum(axis=0, dtype=np.float64)
 
+    workers = min(n_workers, _WELCH_MAX_WORKERS)
     acc = np.zeros(nfft)
-    for part in run_blocks(batch_power, range(0, len(segments), batch), n_workers):
+    for part in run_blocks(batch_power, range(0, len(segments), batch), workers):
         acc += part
     window_power = float(np.sum(np.square(window, dtype=np.float64)))
     psd = acc / (len(segments) * buf.sample_rate_hz * window_power)

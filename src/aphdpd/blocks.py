@@ -1,5 +1,5 @@
 """The one block runner behind every long stage: the predistortion engine,
-the TX chain and the Welch PSD.
+the TX chain, the Welch PSD and a carrier's frequency shift and gain.
 
 A stage splits its stream into blocks, computes each block by a function of
 the block's start alone, and either writes disjoint output slices or returns
@@ -14,6 +14,11 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 
 from .exceptions import ConfigurationError
+
+# Samples per block of the elementwise stages (the TX chain, a carrier's
+# frequency shift and gain): keeps their complex128 temporaries cache-sized
+# and their working memory independent of the buffer length.
+BLOCK_LEN = 65536
 
 
 def run_blocks(fn, starts, n_workers: int) -> list:

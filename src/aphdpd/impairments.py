@@ -24,13 +24,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .blocks import run_blocks
+from .blocks import BLOCK_LEN, run_blocks
 from .exceptions import ConfigurationError
 from .waveforms import IqBuffer
-
-# Samples per block in TxChain.apply: keeps the complex128 temporaries
-# cache-sized and the working memory independent of the buffer length.
-_BLOCK_LEN = 65536
 
 
 @dataclass(frozen=True)
@@ -88,7 +84,7 @@ class TxChain:
     def apply(self, x: np.ndarray, n_workers: int = 1) -> np.ndarray:
         """Modulator then PA over raw samples, cast to complex64.
 
-        Runs in blocks of `_BLOCK_LEN` samples, on `n_workers` threads,
+        Runs in blocks of `BLOCK_LEN` samples, on `n_workers` threads,
         written into one complex64 output. The chain is elementwise (every
         output sample depends on its input sample alone, through the same
         operations), so neither the blocking nor the worker count can
@@ -100,10 +96,10 @@ class TxChain:
         out = np.empty(x.shape, dtype=np.complex64)
 
         def one_block(start: int) -> None:
-            block = slice(start, start + _BLOCK_LEN)
+            block = slice(start, start + BLOCK_LEN)
             out[block] = pa_evaluate(iq_modulate(x[block], self.modulator), self.pa)
 
-        run_blocks(one_block, range(0, x.size, _BLOCK_LEN), n_workers)
+        run_blocks(one_block, range(0, x.size, BLOCK_LEN), n_workers)
         return out
 
 

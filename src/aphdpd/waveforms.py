@@ -17,13 +17,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .blocks import BLOCK_LEN, run_blocks
 from .exceptions import ConfigurationError, DegenerateInputError
 
 # 16-QAM rail levels, normalized to unit mean symbol energy.
 _QAM16_LEVELS = np.array([-3.0, -1.0, 1.0, 3.0]) / np.sqrt(10.0)
-
-# Samples per block of the frequency shift and gain in generate_carrier.
-_BLOCK_LEN = 65536
 
 
 @dataclass(frozen=True)
@@ -103,14 +101,16 @@ def generate_carrier(
     w = 2.0 * np.pi * spec.center_offset_hz / sample_rate_hz
     g = 10.0 ** (spec.power_db / 20.0)
     out = np.empty(n_samples, dtype=np.complex64)
-    for s in range(0, n_samples, _BLOCK_LEN):
-        e = min(s + _BLOCK_LEN, n_samples)
-        blk = x[s:e]
+
+    def one_block(start: int) -> None:
+        block = x[start : start + BLOCK_LEN]
         if spec.center_offset_hz != 0.0:
             # Double-precision phase ramp keeps drift below an ulp over long buffers.
-            blk *= np.exp(1j * (w * np.arange(s, e)))
-        blk *= g
-        out[s:e] = blk
+            block *= np.exp(1j * (w * np.arange(start, start + block.size)))
+        block *= g
+        out[start : start + BLOCK_LEN] = block
+
+    run_blocks(one_block, range(0, n_samples, BLOCK_LEN), 1)
     return IqBuffer(out, sample_rate_hz)
 
 

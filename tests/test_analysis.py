@@ -131,6 +131,27 @@ class TestWelchPsd:
             small, large = peak_bytes(1 << 20, n_workers), peak_bytes(4 << 20, n_workers)
             assert large <= 1.05 * small
 
+    def test_memory_per_worker_is_bounded(self, monkeypatch):
+        """Each worker holds one batch at a time, and at most
+        `_WELCH_MAX_WORKERS` batches are in flight: on 3 workers the peak
+        allocation is at most 3 one-worker peaks, and with the cap at 2 it
+        is at most 2."""
+        monkeypatch.setattr(analysis, "_WELCH_BATCH_SAMPLES", 1 << 16)
+        buf = _noise(1 << 20, seed=20)
+
+        def peak_bytes(n_workers):
+            tracemalloc.start()
+            try:
+                welch_psd(buf, nfft=4096, n_workers=n_workers)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one = peak_bytes(1)
+        assert peak_bytes(3) <= 3 * one
+        monkeypatch.setattr(analysis, "_WELCH_MAX_WORKERS", 2)
+        assert peak_bytes(3) <= 2 * one
+
     def test_parameter_validation(self):
         buf = _noise(10_000)
         with pytest.raises(ConfigurationError):

@@ -41,8 +41,9 @@ class TestRunBlocks:
             run_blocks(fn, range(5), n_workers)
 
 
-def test_usable_cpus_follows_the_affinity_mask():
-    if hasattr(os, "sched_getaffinity"):
-        assert usable_cpus() == len(os.sched_getaffinity(0))
-    else:
-        assert usable_cpus() == (os.cpu_count() or 1)
+def test_usable_cpus_follows_the_affinity_mask(monkeypatch):
+    """A process pinned to one CPU (as by `taskset -c 0`) gets one worker,
+    however many CPUs the machine has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert usable_cpus() == 1

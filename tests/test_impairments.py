@@ -19,7 +19,7 @@ from aphdpd import (
     pa_evaluate,
     run_tx_chain,
 )
-from aphdpd.impairments import _BLOCK_LEN
+from aphdpd.blocks import BLOCK_LEN
 
 REF_PA = PaModel(
     alpha1=0.9490 - 0.0197j,
@@ -110,7 +110,7 @@ class TestTxChain:
     def test_blocks_change_no_bits(self, rng):
         """Across block boundaries and a partial last block, on 1, 2 or 3
         workers, the output is the whole-buffer evaluation, bit for bit."""
-        n = 2 * _BLOCK_LEN + 123
+        n = 2 * BLOCK_LEN + 123
         x = (0.3 * (rng.normal(size=n) + 1j * rng.normal(size=n))).astype(np.complex64)
         chain = TxChain(IqModulatorModel(1.0, 5.0, 0.0112 + 0.0112j), REF_PA)
         whole = pa_evaluate(iq_modulate(x, chain.modulator), chain.pa).astype(np.complex64)
@@ -123,7 +123,7 @@ class TestTxChain:
     def test_memory_is_output_plus_one_block(self, rng):
         """The double-precision temporaries live one block at a time: the
         peak allocation stays under twice the complex64 output."""
-        x = np.zeros(16 * _BLOCK_LEN, dtype=np.complex64)
+        x = np.zeros(16 * BLOCK_LEN, dtype=np.complex64)
         chain = TxChain(IqModulatorModel(1.0, 5.0, 0.0112 + 0.0112j), REF_PA)
         tracemalloc.start()
         try:

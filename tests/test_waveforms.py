@@ -19,6 +19,7 @@ from aphdpd import (
     generate_carrier,
     normalize_power,
 )
+from aphdpd.blocks import BLOCK_LEN
 from conftest import reference_generate_carrier
 
 FS = 61.44e6
@@ -94,7 +95,7 @@ class TestGenerateCarrier:
         """The blockwise shift and gain give the whole-buffer bits, across
         block edges and a partial last block."""
         spec = CarrierSpec(offset, 9e6, power_db=-4.5)
-        n = 3 * 65536 + 1234
+        n = 3 * BLOCK_LEN + 1234
         buf = generate_carrier(spec, n, FS, seed=21)
         want = reference_generate_carrier(spec, n, FS, 21)
         assert_array_equal(buf.samples.view(np.uint64), want.view(np.uint64))
