@@ -8,7 +8,6 @@ import numpy as np
 
 from aphdpd import (
     AphConfig,
-    ChunkPlan,
     CoefficientVector,
     identity_coefficients,
     make_bench_buffer,
@@ -33,8 +32,9 @@ def main() -> None:
     print(f"{'chunk_len':>10} {'workers':>8}   result")
     for chunk_len in (4_097, 65_536, 333_333):
         for workers in (1, 2, 4):
-            plan = ChunkPlan(chunk_len, cfg.l_max - 1, workers)
-            got = predistort_parallel(x, coeffs, cfg, plan).samples
+            got = predistort_parallel(
+                x, coeffs, cfg, chunk_len=chunk_len, n_workers=workers
+            ).samples
             same = np.array_equal(got.view(np.float32), reference.view(np.float32))
             print(f"{chunk_len:>10} {workers:>8}   {'bit-identical' if same else 'MISMATCH'}")
 

@@ -13,9 +13,10 @@ from pathlib import Path
 import numpy as np
 
 from aphdpd import (
+    AphConfig,
     BranchSets,
     PolyBasis,
-    build_basis_matrix,
+    build_normal_equations,
     evaluate_branch,
     fit_orthogonal_basis,
     load_experiment_config,
@@ -34,9 +35,10 @@ def main() -> None:
         ("plain monomial", PolyBasis.plain(sets)),
         ("fitted orthogonal", fit_orthogonal_basis(buf, sets)),
     ):
-        a = build_basis_matrix(buf, sets, (5, 5, 5), (5, 5), basis).values
+        aph = AphConfig(sets, (5, 5, 5), (5, 5), basis)
+        gram = build_normal_equations(buf, buf.samples, aph).gram
         print(f"{label:>18} basis: normal-matrix condition "
-              f"{normal_matrix_condition(a.conj().T @ a):.2e}")
+              f"{normal_matrix_condition(gram):.2e}")
 
     basis = fit_orthogonal_basis(buf, sets)
     x = buf.samples.astype(np.complex128)

@@ -17,11 +17,10 @@ from .analysis import (
     write_spectrum_csv,
 )
 from .basis import (
-    BasisMatrix,
+    AphConfig,
     BranchSets,
     NormalEquations,
     PolyBasis,
-    build_basis_matrix,
     build_normal_equations,
     evaluate_branch,
     fit_orthogonal_basis,
@@ -38,7 +37,6 @@ from .exceptions import (
     InsufficientDataError,
 )
 from .impairments import (
-    IDEAL_MODULATOR,
     IqModulatorModel,
     PaModel,
     TxChain,
@@ -48,16 +46,12 @@ from .impairments import (
 )
 from .iqfile import read_iq, write_iq
 from .predistorter import (
-    AphConfig,
-    ChunkPlan,
     CoefficientVector,
     coefficients_from_json_dict,
     coefficients_to_json_dict,
     identity_coefficients,
-    pack_coefficients,
     predistort_parallel,
     predistort_serial,
-    unpack_coefficients,
 )
 from .training import (
     IterationRecord,
@@ -65,7 +59,6 @@ from .training import (
     TrainingReport,
     estimate_gain,
     ila_train,
-    ls_solve,
 )
 from .waveforms import (
     CarrierSpec,

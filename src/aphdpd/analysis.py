@@ -149,13 +149,9 @@ def suppression_db(reference: Spectrum, test: Spectrum, f_lo: float, f_hi: float
     return band_power_db(reference, f_lo, f_hi) - band_power_db(test, f_lo, f_hi)
 
 
-def nmse_db(test: IqBuffer, reference: IqBuffer) -> float:
-    """Normalized mean-square error of test vs reference, in dB."""
-    return nmse_db_samples(test.samples, reference.samples)
-
-
-def nmse_db_samples(test: np.ndarray, reference: np.ndarray) -> float:
-    """nmse_db over raw sample arrays, compared in double precision.
+def nmse_db(test: np.ndarray, reference: np.ndarray) -> float:
+    """Normalized mean-square error of test vs reference sample arrays, in
+    dB, compared in double precision.
 
     A complex128 `test` is used as is, so a caller's double-precision
     result is never rounded to complex64 first.

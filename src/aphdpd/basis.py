@@ -1,8 +1,8 @@
 """Polynomial branch basis: odd-order envelope polynomials and their
-statistically orthogonalized variants, plus the normal equations of the
-convolution-structured regression matrix that least-squares training
-solves (built from lagged branch correlations) and that dense matrix
-itself as a reference.
+statistically orthogonalized variants, the predistorter structure built
+from them (`AphConfig`, which owns the coefficient column layout), and the
+normal equations of the convolution-structured regression matrix that
+least-squares training solves, built from lagged branch correlations.
 
 A main branch of order p evaluates
 
@@ -38,6 +38,15 @@ PLAIN = "plain"
 ORTHOGONAL = "orthogonal"
 
 
+def _int_tuple(name: str, values) -> tuple[int, ...]:
+    """values as a tuple of Python ints. Python and numpy integers pass; a
+    float or a bool is a ConfigurationError rather than a silent truncation."""
+    values = tuple(values)
+    if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in values):
+        raise ConfigurationError(f"{name} must hold integers, got {values}")
+    return tuple(int(v) for v in values)
+
+
 def _check_orders(name: str, orders: tuple[int, ...]) -> None:
     if not orders:
         raise ConfigurationError(f"{name} must not be empty")
@@ -55,8 +64,8 @@ class BranchSets:
     conj_orders: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "main_orders", tuple(int(m) for m in self.main_orders))
-        object.__setattr__(self, "conj_orders", tuple(int(m) for m in self.conj_orders))
+        object.__setattr__(self, "main_orders", _int_tuple("main_orders", self.main_orders))
+        object.__setattr__(self, "conj_orders", _int_tuple("conj_orders", self.conj_orders))
         _check_orders("main_orders", self.main_orders)
         _check_orders("conj_orders", self.conj_orders)
         if max(self.main_orders) < max(self.conj_orders):
@@ -234,6 +243,9 @@ def fit_orthogonal_basis(training: IqBuffer, sets: BranchSets) -> PolyBasis:
     x = training.samples.astype(np.complex128)
     r2 = x.real**2 + x.imag**2
 
+    def _rms() -> float:
+        return float(np.sqrt(np.mean(r2)))
+
     def family(orders: tuple[int, ...]) -> dict[int, np.ndarray]:
         k = len(orders)
         moments = np.empty((k, k))
@@ -244,14 +256,15 @@ def fit_orthogonal_basis(training: IqBuffer, sets: BranchSets) -> PolyBasis:
         if not np.isfinite(cond) or cond > _MOMENT_COND_LIMIT:
             raise ConditioningError(
                 f"sample moment matrix for orders {orders} is numerically singular "
-                f"(cond ~ {cond:.3g}); constant-modulus training data cannot be orthogonalized",
+                f"(cond ~ {cond:.3g}) over training data of RMS {_rms():.3g}",
                 condition_estimate=cond,
             )
         try:
             chol = np.linalg.cholesky(moments)
         except np.linalg.LinAlgError as err:
             raise ConditioningError(
-                f"moment matrix for orders {orders} is not positive definite: {err}",
+                f"moment matrix for orders {orders} is not positive definite over "
+                f"training data of RMS {_rms():.3g}: {err}",
                 condition_estimate=cond,
             ) from err
         # Rows of inv(L): coefficients of each orthonormal branch over the monomials.
@@ -262,90 +275,79 @@ def fit_orthogonal_basis(training: IqBuffer, sets: BranchSets) -> PolyBasis:
 
 
 @dataclass(frozen=True)
-class BasisMatrix:
-    """Dense regression matrix: one Toeplitz block per branch plus a ones column.
+class AphConfig:
+    """Branch structure of the predistorter: orders, tap counts, basis.
 
-    column_layout lists (family, order, taps) per block in column order;
-    the trailing all-ones column (the LO-leakage regressor) is implicit.
+    It decides the coefficient column layout (`branch_slices`) for the
+    engine, the coefficient files and the normal equations alike.
     """
 
-    values: np.ndarray
-    column_layout: tuple[tuple[str, int, int], ...]
+    sets: BranchSets
+    taps_main: tuple[int, ...]
+    taps_conj: tuple[int, ...]
+    basis: PolyBasis
+
+    def __post_init__(self):
+        object.__setattr__(self, "taps_main", _int_tuple("taps_main", self.taps_main))
+        object.__setattr__(self, "taps_conj", _int_tuple("taps_conj", self.taps_conj))
+        if len(self.taps_main) != len(self.sets.main_orders):
+            raise ConfigurationError("taps_main must align with sets.main_orders")
+        if len(self.taps_conj) != len(self.sets.conj_orders):
+            raise ConfigurationError("taps_conj must align with sets.conj_orders")
+        if any(t < 1 for t in (*self.taps_main, *self.taps_conj)):
+            raise ConfigurationError("every branch needs at least one tap")
+        if self.basis.sets != self.sets:
+            raise ConfigurationError("basis was built for different branch sets")
+
+    @classmethod
+    def default(cls, basis: PolyBasis | None = None) -> "AphConfig":
+        """The reference configuration: odd orders to 5 (main) and 3
+        (conjugate), five taps per branch, 26 coefficients total."""
+        sets = BranchSets.odd_orders_up_to(5, 3)
+        if basis is None:
+            basis = PolyBasis.plain(sets)
+        return cls(sets, (5,) * len(sets.main_orders), (5,) * len(sets.conj_orders), basis)
 
     @property
-    def n_rows(self) -> int:
-        return self.values.shape[0]
+    def l_max(self) -> int:
+        return max((*self.taps_main, *self.taps_conj))
 
     @property
-    def n_cols(self) -> int:
-        return self.values.shape[1]
+    def n_coefficients(self) -> int:
+        return sum(self.taps_main) + sum(self.taps_conj) + 1
 
-
-def _branch_layout(
-    n: int, sets: BranchSets, taps_main: tuple[int, ...], taps_conj: tuple[int, ...]
-) -> tuple[tuple[str, int, int], ...]:
-    """(family, order, taps) per branch in column order, after checking the
-    tap counts against the branch sets and the buffer length n."""
-    if len(taps_main) != len(sets.main_orders) or len(taps_conj) != len(sets.conj_orders):
-        raise ConfigurationError("tap counts must align with the branch sets")
-    if any(t < 1 for t in (*taps_main, *taps_conj)):
-        raise ConfigurationError("every branch needs at least one tap")
-    l_max = max(*taps_main, *taps_conj)
-    if n < l_max:
-        raise InsufficientDataError(f"buffer of {n} samples is shorter than {l_max} taps")
-    return tuple(
-        (family, order, n_taps)
+    def branch_slices(self) -> list[tuple[str, int, slice]]:
+        """(family, order, slice into the stacked vector) per branch, in
+        column order: main branches ascending, conjugate branches ascending.
+        The constant is the last entry, after every slice."""
+        out = []
+        offset = 0
         for family, orders, taps in (
-            ("main", sets.main_orders, taps_main),
-            ("conj", sets.conj_orders, taps_conj),
-        )
-        for order, n_taps in zip(orders, taps)
-    )
-
-
-def build_basis_matrix(
-    y: IqBuffer,
-    sets: BranchSets,
-    taps_main: tuple[int, ...],
-    taps_conj: tuple[int, ...],
-    basis: PolyBasis,
-) -> BasisMatrix:
-    """Build the regression matrix over a feedback/training buffer.
-
-    Column block k of a branch holds the branch polynomial sequence delayed
-    by k samples with zero padding; blocks are ordered main branches
-    ascending, conjugate branches ascending, then the all-ones column.
-    Training never forms this matrix (see `build_normal_equations`); it is
-    the dense reference the normal equations are checked against.
-    """
-    n = len(y)
-    layout = _branch_layout(n, sets, taps_main, taps_conj)
-    rows = n + max(t for _, _, t in layout) - 1
-    blocks = []
-    for family, order, n_taps in layout:
-        seq = evaluate_branch(y.samples, order, family == "conj", basis)
-        block = np.zeros((rows, n_taps), dtype=np.complex128)
-        for k in range(n_taps):
-            block[k : k + n, k] = seq
-        blocks.append(block)
-    blocks.append(np.ones((rows, 1), dtype=np.complex128))
-
-    return BasisMatrix(np.hstack(blocks), layout)
+            ("main", self.sets.main_orders, self.taps_main),
+            ("conj", self.sets.conj_orders, self.taps_conj),
+        ):
+            for order, n_taps in zip(orders, taps):
+                out.append((family, order, slice(offset, offset + n_taps)))
+                offset += n_taps
+        return out
 
 
 @dataclass(frozen=True)
 class NormalEquations:
-    """The normal equations A^H A h = A^H b of the regression matrix A that
-    `build_basis_matrix` would build, without A itself.
+    """The normal equations A^H A h = A^H b of the regression matrix A,
+    without A itself.
 
-    branches holds the branch sequences psi_a (one row each, column order)
-    and target the zero-padded b; with the tap layout they define A, so the
-    data residual ||A h - b|| is a sum of short branch FIRs.
+    Column block a of A holds branch sequence psi_a delayed by 0..taps-1
+    samples, zero-padded to n + l_max - 1 rows, at the columns its
+    `branch_slices` entry names; the last column is all ones. branches
+    holds the psi_a (one row each, column order) and target the
+    zero-padded b, so the data residual ||A h - b|| is a sum of short
+    branch FIRs.
     """
 
     gram: np.ndarray
     rhs: np.ndarray
-    column_layout: tuple[tuple[str, int, int], ...]
+    slices: list[tuple[str, int, slice]]
     branches: np.ndarray
     target: np.ndarray
 
@@ -353,24 +355,15 @@ class NormalEquations:
         """||A h - b|| from the branch FIRs plus the constant column, each
         FIR as one shifted add per tap."""
         out = np.full(len(self.target), h[-1], dtype=np.complex128)
-        col = 0
-        for seq, (_, _, n_taps) in zip(self.branches, self.column_layout):
-            for k in range(n_taps):
-                out[k : k + len(seq)] += h[col + k] * seq
-            col += n_taps
+        for seq, (_, _, cols) in zip(self.branches, self.slices):
+            for k in range(cols.stop - cols.start):
+                out[k : k + len(seq)] += h[cols.start + k] * seq
         return float(np.linalg.norm(out - self.target))
 
 
-def build_normal_equations(
-    y: IqBuffer,
-    target: np.ndarray,
-    sets: BranchSets,
-    taps_main: tuple[int, ...],
-    taps_conj: tuple[int, ...],
-    basis: PolyBasis,
-) -> NormalEquations:
-    """A^H A and A^H b for the `build_basis_matrix` layout, from lagged
-    branch correlations.
+def build_normal_equations(y: IqBuffer, target: np.ndarray, cfg: AphConfig) -> NormalEquations:
+    """A^H A and A^H b of the regression matrix over the buffer y, from
+    lagged branch correlations.
 
     Column (a, k) is psi_a delayed by k, so every Gram entry is a lagged
     correlation c_ab[d] = sum_m conj(psi_a[m]) psi_b[m + d] at d = k - l,
@@ -380,39 +373,44 @@ def build_normal_equations(
     the target, which is zero-padded to the row count.
     """
     n = len(y)
-    layout = _branch_layout(n, sets, taps_main, taps_conj)
-    l_max = max(t for _, _, t in layout)
+    l_max = cfg.l_max
+    if n < l_max:
+        raise InsufficientDataError(f"buffer of {n} samples is shorter than {l_max} taps")
     rows = n + l_max - 1
     b = np.asarray(target, dtype=np.complex128)
     if b.ndim != 1 or len(b) > rows:
         raise ConfigurationError(f"target of shape {b.shape} exceeds the {rows} matrix rows")
     b = np.concatenate([b, np.zeros(rows - len(b), dtype=np.complex128)])
 
+    slices = cfg.branch_slices()
     psi = np.stack(
-        [evaluate_branch(y.samples, order, family == "conj", basis) for family, order, _ in layout]
+        [
+            evaluate_branch(y.samples, order, family == "conj", cfg.basis)
+            for family, order, _ in slices
+        ]
     )
     psi_h = psi.conj()
     # corr[l_max - 1 + d, a, c] = c_ac[d] for d in -(l_max-1)..(l_max-1).
-    corr = np.empty((2 * l_max - 1, len(layout), len(layout)), dtype=np.complex128)
+    corr = np.empty((2 * l_max - 1, len(slices), len(slices)), dtype=np.complex128)
     for d in range(l_max):
         corr[l_max - 1 + d] = psi_h[:, : n - d] @ psi[:, d:].T
     corr[: l_max - 1] = corr[: l_max - 1 : -1].conj().transpose(0, 2, 1)
     # proj[k, a] = sum_m conj(psi_a[m]) b[m + k]
     proj = np.stack([psi_h @ b[k : k + n] for k in range(l_max)])
 
-    starts = np.cumsum([0] + [t for _, _, t in layout])
-    cols = int(starts[-1]) + 1
+    cols = cfg.n_coefficients
     gram = np.empty((cols, cols), dtype=np.complex128)
     rhs = np.empty(cols, dtype=np.complex128)
     sums = psi.sum(axis=1)
-    for a, (_, _, ta) in enumerate(layout):
-        rows_a = slice(starts[a], starts[a] + ta)
-        for c, (_, _, tc) in enumerate(layout):
+    for a, (_, _, rows_a) in enumerate(slices):
+        ta = rows_a.stop - rows_a.start
+        for c, (_, _, cols_c) in enumerate(slices):
+            tc = cols_c.stop - cols_c.start
             lag = np.arange(ta)[:, None] - np.arange(tc)[None, :] + l_max - 1
-            gram[rows_a, starts[c] : starts[c] + tc] = corr[lag, a, c]
+            gram[rows_a, cols_c] = corr[lag, a, c]
         gram[rows_a, -1] = np.conj(sums[a])
         gram[-1, rows_a] = sums[a]
         rhs[rows_a] = proj[:ta, a]
     gram[-1, -1] = rows
     rhs[-1] = b.sum()
-    return NormalEquations(gram, rhs, layout, psi, b)
+    return NormalEquations(gram, rhs, slices, psi, b)

@@ -25,10 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ConfigurationError, CorrectnessError
+from .basis import AphConfig
 from .predistorter import (
     DEFAULT_CHUNK_LEN,
-    AphConfig,
-    ChunkPlan,
     CoefficientVector,
     predistort_parallel,
     predistort_serial,
@@ -103,9 +102,9 @@ def run_bench(
 
     results = []
     for workers in workers_list:
-        plan = ChunkPlan(chunk_len, cfg.l_max - 1, workers)
+        geometry = {"chunk_len": chunk_len, "n_workers": workers}
         # Warm-up run, also the correctness gate for this configuration.
-        out = predistort_parallel(buf, coeffs, cfg, plan).samples
+        out = predistort_parallel(buf, coeffs, cfg, **geometry).samples
         if not np.array_equal(out.view(np.float32), reference.view(np.float32)):
             n_bad = int(np.count_nonzero(out != reference))
             raise CorrectnessError(
@@ -115,7 +114,7 @@ def run_bench(
         latencies = []
         for _ in range(repeats):
             t0 = time.perf_counter()
-            predistort_parallel(buf, coeffs, cfg, plan)
+            predistort_parallel(buf, coeffs, cfg, **geometry)
             latencies.append(time.perf_counter() - t0)
         results.append(BenchResult(workers, chunk_len, n_samples, tuple(latencies)))
     return results

@@ -30,7 +30,6 @@ from .exceptions import ConfigurationError, DpdError
 from .iqfile import read_iq, write_iq
 from .predistorter import (
     DEFAULT_CHUNK_LEN,
-    ChunkPlan,
     CoefficientVector,
     coefficients_from_json_dict,
     coefficients_to_json_dict,
@@ -97,8 +96,7 @@ def _cmd_predistort(args) -> int:
     load_experiment_config(args.config)  # validate the experiment document
     coeffs, aph = _load_coefficients(args.coeffs)
     buf = read_iq(args.in_iq)
-    plan = ChunkPlan(args.chunk_len, aph.l_max - 1, args.workers)
-    out = predistort_parallel(buf, coeffs, aph, plan)
+    out = predistort_parallel(buf, coeffs, aph, chunk_len=args.chunk_len, n_workers=args.workers)
     write_iq(out, args.out_iq)
     return 0
 

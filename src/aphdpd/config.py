@@ -17,10 +17,9 @@ import math
 import os
 from dataclasses import dataclass
 
-from .basis import ORTHOGONAL, PLAIN, BranchSets, PolyBasis, fit_orthogonal_basis
+from .basis import ORTHOGONAL, PLAIN, AphConfig, BranchSets, PolyBasis, fit_orthogonal_basis
 from .exceptions import ConfigurationError
 from .impairments import IqModulatorModel, PaModel, TxChain
-from .predistorter import AphConfig
 from .training import TrainingConfig
 from .waveforms import CarrierSpec, IqBuffer, compose_multicarrier, normalize_power
 

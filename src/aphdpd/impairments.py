@@ -62,17 +62,6 @@ class IqModulatorModel:
     def k2(self) -> complex:
         return (1.0 - self._imbalance) / 2.0
 
-    @property
-    def is_ideal(self) -> bool:
-        return (
-            self.gain_imbalance_db == 0.0
-            and self.phase_imbalance_deg == 0.0
-            and self.lo_leakage == 0.0
-        )
-
-
-IDEAL_MODULATOR = IqModulatorModel()
-
 
 @dataclass(frozen=True)
 class TxChain:

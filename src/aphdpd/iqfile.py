@@ -25,13 +25,13 @@ def sidecar_path(path: str | Path) -> Path:
     return Path(str(path) + ".json")
 
 
-def write_iq(buf: IqBuffer, path: str | Path, sidecar: bool = True) -> None:
-    """Write a buffer as interleaved little-endian float32 I/Q pairs."""
+def write_iq(buf: IqBuffer, path: str | Path) -> None:
+    """Write a buffer as interleaved little-endian float32 I/Q pairs, plus
+    its sidecar."""
     path = Path(path)
     np.ascontiguousarray(buf.samples, dtype="<c8").tofile(path)
-    if sidecar:
-        meta = {"sample_rate_hz": buf.sample_rate_hz, "n_samples": len(buf)}
-        sidecar_path(path).write_text(json.dumps(meta) + "\n")
+    meta = {"sample_rate_hz": buf.sample_rate_hz, "n_samples": len(buf)}
+    sidecar_path(path).write_text(json.dumps(meta) + "\n")
 
 
 def _read_sidecar(meta_file: Path, n_held: int) -> tuple[float, int]:

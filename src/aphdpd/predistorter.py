@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import ORTHOGONAL, BranchSets, PolyBasis, _members
+from .basis import AphConfig, BranchSets, PolyBasis, _members
 from .blocks import run_blocks
 from .exceptions import ConfigurationError
 from .waveforms import IqBuffer
@@ -50,58 +50,6 @@ from .waveforms import IqBuffer
 # Whole-buffer evaluation thrashes the cache (~5x slower at 1M samples);
 # any chunk length gives identical bits.
 DEFAULT_CHUNK_LEN = 65536
-
-
-@dataclass(frozen=True)
-class AphConfig:
-    """Branch structure of the predistorter: orders, tap counts, basis."""
-
-    sets: BranchSets
-    taps_main: tuple[int, ...]
-    taps_conj: tuple[int, ...]
-    basis: PolyBasis
-
-    def __post_init__(self):
-        object.__setattr__(self, "taps_main", tuple(int(t) for t in self.taps_main))
-        object.__setattr__(self, "taps_conj", tuple(int(t) for t in self.taps_conj))
-        if len(self.taps_main) != len(self.sets.main_orders):
-            raise ConfigurationError("taps_main must align with sets.main_orders")
-        if len(self.taps_conj) != len(self.sets.conj_orders):
-            raise ConfigurationError("taps_conj must align with sets.conj_orders")
-        if any(t < 1 for t in (*self.taps_main, *self.taps_conj)):
-            raise ConfigurationError("every branch needs at least one tap")
-        if self.basis.sets != self.sets:
-            raise ConfigurationError("basis was built for different branch sets")
-
-    @classmethod
-    def default(cls, basis: PolyBasis | None = None) -> "AphConfig":
-        """The reference configuration: odd orders to 5 (main) and 3
-        (conjugate), five taps per branch, 26 coefficients total."""
-        sets = BranchSets.odd_orders_up_to(5, 3)
-        if basis is None:
-            basis = PolyBasis.plain(sets)
-        return cls(sets, (5,) * len(sets.main_orders), (5,) * len(sets.conj_orders), basis)
-
-    @property
-    def l_max(self) -> int:
-        return max((*self.taps_main, *self.taps_conj))
-
-    @property
-    def n_coefficients(self) -> int:
-        return sum(self.taps_main) + sum(self.taps_conj) + 1
-
-    def branch_slices(self) -> list[tuple[str, int, slice]]:
-        """(family, order, slice into the stacked vector) per branch, in order."""
-        out = []
-        offset = 0
-        for family, orders, taps in (
-            ("main", self.sets.main_orders, self.taps_main),
-            ("conj", self.sets.conj_orders, self.taps_conj),
-        ):
-            for order, n_taps in zip(orders, taps):
-                out.append((family, order, slice(offset, offset + n_taps)))
-                offset += n_taps
-        return out
 
 
 @dataclass(frozen=True)
@@ -142,66 +90,6 @@ def identity_coefficients(cfg: AphConfig) -> CoefficientVector:
     h = np.zeros(cfg.n_coefficients, dtype=np.complex128)
     h[0] = 1.0 / cfg.basis.u_main[1][0]
     return CoefficientVector(h.astype(np.complex64))
-
-
-def pack_coefficients(
-    per_branch: dict[tuple[str, int], np.ndarray], c: complex, cfg: AphConfig
-) -> CoefficientVector:
-    """Stack per-branch tap vectors (keyed ("main"|"conj", order)) plus c."""
-    expected = {(family, order) for family, order, _ in cfg.branch_slices()}
-    if set(per_branch) != expected:
-        raise ConfigurationError(
-            f"branch keys {sorted(per_branch)} do not match config branches {sorted(expected)}"
-        )
-    h = np.zeros(cfg.n_coefficients, dtype=np.complex64)
-    for family, order, sl in cfg.branch_slices():
-        taps = np.asarray(per_branch[(family, order)], dtype=np.complex64)
-        if taps.shape != (sl.stop - sl.start,):
-            raise ConfigurationError(
-                f"branch ({family}, {order}) expects {sl.stop - sl.start} taps, "
-                f"got shape {taps.shape}"
-            )
-        h[sl] = taps
-    h[-1] = c
-    return CoefficientVector(h)
-
-
-def unpack_coefficients(
-    coeffs: CoefficientVector, cfg: AphConfig
-) -> tuple[dict[tuple[str, int], np.ndarray], complex]:
-    """Inverse of pack_coefficients."""
-    _check_length(coeffs, cfg)
-    per_branch = {
-        (family, order): coeffs.h[sl].copy() for family, order, sl in cfg.branch_slices()
-    }
-    return per_branch, coeffs.c
-
-
-@dataclass(frozen=True)
-class ChunkPlan:
-    """How the engine splits a stream: chunk length, halo, workers."""
-
-    chunk_len: int
-    halo: int
-    n_workers: int
-
-    def __post_init__(self):
-        if self.chunk_len < 1:
-            raise ConfigurationError(f"chunk_len must be >= 1, got {self.chunk_len}")
-        if self.halo < 0:
-            raise ConfigurationError(f"halo must be >= 0, got {self.halo}")
-        if self.chunk_len <= self.halo:
-            raise ConfigurationError(
-                f"chunk_len ({self.chunk_len}) must exceed halo ({self.halo})"
-            )
-        if self.n_workers < 1:
-            raise ConfigurationError(f"n_workers must be >= 1, got {self.n_workers}")
-
-    @classmethod
-    def for_config(
-        cls, cfg: AphConfig, chunk_len: int = DEFAULT_CHUNK_LEN, n_workers: int = 1
-    ) -> "ChunkPlan":
-        return cls(chunk_len, cfg.l_max - 1, n_workers)
 
 
 def _check_length(coeffs: CoefficientVector, cfg: AphConfig) -> None:
@@ -280,32 +168,38 @@ class _CompiledKernel:
 
 def predistort_serial(x: IqBuffer, coeffs: CoefficientVector, cfg: AphConfig) -> IqBuffer:
     """Reference path: the engine with one worker and the default chunk length."""
-    return predistort_parallel(x, coeffs, cfg, ChunkPlan.for_config(cfg))
+    return predistort_parallel(x, coeffs, cfg)
 
 
 def predistort_parallel(
-    x: IqBuffer, coeffs: CoefficientVector, cfg: AphConfig, plan: ChunkPlan
+    x: IqBuffer,
+    coeffs: CoefficientVector,
+    cfg: AphConfig,
+    *,
+    chunk_len: int = DEFAULT_CHUNK_LEN,
+    n_workers: int = 1,
 ) -> IqBuffer:
     """The engine: chunks with recomputed halos, bit-identical to serial.
 
-    The chunks run on `run_blocks`: one worker evaluates them in order on
-    the calling thread, more share them through a thread pool.
+    The halo is the config's l_max - 1, and `chunk_len` must exceed it.
+    The chunks run on `run_blocks`, which rejects `n_workers` < 1: one
+    worker evaluates them in order on the calling thread, more share them
+    through a thread pool.
     """
-    if plan.halo != cfg.l_max - 1:
-        raise ConfigurationError(
-            f"plan halo {plan.halo} does not match config (needs {cfg.l_max - 1})"
-        )
+    halo = cfg.l_max - 1
+    if chunk_len <= halo:
+        raise ConfigurationError(f"chunk_len ({chunk_len}) must exceed halo ({halo})")
     kernel = _CompiledKernel(coeffs, cfg)
     samples = x.samples
     n = samples.size
     out = np.empty(n, dtype=np.complex64)
 
     def one_chunk(start: int) -> None:
-        end = min(start + plan.chunk_len, n)
-        window_start = max(0, start - plan.halo)
+        end = min(start + chunk_len, n)
+        window_start = max(0, start - halo)
         out[start:end] = kernel(samples[window_start:end])[start - window_start :]
 
-    run_blocks(one_chunk, range(0, n, plan.chunk_len), plan.n_workers)
+    run_blocks(one_chunk, range(0, n, chunk_len), n_workers)
     return IqBuffer(out, x.sample_rate_hz)
 
 

@@ -35,8 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import nmse_db_samples
-from .basis import _MOMENT_COND_LIMIT, BasisMatrix, build_normal_equations
+from .analysis import nmse_db
+from .basis import _MOMENT_COND_LIMIT, AphConfig, build_normal_equations
 from .exceptions import (
     ConditioningError,
     ConfigurationError,
@@ -45,7 +45,7 @@ from .exceptions import (
     InsufficientDataError,
 )
 from .impairments import TxChain
-from .predistorter import AphConfig, CoefficientVector, identity_coefficients, predistort_serial
+from .predistorter import CoefficientVector, identity_coefficients, predistort_serial
 from .waveforms import IqBuffer, white_gaussian
 
 # Default stimulus drive when the caller supplies no waveform factory.
@@ -184,27 +184,6 @@ def _lstsq_ridge(
     return h, cond
 
 
-def ls_solve(psi, target, ridge_lambda: float = 0.0) -> CoefficientVector:
-    """Ridge least squares over a basis matrix, cast to processing precision.
-
-    `target` must already be padded to the matrix row count (the matrix has
-    tail rows for the trailing filter memory).
-    """
-    values = psi.values if isinstance(psi, BasisMatrix) else np.asarray(psi)
-    values = values.astype(np.complex128)
-    if values.ndim != 2 or values.shape[0] < values.shape[1]:
-        raise ConfigurationError(f"need rows >= cols, got shape {values.shape}")
-    if ridge_lambda < 0:
-        raise ConfigurationError(f"ridge_lambda must be >= 0, got {ridge_lambda}")
-    b = np.asarray(target, dtype=np.complex128)
-    if b.shape != (values.shape[0],):
-        raise ConfigurationError(
-            f"target length {b.shape} does not match {values.shape[0]} matrix rows"
-        )
-    h, _ = _lstsq_ridge(values.conj().T @ values, values.conj().T @ b, float(ridge_lambda))
-    return CoefficientVector(h.astype(np.complex64))
-
-
 def _default_waveform_factory(n: int, seed: int) -> IqBuffer:
     """Complex white Gaussian stimulus at the default drive (rate-agnostic)."""
     return white_gaussian(n, DEFAULT_TRAINING_RMS, seed, 1.0)
@@ -239,7 +218,7 @@ def _linearization_nmse_db(
     gain = estimate_gain(stimulus, s)
     if gain == 0:
         return float("inf")
-    return nmse_db_samples(s.samples.astype(np.complex128) / gain, stimulus.samples)
+    return nmse_db(s.samples.astype(np.complex128) / gain, stimulus.samples)
 
 
 def _add_feedback_noise(s: IqBuffer, noise_db: float, rng: np.random.Generator) -> IqBuffer:
@@ -289,9 +268,7 @@ def ila_train(
         regressor = IqBuffer(
             (s.samples.astype(np.complex128) / gain).astype(np.complex64), s.sample_rate_hz
         )
-        normal = build_normal_equations(
-            regressor, z.samples, cfg.sets, cfg.taps_main, cfg.taps_conj, cfg.basis
-        )
+        normal = build_normal_equations(regressor, z.samples, cfg)
         if tcfg.ridge_lambda is None:
             lam = 1e-8 * float(np.trace(normal.gram).real) / len(normal.rhs)
         else:

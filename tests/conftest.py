@@ -14,26 +14,52 @@ import pytest
 from aphdpd import AphConfig, CarrierSpec, CoefficientVector, IqBuffer
 
 
-def reference_predistort(x, coeffs: CoefficientVector, cfg: AphConfig) -> np.ndarray:
-    """Brute-force branch-filter-bank evaluation, complex128 throughout."""
-    xs = np.asarray(x, dtype=np.complex128)
-    n = xs.size
-    out = np.full(n, complex(coeffs.h[-1]), dtype=np.complex128)
+def _reference_branches(xs: np.ndarray, cfg: AphConfig):
+    """(taps, branch sequence) per branch in column order (main orders
+    ascending, then conjugate), each sequence evaluated by its defining sum
+    of |x|^(m-1) terms in complex128."""
     mag = np.abs(xs)
-    offset = 0
     for orders, taps_list, table, base in (
         (cfg.sets.main_orders, cfg.taps_main, cfg.basis.u_main, xs),
         (cfg.sets.conj_orders, cfg.taps_conj, cfg.basis.u_conj, np.conj(xs)),
     ):
         for order, n_taps in zip(orders, taps_list):
             members = [m for m in orders if m <= order]
-            psi = np.zeros(n, dtype=np.complex128)
+            psi = np.zeros(xs.size, dtype=np.complex128)
             for u, m in zip(table[order], members):
                 psi += u * mag ** (m - 1) * base
-            for k in range(n_taps):
-                out[k:] += complex(coeffs.h[offset + k]) * psi[: n - k]
-            offset += n_taps
+            yield n_taps, psi
+
+
+def reference_predistort(x, coeffs: CoefficientVector, cfg: AphConfig) -> np.ndarray:
+    """Brute-force branch-filter-bank evaluation, complex128 throughout."""
+    xs = np.asarray(x, dtype=np.complex128)
+    n = xs.size
+    out = np.full(n, complex(coeffs.h[-1]), dtype=np.complex128)
+    offset = 0
+    for n_taps, psi in _reference_branches(xs, cfg):
+        for k in range(n_taps):
+            out[k:] += complex(coeffs.h[offset + k]) * psi[: n - k]
+        offset += n_taps
     return out
+
+
+def reference_basis_matrix(x, cfg: AphConfig) -> np.ndarray:
+    """The dense regression matrix A that least-squares training solves
+    against, complex128: for each branch, its sequence delayed by 0..taps-1
+    samples with zero padding to n + l_max - 1 rows, then an all-ones
+    column. A @ h is the predistorter output, tail included."""
+    xs = np.asarray(x, dtype=np.complex128)
+    n = xs.size
+    rows = n + cfg.l_max - 1
+    columns = []
+    for n_taps, psi in _reference_branches(xs, cfg):
+        for k in range(n_taps):
+            column = np.zeros(rows, dtype=np.complex128)
+            column[k : k + n] = psi
+            columns.append(column)
+    columns.append(np.ones(rows, dtype=np.complex128))
+    return np.stack(columns, axis=1)
 
 
 def gram_schmidt_basis_rows(samples: np.ndarray, orders) -> dict[int, np.ndarray]:

@@ -18,17 +18,16 @@ import pytest
 
 from aphdpd import (
     AphConfig,
-    ChunkPlan,
     CoefficientVector,
+    IqBuffer,
     PaModel,
     TrainingConfig,
-    build_basis_matrix,
+    build_normal_equations,
     evaluate_branch,
     fit_orthogonal_basis,
     identity_coefficients,
     ila_train,
     load_experiment_config,
-    ls_solve,
     make_bench_buffer,
     pa_evaluate,
     predistort_parallel,
@@ -39,6 +38,8 @@ from aphdpd import (
     welch_psd,
     write_bench_csv,
 )
+from aphdpd.training import _lstsq_ridge
+from conftest import reference_basis_matrix
 
 ROOT = Path(__file__).resolve().parents[1]
 SC_CONFIG = ROOT / "configs" / "single_carrier.json"
@@ -95,12 +96,11 @@ class TestAcceptance:
         x = rng.normal(size=5000) + 1j * rng.normal(size=5000)
         x = (0.2 * x / np.sqrt(np.mean(np.abs(x) ** 2))).astype(np.complex64)
 
-        from aphdpd import IqBuffer
-
-        psi = build_basis_matrix(IqBuffer(x, 61.44e6), cfg.sets, cfg.taps_main, cfg.taps_conj, cfg.basis)
-        z = psi.values @ h0
-        h_hat = ls_solve(psi, z, ridge_lambda=0.0)
-        rel = float(np.linalg.norm(h_hat.h - h0.astype(np.complex64)) / np.linalg.norm(h0))
+        z = reference_basis_matrix(x, cfg) @ h0
+        normal = build_normal_equations(IqBuffer(x, 61.44e6), z, cfg)
+        h, _ = _lstsq_ridge(normal.gram, normal.rhs, 0.0)
+        h_hat = h.astype(np.complex64)
+        rel = float(np.linalg.norm(h_hat - h0.astype(np.complex64)) / np.linalg.norm(h0))
         elapsed = time.perf_counter() - start
         ok = rel <= 1e-6 and elapsed < 1.0
         _verdict(
@@ -145,7 +145,7 @@ class TestAcceptance:
         mismatched = []
         for chunk_len, workers in combos:
             got = predistort_parallel(
-                x, coeffs, cfg, ChunkPlan(chunk_len, cfg.l_max - 1, workers)
+                x, coeffs, cfg, chunk_len=chunk_len, n_workers=workers
             ).samples
             if not np.array_equal(got.view(np.float32), want.view(np.float32)):
                 mismatched.append((chunk_len, workers))

@@ -215,34 +215,30 @@ class TestSuppression:
 
 class TestNmse:
     def test_identical_hits_floor(self):
-        buf = _noise(10_000, seed=10)
-        assert nmse_db(buf, buf) == NMSE_FLOOR_DB
+        x = _noise(10_000, seed=10).samples
+        assert nmse_db(x, x) == NMSE_FLOOR_DB
 
     def test_zero_reference_rejected(self):
-        zero = IqBuffer(np.zeros(100, np.complex64), FS)
         with pytest.raises(DegenerateInputError):
-            nmse_db(_noise(100), zero)
+            nmse_db(_noise(100).samples, np.zeros(100, np.complex64))
 
     def test_known_error_level(self):
         ref = _noise(50_000, seed=11)
         eps = 10 ** (-40 / 20)  # -40 dB relative error
         noise = _noise(50_000, seed=12, rms=eps * ref.rms())
-        test = IqBuffer(ref.samples + noise.samples, FS)
-        assert nmse_db(test, ref) == pytest.approx(-40.0, abs=0.1)
+        assert nmse_db(ref.samples + noise.samples, ref.samples) == pytest.approx(-40.0, abs=0.1)
 
     def test_invariant_under_common_scaling(self):
-        ref = _noise(20_000, seed=13)
-        test = IqBuffer(ref.samples + np.complex64(0.01) * _noise(20_000, seed=14).samples, FS)
+        ref = _noise(20_000, seed=13).samples
+        test = ref + np.complex64(0.01) * _noise(20_000, seed=14).samples
         base = nmse_db(test, ref)
         g = np.complex64(0.5 - 0.25j)
-        scaled = nmse_db(
-            IqBuffer(g * test.samples, FS), IqBuffer(g * ref.samples, FS)
-        )
+        scaled = nmse_db(g * test, g * ref)
         assert scaled == pytest.approx(base, abs=0.01)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ConfigurationError):
-            nmse_db(_noise(100), _noise(101))
+            nmse_db(_noise(100).samples, _noise(101).samples)
 
 
 class TestSpectrumCsv:

@@ -1,8 +1,10 @@
-"""Branch polynomial basis: construction, fitting, evaluation, regression matrix.
+"""Branch polynomial basis: construction, fitting, evaluation, and the
+normal equations of the regression matrix.
 
 The orthogonal-fit checks compare against a from-scratch Gram-Schmidt
 orthonormalization (tests/conftest.py) rather than against the package's
-own Cholesky construction.
+own Cholesky construction, and the normal equations against the dense
+regression matrix that tests/conftest.py builds column by column.
 """
 
 from __future__ import annotations
@@ -14,19 +16,19 @@ import pytest
 from numpy.testing import assert_allclose
 
 from aphdpd import (
+    AphConfig,
     BranchSets,
     ConditioningError,
     ConfigurationError,
     InsufficientDataError,
     IqBuffer,
     PolyBasis,
-    build_basis_matrix,
     build_normal_equations,
     evaluate_branch,
     fit_orthogonal_basis,
 )
 from aphdpd.basis import _lower_triangular_inverse
-from conftest import gram_schmidt_basis_rows
+from conftest import gram_schmidt_basis_rows, reference_basis_matrix
 
 TABLE_SETS = BranchSets.odd_orders_up_to(5, 3)
 
@@ -51,6 +53,21 @@ class TestBranchSets:
     def test_invalid_sets_rejected(self, main, conj):
         with pytest.raises(ConfigurationError):
             BranchSets(main, conj)
+
+    @pytest.mark.parametrize(
+        "main,conj",
+        [((1, 3.7), (1,)), ((1, 3.0), (1,)), ((1,), (1.0,)), ((1, True), (1,))],
+        ids=["fraction", "integral-float", "conj-float", "bool"],
+    )
+    def test_non_integral_orders_rejected(self, main, conj):
+        """A float or a bool order is an error, never truncated to an int."""
+        with pytest.raises(ConfigurationError, match="must hold integers"):
+            BranchSets(main, conj)
+
+    def test_numpy_integer_orders_accepted(self):
+        sets = BranchSets(np.array([1, 3, 5]), (np.int32(1), np.int64(3)))
+        assert sets == TABLE_SETS
+        assert all(type(m) is int for m in (*sets.main_orders, *sets.conj_orders))
 
 
 class TestPolyBasis:
@@ -164,56 +181,48 @@ class TestFitOrthogonalBasis:
 
 
 class TestBuildBasisMatrix:
+    """The dense regression matrix, built only by the test oracle
+    `conftest.reference_basis_matrix`: these checks pin the oracle that the
+    normal equations and the least-squares tests are measured against."""
+
     def test_hand_convolution_block(self):
         """y=[1,2,3], one linear branch with two taps: the block is the
         plain zero-padded convolution matrix."""
         sets = BranchSets((1,), (1,))
-        basis = PolyBasis.plain(sets)
-        buf = IqBuffer(np.array([1, 2, 3], dtype=np.complex64), 1e6)
-        psi = build_basis_matrix(buf, sets, (2,), (1,), basis)
+        cfg = AphConfig(sets, (2,), (1,), PolyBasis.plain(sets))
+        a = reference_basis_matrix(np.array([1, 2, 3], dtype=np.complex64), cfg)
         expected_block = np.array([[1, 0], [2, 1], [3, 2], [0, 3]], dtype=np.complex128)
-        assert psi.n_rows == 4
-        assert_allclose(psi.values[:, :2], expected_block)
-        assert_allclose(psi.values[:, -1], np.ones(4))
+        assert a.shape == (4, 4)
+        assert_allclose(a[:, :2], expected_block)
+        assert_allclose(a[:, -1], np.ones(4))
 
     def test_table_config_shape(self):
-        basis = PolyBasis.plain(TABLE_SETS)
+        """26 columns over 1004 rows, each branch block starting at its
+        `branch_slices` column with that branch's sequence."""
+        cfg = AphConfig(TABLE_SETS, (5, 5, 5), (5, 5), PolyBasis.plain(TABLE_SETS))
         buf = _training_buffer(n=1000)
-        psi = build_basis_matrix(buf, TABLE_SETS, (5, 5, 5), (5, 5), basis)
-        assert (psi.n_rows, psi.n_cols) == (1004, 26)
-        assert psi.column_layout == (
-            ("main", 1, 5),
-            ("main", 3, 5),
-            ("main", 5, 5),
-            ("conj", 1, 5),
-            ("conj", 3, 5),
-        )
+        a = reference_basis_matrix(buf.samples, cfg)
+        assert a.shape == (1004, 26)
+        for family, order, cols in cfg.branch_slices():
+            want = evaluate_branch(buf.samples, order, family == "conj", cfg.basis)
+            assert_allclose(a[:1000, cols.start], want, rtol=1e-12)
 
     def test_toeplitz_within_blocks(self):
-        basis = PolyBasis.plain(TABLE_SETS)
-        psi = build_basis_matrix(_training_buffer(n=200), TABLE_SETS, (5, 5, 5), (5, 5), basis)
-        col = 0
-        for _, _, n_taps in psi.column_layout:
-            block = psi.values[:, col : col + n_taps]
-            for k in range(1, n_taps):
+        cfg = AphConfig(TABLE_SETS, (5, 5, 5), (5, 5), PolyBasis.plain(TABLE_SETS))
+        a = reference_basis_matrix(_training_buffer(n=200).samples, cfg)
+        for _, _, cols in cfg.branch_slices():
+            block = a[:, cols]
+            for k in range(1, block.shape[1]):
                 assert_allclose(block[1:, k], block[:-1, k - 1], rtol=0, atol=0)
-            col += n_taps
 
     def test_conjugate_block_is_main_block_of_conjugate_input(self):
         sets = BranchSets((1, 3), (1, 3))
-        basis = PolyBasis.plain(sets)
-        buf = _training_buffer(n=300, seed=21)
-        conj_buf = IqBuffer(np.conj(buf.samples), buf.sample_rate_hz)
-        psi = build_basis_matrix(buf, sets, (3, 3), (3, 3), basis)
-        psi_conj_input = build_basis_matrix(conj_buf, sets, (3, 3), (3, 3), basis)
+        cfg = AphConfig(sets, (3, 3), (3, 3), PolyBasis.plain(sets))
+        x = _training_buffer(n=300, seed=21).samples
+        a = reference_basis_matrix(x, cfg)
+        a_conj_input = reference_basis_matrix(np.conj(x), cfg)
         # conj blocks occupy columns 6..11; main blocks 0..5
-        assert_allclose(psi.values[:, 6:12], psi_conj_input.values[:, 0:6], rtol=0, atol=0)
-
-    def test_short_buffer_rejected(self):
-        basis = PolyBasis.plain(TABLE_SETS)
-        buf = IqBuffer(np.ones(4, np.complex64), 1e6)
-        with pytest.raises(InsufficientDataError):
-            build_basis_matrix(buf, TABLE_SETS, (5, 5, 5), (5, 5), basis)
+        assert_allclose(a[:, 6:12], a_conj_input[:, 0:6], rtol=0, atol=0)
 
 
 class TestBuildNormalEquations:
@@ -228,11 +237,12 @@ class TestBuildNormalEquations:
     def test_matches_dense_normal_equations(self, mode, sets, taps_main, taps_conj):
         buf = _training_buffer(n=3000, seed=31)
         basis = PolyBasis.plain(sets) if mode == "plain" else fit_orthogonal_basis(buf, sets)
+        cfg = AphConfig(sets, taps_main, taps_conj, basis)
         rng = np.random.default_rng(32)
         z = rng.normal(size=len(buf)) + 1j * rng.normal(size=len(buf))
-        a = build_basis_matrix(buf, sets, taps_main, taps_conj, basis).values
+        a = reference_basis_matrix(buf.samples, cfg)
         b = np.concatenate([z, np.zeros(a.shape[0] - len(z))])
-        ne = build_normal_equations(buf, z, sets, taps_main, taps_conj, basis)
+        ne = build_normal_equations(buf, z, cfg)
 
         gram = a.conj().T @ a
         rhs = a.conj().T @ b
@@ -240,3 +250,18 @@ class TestBuildNormalEquations:
         assert np.linalg.norm(ne.rhs - rhs) <= 1e-12 * np.linalg.norm(rhs)
         h = rng.normal(size=a.shape[1]) + 1j * rng.normal(size=a.shape[1])
         assert ne.residual_norm(h) == pytest.approx(np.linalg.norm(a @ h - b), rel=1e-12)
+
+    def test_short_buffer_rejected(self):
+        cfg = AphConfig(TABLE_SETS, (5, 5, 5), (5, 5), PolyBasis.plain(TABLE_SETS))
+        buf = IqBuffer(np.ones(4, np.complex64), 1e6)
+        with pytest.raises(InsufficientDataError):
+            build_normal_equations(buf, buf.samples, cfg)
+
+    def test_target_longer_than_rows_rejected(self):
+        """A shorter target is zero-padded to the n + l_max - 1 rows; a
+        longer one cannot belong to the buffer."""
+        cfg = AphConfig(TABLE_SETS, (5, 5, 5), (5, 5), PolyBasis.plain(TABLE_SETS))
+        buf = _training_buffer(n=100)
+        build_normal_equations(buf, np.ones(104), cfg)
+        with pytest.raises(ConfigurationError):
+            build_normal_equations(buf, np.ones(105), cfg)

@@ -74,8 +74,8 @@ class TestRunBench:
         refuse to report a throughput for it."""
         real = aphdpd.bench.predistort_parallel
 
-        def corrupted(x, coeffs, cfg, plan):
-            out = real(x, coeffs, cfg, plan)
+        def corrupted(x, coeffs, cfg, **geometry):
+            out = real(x, coeffs, cfg, **geometry)
             bad = out.samples.copy()
             bad[len(bad) // 2] += np.complex64(1e-3)
             return IqBuffer(bad, out.sample_rate_hz)

@@ -126,6 +126,19 @@ class TestTrain:
             if not row["accepted"]:
                 assert "candidate" in line
 
+    def test_overdriven_basis_fit_reports_the_rms(self, tmp_path, capsys):
+        """At drive_rms 50 the basis moments are numerically singular; the
+        one error line reports the condition and the training RMS."""
+        hot = _config_variant(
+            tmp_path, "hot.json", drive_rms=50, **{"dpd.basis_mode": "orthogonal"}
+        )
+        capsys.readouterr()
+        rc = cli.main(["train", hot, str(tmp_path / "c.json"), str(tmp_path / "r.json")])
+        assert rc == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "cond ~" in lines[0] and "RMS 50" in lines[0]
+
     def test_coefficient_file_is_self_contained(self, config_path, tmp_path):
         coeffs = tmp_path / "coeffs.json"
         cli.main(["train", config_path, str(coeffs), str(tmp_path / "r.json")])

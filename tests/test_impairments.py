@@ -9,7 +9,6 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from aphdpd import (
-    IDEAL_MODULATOR,
     ConfigurationError,
     IqBuffer,
     IqModulatorModel,
@@ -68,12 +67,17 @@ class TestIqModulator:
         assert m.k1 + m.k2 == pytest.approx(1.0, abs=1e-15)
 
     def test_ideal_modulator_is_identity(self, rng):
+        """The default modulator has no imbalance and no leakage."""
         x = rng.normal(size=100) + 1j * rng.normal(size=100)
-        assert IDEAL_MODULATOR.is_ideal
-        assert_allclose(iq_modulate(x, IDEAL_MODULATOR), x, rtol=0, atol=0)
+        ideal = IqModulatorModel()
+        assert (ideal.k1, ideal.k2) == (1.0, 0.0)
+        assert_allclose(iq_modulate(x, ideal), x, rtol=0, atol=0)
 
-    def test_not_ideal_with_leakage(self):
-        assert not IqModulatorModel(lo_leakage=0.0112 + 0.0112j).is_ideal
+    def test_not_ideal_with_leakage(self, rng):
+        """Leakage alone adds its constant to every sample and nothing else."""
+        x = rng.normal(size=100) + 1j * rng.normal(size=100)
+        leaky = IqModulatorModel(lo_leakage=0.0112 + 0.0112j)
+        assert_allclose(iq_modulate(x, leaky), x + (0.0112 + 0.0112j), rtol=0, atol=0)
 
     def test_leakage_shifts_output(self):
         m = IqModulatorModel(lo_leakage=0.25 - 0.125j)
@@ -103,7 +107,7 @@ class TestTxChain:
 
     def test_ideal_linear_chain_passthrough(self, rng):
         x = (0.1 * (rng.normal(size=100) + 1j * rng.normal(size=100))).astype(np.complex64)
-        chain = TxChain(modulator=IDEAL_MODULATOR, pa=PaModel(alpha1=1.0))
+        chain = TxChain(modulator=IqModulatorModel(), pa=PaModel(alpha1=1.0))
         out = run_tx_chain(IqBuffer(x, 1e6), chain)
         assert_allclose(out.samples, x, rtol=1e-7)
 

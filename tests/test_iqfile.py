@@ -97,7 +97,8 @@ def test_sidecar_count_mismatch_rejected(tmp_path):
 def test_missing_sidecar_needs_explicit_rate(tmp_path):
     path = tmp_path / "a.iq"
     buf = _buf(n=16, fs=5e6)
-    write_iq(buf, path, sidecar=False)
+    write_iq(buf, path)
+    sidecar_path(path).unlink()
     with pytest.raises(ConfigurationError):
         read_iq(path)
     back = read_iq(path, sample_rate_hz=5e6)

@@ -1,5 +1,5 @@
-"""Predistorter engine: kernel correctness, packing, and the parallel
-bit-identity guarantee.
+"""Predistorter engine: kernel correctness, the coefficient layout, and the
+parallel bit-identity guarantee.
 
 The correctness oracle is tests/conftest.py:reference_predistort, an
 independent double-precision filter-bank evaluation that shares no code
@@ -19,7 +19,6 @@ from numpy.testing import assert_allclose, assert_array_equal
 from aphdpd import (
     AphConfig,
     BranchSets,
-    ChunkPlan,
     CoefficientVector,
     ConfigurationError,
     IqBuffer,
@@ -28,10 +27,8 @@ from aphdpd import (
     coefficients_to_json_dict,
     fit_orthogonal_basis,
     identity_coefficients,
-    pack_coefficients,
     predistort_parallel,
     predistort_serial,
-    unpack_coefficients,
 )
 from conftest import reference_predistort
 
@@ -43,6 +40,15 @@ def _random_coeffs(cfg, seed=7, scale=0.05):
     h = rng.normal(size=cfg.n_coefficients) + 1j * rng.normal(size=cfg.n_coefficients)
     h = (scale * h).astype(np.complex64)
     h[0] += np.complex64(1.0)  # keep a dominant linear term
+    return CoefficientVector(h)
+
+
+def _linear_branch_coeffs(taps):
+    """Coefficients with `taps` on the main order-1 branch, every other
+    branch and the constant zero, placed through `branch_slices`."""
+    h = np.zeros(CFG.n_coefficients, dtype=np.complex64)
+    (cols,) = [s for family, order, s in CFG.branch_slices() if (family, order) == ("main", 1)]
+    h[cols] = taps
     return CoefficientVector(h)
 
 
@@ -73,6 +79,21 @@ class TestAphConfig:
         with pytest.raises(ConfigurationError):
             AphConfig(CFG.sets, CFG.taps_main, CFG.taps_conj, PolyBasis.plain(other))
 
+    @pytest.mark.parametrize(
+        "taps_main,taps_conj",
+        [((2.9, 1, 1), (1, 1)), ((2, 1, 1), (1.0, 1)), ((2, False, 1), (1, 1))],
+        ids=["fraction", "integral-float", "bool"],
+    )
+    def test_non_integral_taps_rejected(self, taps_main, taps_conj):
+        """A float or a bool tap count is an error, never truncated to an int."""
+        with pytest.raises(ConfigurationError, match="must hold integers"):
+            AphConfig(CFG.sets, taps_main, taps_conj, CFG.basis)
+
+    def test_numpy_integer_taps_accepted(self):
+        cfg = AphConfig(CFG.sets, np.array([5, 5, 5]), (np.int16(5), np.uint8(5)), CFG.basis)
+        assert cfg == CFG
+        assert all(type(t) is int for t in (*cfg.taps_main, *cfg.taps_conj))
+
 
 class TestCoefficientVector:
     def test_c_is_last_entry(self):
@@ -85,24 +106,6 @@ class TestCoefficientVector:
         h[3] = np.inf
         with pytest.raises(ConfigurationError):
             CoefficientVector(h)
-
-    def test_pack_unpack_round_trip(self):
-        coeffs = _random_coeffs(CFG)
-        per_branch, c = unpack_coefficients(coeffs, CFG)
-        again = pack_coefficients(per_branch, c, CFG)
-        assert_array_equal(again.h, coeffs.h)
-
-    def test_pack_rejects_wrong_tap_count(self):
-        per_branch, c = unpack_coefficients(_random_coeffs(CFG), CFG)
-        per_branch[("main", 3)] = per_branch[("main", 3)][:4]
-        with pytest.raises(ConfigurationError):
-            pack_coefficients(per_branch, c, CFG)
-
-    def test_pack_rejects_missing_branch(self):
-        per_branch, c = unpack_coefficients(_random_coeffs(CFG), CFG)
-        del per_branch[("conj", 3)]
-        with pytest.raises(ConfigurationError):
-            pack_coefficients(per_branch, c, CFG)
 
 
 class TestKernelCorrectness:
@@ -136,11 +139,8 @@ class TestKernelCorrectness:
 
     def test_impulse_reads_back_linear_taps(self):
         """Unit impulse through a main-linear-only filter reproduces its taps."""
-        per_branch = {key: np.zeros(5, np.complex64) for key in
-                      (("main", 1), ("main", 3), ("main", 5), ("conj", 1), ("conj", 3))}
         taps = np.array([0.9, -0.2j, 0.1 + 0.1j, 0.05, -0.03j], dtype=np.complex64)
-        per_branch[("main", 1)] = taps
-        coeffs = pack_coefficients(per_branch, 0.0, CFG)
+        coeffs = _linear_branch_coeffs(taps)
         x = np.zeros(8, dtype=np.complex64)
         x[0] = 1.0
         out = predistort_serial(IqBuffer(x, 1e6), coeffs, CFG)
@@ -149,10 +149,7 @@ class TestKernelCorrectness:
 
     def test_linearity_of_linear_branch(self):
         """With only odd-order-1 branches active the map is linear."""
-        per_branch = {key: np.zeros(5, np.complex64) for key in
-                      (("main", 1), ("main", 3), ("main", 5), ("conj", 1), ("conj", 3))}
-        per_branch[("main", 1)] = np.array([1.0, 0.3, 0, 0, 0.1], dtype=np.complex64)
-        coeffs = pack_coefficients(per_branch, 0.0, CFG)
+        coeffs = _linear_branch_coeffs(np.array([1.0, 0.3, 0, 0, 0.1], dtype=np.complex64))
         a, b = _buffer(400, seed=8), _buffer(400, seed=9)
         summed = IqBuffer(a.samples + b.samples, a.sample_rate_hz)
         lhs = predistort_serial(summed, coeffs, CFG).samples
@@ -176,19 +173,26 @@ class TestKernelCorrectness:
 
 
 class TestChunkPlan:
+    """How the engine splits a stream: the caller picks the chunk length
+    and worker count; the halo, l_max - 1, comes from the config."""
+
     def test_for_config_halo(self):
-        plan = ChunkPlan.for_config(CFG, chunk_len=1 << 14, n_workers=3)
-        assert plan.halo == CFG.l_max - 1
-        assert plan.n_workers == 3
+        """The shortest legal chunk is one longer than the config's halo,
+        and it still reproduces serial bit for bit."""
+        sets = BranchSets.odd_orders_up_to(5, 3)
+        cfg = AphConfig(sets, (3, 1, 2), (1, 1), PolyBasis.plain(sets))
+        x = _buffer(100)
+        coeffs = _random_coeffs(cfg)
+        want = predistort_serial(x, coeffs, cfg).samples
+        got = predistort_parallel(x, coeffs, cfg, chunk_len=cfg.l_max, n_workers=2).samples
+        assert_array_equal(got, want)
+        with pytest.raises(ConfigurationError, match=r"halo \(2\)"):
+            predistort_parallel(x, coeffs, cfg, chunk_len=cfg.l_max - 1)
 
     def test_chunk_len_must_exceed_halo(self):
-        with pytest.raises(ConfigurationError):
-            ChunkPlan(chunk_len=4, halo=4, n_workers=1)
-
-    def test_halo_mismatch_rejected(self):
-        x = _buffer(100)
-        with pytest.raises(ConfigurationError):
-            predistort_parallel(x, _random_coeffs(CFG), CFG, ChunkPlan(64, 2, 1))
+        for chunk_len in (4, 0, -1):
+            with pytest.raises(ConfigurationError):
+                predistort_parallel(_buffer(100), _random_coeffs(CFG), CFG, chunk_len=chunk_len)
 
 
 class TestBitIdentity:
@@ -202,8 +206,9 @@ class TestBitIdentity:
         want = predistort_serial(x, coeffs, CFG).samples
         for chunk_len in (37, 128, 999, 4096, 10_000, 1 << 16):
             for workers in (1, 2, 5):
-                plan = ChunkPlan(chunk_len, CFG.l_max - 1, workers)
-                got = predistort_parallel(x, coeffs, CFG, plan).samples
+                got = predistort_parallel(
+                    x, coeffs, CFG, chunk_len=chunk_len, n_workers=workers
+                ).samples
                 assert_array_equal(got, want, err_msg=f"chunk_len={chunk_len} workers={workers}")
 
     @settings(max_examples=30, deadline=None)
@@ -216,7 +221,9 @@ class TestBitIdentity:
         x = _buffer(2500, seed=seed)
         coeffs = _random_coeffs(CFG, seed=seed ^ 0xA5A5)
         want = predistort_serial(x, coeffs, CFG).samples
-        got = predistort_parallel(x, coeffs, CFG, ChunkPlan(chunk_len, CFG.l_max - 1, workers)).samples
+        got = predistort_parallel(
+            x, coeffs, CFG, chunk_len=chunk_len, n_workers=workers
+        ).samples
         assert_array_equal(got, want)
 
 

@@ -2,7 +2,10 @@
 safeguarded iterative fit against a simulated transmit chain.
 
 Least-squares answers are checked against the normal equations and a
-perturbation test rather than against a second solver.
+perturbation test rather than against a second solver. The dense
+regression matrix in those checks is the test oracle
+`conftest.reference_basis_matrix`; the solver sees only the normal
+equations that training builds.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from aphdpd import (
     ConfigurationError,
     DegenerateInputError,
     DivergenceError,
-    IDEAL_MODULATOR,
     InsufficientDataError,
     IqBuffer,
     IqModulatorModel,
@@ -25,20 +27,21 @@ from aphdpd import (
     PolyBasis,
     TrainingConfig,
     TxChain,
-    build_basis_matrix,
+    build_normal_equations,
     estimate_gain,
     ila_train,
-    ls_solve,
     predistort_serial,
     run_tx_chain,
 )
+from aphdpd.training import _lstsq_ridge
+from conftest import reference_basis_matrix
 
 CFG = AphConfig.default()
 REF_CHAIN = TxChain(
     modulator=IqModulatorModel(1.0, 5.0, 0.0112 + 0.0112j),
     pa=PaModel(0.9490 - 0.0197j, 0.4885 + 0.1071j, -1.0156 - 0.0474j),
 )
-LINEAR_CHAIN = TxChain(modulator=IDEAL_MODULATOR, pa=PaModel(alpha1=1.0))
+LINEAR_CHAIN = TxChain(modulator=IqModulatorModel(), pa=PaModel(alpha1=1.0))
 
 
 def _buffer(n, seed=1, rms=0.15):
@@ -63,7 +66,7 @@ class TestEstimateGain:
         """At low drive the PA is nearly linear, so the fitted gain sits
         close to its first-order coefficient."""
         x = _buffer(20_000, seed=3, rms=0.1)
-        y = run_tx_chain(x, TxChain(IDEAL_MODULATOR, REF_CHAIN.pa))
+        y = run_tx_chain(x, TxChain(IqModulatorModel(), REF_CHAIN.pa))
         g = estimate_gain(x, y)
         assert abs(g - REF_CHAIN.pa.alpha1) / abs(REF_CHAIN.pa.alpha1) < 0.02
 
@@ -77,39 +80,47 @@ class TestEstimateGain:
             estimate_gain(_buffer(10), _buffer(11))
 
 
+class TestTrainingConfig:
+    def test_negative_ridge_rejected(self):
+        with pytest.raises(ConfigurationError):
+            TrainingConfig(n_training_samples=2000, ridge_lambda=-1.0)
+
+
 class TestLsSolve:
+    """The ridge solve `_lstsq_ridge` on the normal equations training builds."""
+
     def _system(self, n=3000, seed=4):
-        """A known coefficient vector, its exact filter output, and the
-        matching regression matrix."""
+        """A known coefficient vector, its exact filter output, the matching
+        dense regression matrix, and its normal equations."""
         rng = np.random.default_rng(seed)
         h0 = (rng.normal(size=CFG.n_coefficients) + 1j * rng.normal(size=CFG.n_coefficients))
         h0 = (0.1 * h0).astype(np.complex64)
         h0[0] += np.complex64(1.0)
         y = _buffer(n, seed=seed + 1, rms=0.2)
-        psi = build_basis_matrix(y, CFG.sets, CFG.taps_main, CFG.taps_conj, CFG.basis)
-        z = psi.values @ h0.astype(np.complex128)
-        return h0, psi, z
+        a = reference_basis_matrix(y.samples, CFG)
+        z = a @ h0.astype(np.complex128)
+        return h0, a, z, build_normal_equations(y, z, CFG)
 
     def test_recovers_known_coefficients(self):
-        h0, psi, z = self._system()
-        h_hat = ls_solve(psi, z, ridge_lambda=0.0)
-        rel = np.linalg.norm(h_hat.h - h0) / np.linalg.norm(h0)
+        h0, _, _, ne = self._system()
+        h, _ = _lstsq_ridge(ne.gram, ne.rhs, 0.0)
+        rel = np.linalg.norm(h.astype(np.complex64) - h0) / np.linalg.norm(h0)
         assert rel <= 1e-6
 
     def test_normal_equations_hold(self):
-        """The unregularized solution must zero the gradient: Psi^H(Psi h - z) ~ 0."""
-        _, psi, z = self._system(seed=5)
-        h_hat = ls_solve(psi, z).h.astype(np.complex128)
-        a = psi.values
+        """The unregularized solution must zero the gradient: A^H(A h - z) ~ 0."""
+        _, a, z, ne = self._system(seed=5)
+        h, _ = _lstsq_ridge(ne.gram, ne.rhs, 0.0)
+        h_hat = h.astype(np.complex64).astype(np.complex128)
         grad = a.conj().T @ (a @ h_hat - z)
         assert np.linalg.norm(grad) <= 1e-4 * np.linalg.norm(a.conj().T @ z)
 
     def test_perturbation_never_improves(self, rng):
         """Local optimality of the ridge objective |Ah-b|^2 + lam|h|^2."""
-        _, psi, z = self._system(seed=6)
+        _, a, z, ne = self._system(seed=6)
         lam = 1e-3
-        h_hat = ls_solve(psi, z, ridge_lambda=lam).h.astype(np.complex128)
-        a = psi.values
+        h, _ = _lstsq_ridge(ne.gram, ne.rhs, lam)
+        h_hat = h.astype(np.complex64).astype(np.complex128)
 
         def objective(h):
             return np.sum(np.abs(a @ h - z) ** 2) + lam * np.sum(np.abs(h) ** 2)
@@ -120,31 +131,20 @@ class TestLsSolve:
             assert objective(h_hat + 1e-4 * step) >= base * (1 - 1e-9)
 
     def test_heavy_ridge_shrinks_solution(self):
-        _, psi, z = self._system(seed=7)
-        gram_diag = np.sum(np.abs(psi.values) ** 2, axis=0)
-        h_hat = ls_solve(psi, z, ridge_lambda=1e6 * float(gram_diag.max()))
-        assert float(np.max(np.abs(h_hat.h))) < 1e-3
+        _, a, _, ne = self._system(seed=7)
+        gram_diag = np.sum(np.abs(a) ** 2, axis=0)
+        h, _ = _lstsq_ridge(ne.gram, ne.rhs, 1e6 * float(gram_diag.max()))
+        assert float(np.max(np.abs(h.astype(np.complex64)))) < 1e-3
 
     def test_singular_matrix_without_ridge(self):
         a = np.zeros((40, 3), dtype=np.complex128)
         a[:, 0] = np.arange(40)
         a[:, 1] = 2 * np.arange(40)  # dependent column
         a[:, 2] = 1.0
+        b = np.arange(40).astype(np.complex128)
         with pytest.raises(ConditioningError) as exc_info:
-            ls_solve(a, np.arange(40).astype(np.complex128))
+            _lstsq_ridge(a.conj().T @ a, a.conj().T @ b, 0.0)
         assert exc_info.value.condition_estimate is not None
-
-    def test_underdetermined_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ls_solve(np.ones((3, 5), np.complex128), np.ones(3))
-
-    def test_target_length_checked(self):
-        with pytest.raises(ConfigurationError):
-            ls_solve(np.ones((10, 2), np.complex128), np.ones(9))
-
-    def test_negative_ridge_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ls_solve(np.ones((10, 2), np.complex128), np.ones(10), ridge_lambda=-1.0)
 
 
 class TestIlaTrain:
@@ -201,19 +201,6 @@ class TestIlaTrain:
             else:
                 assert row["candidate_nmse_db"] is None or row["candidate_nmse_db"] > row["nmse_db"]
 
-    def test_never_builds_the_dense_matrix(self, monkeypatch):
-        """Training solves normal equations built from branch correlations."""
-
-        def dense(*args):
-            raise AssertionError("training built the dense regression matrix")
-
-        monkeypatch.setattr("aphdpd.basis.build_basis_matrix", dense)
-        monkeypatch.setattr("aphdpd.training.build_basis_matrix", dense, raising=False)
-        _, report = ila_train(
-            REF_CHAIN, CFG, TrainingConfig(n_training_samples=2000, iterations=2)
-        )
-        assert report.nmse_db[-1] < report.baseline_nmse_db
-
     def test_too_few_samples_rejected(self):
         with pytest.raises(InsufficientDataError):
             ila_train(REF_CHAIN, CFG, TrainingConfig(n_training_samples=259))
@@ -221,7 +208,7 @@ class TestIlaTrain:
     def test_diverging_chain_reported(self):
         """An absurd chain gain overflows single precision; the trainer must
         say so instead of returning garbage."""
-        hot = TxChain(IDEAL_MODULATOR, PaModel(alpha1=1e39))
+        hot = TxChain(IqModulatorModel(), PaModel(alpha1=1e39))
         with np.errstate(over="ignore"), pytest.raises(DivergenceError):
             ila_train(hot, CFG, TrainingConfig(n_training_samples=2000, iterations=1))
 
