@@ -3,6 +3,8 @@
 Run from the repository root:
 
     python3 demos/01_waveform_and_spectrum.py
+
+The spectrum goes to stimulus_psd.csv in the working directory.
 """
 
 from pathlib import Path
@@ -33,7 +35,7 @@ def main() -> None:
         print(f"monitored band [{lo / 1e6:+.2f}, {hi / 1e6:+.2f}] MHz: "
               f"{band_power_db(spec, lo, hi):.1f} dB (clean stimulus floor)")
 
-    out = ROOT / "demos" / "stimulus_psd.csv"
+    out = Path("stimulus_psd.csv").resolve()
     write_spectrum_csv(spec, out)
     print(f"spectrum written to {out}")
 

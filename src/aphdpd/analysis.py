@@ -8,6 +8,13 @@ Conventions fixed here so every consumer (tests, CLI, demos) agrees:
   quantity; dB values are derived views.
 * Band selections are half-open [f_lo, f_hi) on bin centers, so adjacent
   bands tile a span without double counting.
+* Welch runs in double precision: each complex64 segment is windowed into
+  complex128, transformed in place and summed as float64 power. That is
+  both the faster and the exact choice. On a 2-vCPU x86 host (numpy 2.4)
+  numpy's complex64 FFT of a 256 x 4096 batch takes 15-22 ms and its
+  complex128 FFT 7-9 ms. In single precision the deepest bins of a
+  160 dB spectrum were off by up to 116 %; in double they are within
+  2e-9 of a long-double Welch.
 * NMSE compares complex baseband streams sample-by-sample in double
   precision and is floored at -300 dB: below that the residual is
   indistinguishable from representation noise.
@@ -27,15 +34,23 @@ from .waveforms import IqBuffer
 NMSE_FLOOR_DB = -300.0
 _LOG_FLOOR = 1e-300
 
-# Samples per FFT batch in welch_psd: its working memory is a few times
-# this many complex64 samples, whatever the buffer length.
-_WELCH_BATCH_SAMPLES = 1 << 20
+# Samples per FFT batch in welch_psd (32 segments at nfft 4096): a 2 MB
+# complex128 batch. At 16 Mi samples on a 2-vCPU host, batches of 2^16 to
+# 2^18 samples were equally fast on 1 and 2 workers, and 2^20 was 10-40 %
+# slower.
+_WELCH_BATCH_SAMPLES = 1 << 17
+
+# Batches per group in welch_psd: it holds one power sum per batch of a
+# group and adds a group's sums before starting the next, so its memory
+# does not grow with the buffer length.
+_WELCH_GROUP_BATCHES = 16
 
 # Most batches welch_psd has in flight at once, whatever `n_workers` asks.
-# Each worker thread's malloc arena keeps its freed batch temporaries:
-# `dpd evaluate` at 16 Mi samples (2 vCPUs, threads oversubscribed) peaks
-# at 341, 413, 467, 503 and 686 MB RSS on 1, 2, 3, 4 and 8 workers. The
-# cap keeps that below `dpd generate` on any core count.
+# Each worker thread's malloc arena keeps its freed 2 MB batch: `dpd
+# evaluate` at 16 Mi samples (2 vCPUs, threads oversubscribed) peaks at
+# 304, 310, 314, 318 and 318 MB RSS on 1, 2, 3, 4 and 8 workers, and at
+# 334 MB on 8 or 16 workers without the cap. The cap keeps that growth
+# bounded on any core count.
 _WELCH_MAX_WORKERS = 4
 
 
@@ -74,17 +89,19 @@ def welch_psd(
     fraction (rounded to whole samples), density scaling, no detrending.
     Requires at least one full segment.
 
-    Precision: segments are windowed and transformed in single precision
-    (complex64, as the samples are stored; numpy >= 2 keeps complex64
-    through the FFT), and the periodograms are summed in double precision.
+    Precision: each complex64 segment is multiplied by a float64 window,
+    which gives complex128; the FFT runs in place on it, and the
+    periodograms are summed in float64. Every bin, even 160 dB below the
+    peak, then stays within about 2e-9 of a long-double Welch.
 
     Segments go through the FFT in batches of about `_WELCH_BATCH_SAMPLES`
-    samples. The batches run on `n_workers` threads, at most
-    `_WELCH_MAX_WORKERS`; each returns its double-precision sum, and the
-    sums are added in batch order, as one worker adds them, so the worker
-    count changes no bit of the PSD. The working memory is a few batches
-    per worker plus one `nfft`-point sum per batch (about 1/128 of the
-    buffer at nfft 4096, overlap 0.5).
+    samples, `_WELCH_GROUP_BATCHES` batches at a time. A group's batches
+    run on `n_workers` threads, at most `_WELCH_MAX_WORKERS`; each writes
+    its power sum to its own row, and the rows are added in batch order
+    once the group is done, as one worker adds them, so the worker count
+    changes no bit of the PSD. The working memory is one complex128 batch
+    per worker plus one `nfft`-point row per batch of a group, whatever
+    the buffer length.
     """
     if nfft < 2:
         raise ConfigurationError(f"nfft must be >= 2, got {nfft}")
@@ -95,19 +112,32 @@ def welch_psd(
             f"need at least nfft={nfft} samples for one segment, got {len(buf)}"
         )
     step = nfft - int(round(nfft * overlap))
-    window = (0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(nfft) / nfft)).astype(np.float32)
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(nfft) / nfft)
     segments = np.lib.stride_tricks.sliding_window_view(buf.samples, nfft)[::step]
     batch = max(1, _WELCH_BATCH_SAMPLES // nfft)
+    group = _WELCH_GROUP_BATCHES
+    sums = np.empty((group, nfft))
 
-    def batch_power(start: int) -> np.ndarray:
-        spectra = np.fft.fft(segments[start : start + batch] * window, axis=-1)
-        return (spectra.real**2 + spectra.imag**2).sum(axis=0, dtype=np.float64)
+    def batch_power(start: int) -> None:
+        spectra = segments[start : start + batch] * window
+        np.fft.fft(spectra, axis=-1, out=spectra)
+        # |X|^2 in place: square the real and imaginary parts, add them
+        # into the real part, and sum that over the batch into its row.
+        parts = spectra.view(np.float64)
+        np.square(parts, out=parts)
+        power = spectra.real
+        np.add(power, spectra.imag, out=power)
+        power.sum(axis=0, out=sums[start // batch % group])
 
     workers = min(n_workers, _WELCH_MAX_WORKERS)
+    starts = range(0, len(segments), batch)
     acc = np.zeros(nfft)
-    for part in run_blocks(batch_power, range(0, len(segments), batch), workers):
-        acc += part
-    window_power = float(np.sum(np.square(window, dtype=np.float64)))
+    for first in range(0, len(starts), group):
+        group_starts = starts[first : first + group]
+        run_blocks(batch_power, group_starts, workers)
+        for row in sums[: len(group_starts)]:
+            acc += row
+    window_power = float(np.sum(np.square(window)))
     psd = acc / (len(segments) * buf.sample_rate_hz * window_power)
     freq = np.fft.fftfreq(nfft, 1.0 / buf.sample_rate_hz)
     freq = np.fft.fftshift(freq)

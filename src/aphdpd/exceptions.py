@@ -34,7 +34,8 @@ class ConditioningError(DpdError):
 
 class DivergenceError(DpdError):
     """Training produced non-finite signals (drive level too high for the
-    simulated chain, runaway coefficients)."""
+    simulated chain, runaway coefficients), or the untrained chain scores
+    no better than an all-zero output."""
 
 
 class CorrectnessError(DpdError):

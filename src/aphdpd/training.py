@@ -241,6 +241,10 @@ def ila_train(
     make_waveform(n, seed) -> IqBuffer supplies the stimuli; the default is
     a white Gaussian source at a conservative drive. Iteration i trains on
     seed+i; the validation stimulus uses the base seed and never changes.
+
+    Raises DivergenceError when the untrained chain's NMSE is 0 dB or
+    worse, the score of an all-zero output: the drive is then far past
+    the chain model's range and no candidate can be trusted.
     """
     n_coeff = cfg.n_coefficients
     m = tcfg.n_training_samples
@@ -254,6 +258,12 @@ def ila_train(
     coeffs = identity_coefficients(cfg)
     current_nmse = _linearization_nmse_db(chain, cfg, coeffs, validation, candidate=False)
     baseline_nmse = current_nmse
+    if baseline_nmse >= 0.0:
+        raise DivergenceError(
+            f"baseline NMSE {baseline_nmse:+.2f} dB is no better than a zero output: "
+            f"the validation stimulus (RMS {validation.rms():.4g}) drives the chain "
+            "far past its model's range; reduce the drive level"
+        )
 
     records: list[IterationRecord] = []
     for i in range(1, tcfg.iterations + 1):

@@ -139,6 +139,19 @@ class TestTrain:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "cond ~" in lines[0] and "RMS 50" in lines[0]
 
+    def test_overdriven_plain_training_fails(self, tmp_path, capsys):
+        """The plain basis has no fit to fail at drive_rms 50, so training
+        itself must stop: one error line naming the baseline NMSE and the
+        drive, exit 1, and no coefficient or report file."""
+        hot = _config_variant(tmp_path, "hot.json", drive_rms=50)
+        coeffs, report = tmp_path / "c.json", tmp_path / "r.json"
+        capsys.readouterr()
+        assert cli.main(["train", hot, str(coeffs), str(report)]) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: baseline NMSE +")
+        assert "RMS 50" in lines[0] and "reduce the drive" in lines[0]
+        assert not coeffs.exists() and not report.exists()
+
     def test_coefficient_file_is_self_contained(self, config_path, tmp_path):
         coeffs = tmp_path / "coeffs.json"
         cli.main(["train", config_path, str(coeffs), str(tmp_path / "r.json")])

@@ -212,6 +212,15 @@ class TestIlaTrain:
         with np.errstate(over="ignore"), pytest.raises(DivergenceError):
             ila_train(hot, CFG, TrainingConfig(n_training_samples=2000, iterations=1))
 
+    def test_overdriven_chain_fails_loudly(self):
+        """At RMS 50 the PA polynomial is far outside its range, and the
+        untrained chain scores worse than an all-zero output (NMSE >= 0 dB).
+        Training stops and names the NMSE and the drive instead of
+        returning identity coefficients."""
+        tcfg = TrainingConfig(n_training_samples=2000, iterations=1)
+        with pytest.raises(DivergenceError, match=r"baseline NMSE \+\d.*RMS 50\b"):
+            ila_train(REF_CHAIN, CFG, tcfg, make_waveform=lambda n, seed: _buffer(n, seed, 50.0))
+
     def test_stage_configuration_error_is_not_divergence(self, monkeypatch):
         """Only non-finite chain output means divergence: a ConfigurationError
         raised inside a stage is a real fault and must reach the caller as is."""
