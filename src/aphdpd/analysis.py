@@ -80,14 +80,35 @@ class Spectrum:
         return float(self.freq_hz[1] - self.freq_hz[0])
 
 
+def welch_step(nfft: int, overlap: float) -> int:
+    """Samples between the starts of consecutive `nfft`-point Welch
+    segments: `nfft` less the overlap rounded to whole samples.
+
+    Raises ConfigurationError, naming the config key, unless nfft >= 2,
+    0 <= overlap < 1 and the step is at least one sample (an overlap
+    near 1 on a short segment rounds it to 0).
+    """
+    if nfft < 2:
+        raise ConfigurationError(f"'analysis.nfft' must be >= 2, got {nfft}")
+    if not 0.0 <= overlap < 1.0:
+        raise ConfigurationError(f"'analysis.overlap' must be in [0, 1), got {overlap}")
+    step = nfft - int(round(nfft * overlap))
+    if step < 1:
+        raise ConfigurationError(
+            f"'analysis.overlap' {overlap} at nfft {nfft} rounds the segment step "
+            f"to {step} samples; it must leave at least 1"
+        )
+    return step
+
+
 def welch_psd(
     buf: IqBuffer, nfft: int = 4096, overlap: float = 0.5, n_workers: int = 1
 ) -> Spectrum:
     """Averaged-periodogram PSD of a complex baseband buffer.
 
     Periodic Hann window, `nfft`-point segments overlapping by the given
-    fraction (rounded to whole samples), density scaling, no detrending.
-    Requires at least one full segment.
+    fraction (rounded to whole samples, see `welch_step`), density
+    scaling, no detrending. Requires at least one full segment.
 
     Precision: each complex64 segment is multiplied by a float64 window,
     which gives complex128; the FFT runs in place on it, and the
@@ -103,15 +124,11 @@ def welch_psd(
     per worker plus one `nfft`-point row per batch of a group, whatever
     the buffer length.
     """
-    if nfft < 2:
-        raise ConfigurationError(f"nfft must be >= 2, got {nfft}")
-    if not 0.0 <= overlap < 1.0:
-        raise ConfigurationError(f"overlap must be in [0, 1), got {overlap}")
+    step = welch_step(nfft, overlap)
     if len(buf) < nfft:
         raise InsufficientDataError(
             f"need at least nfft={nfft} samples for one segment, got {len(buf)}"
         )
-    step = nfft - int(round(nfft * overlap))
     window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(nfft) / nfft)
     segments = np.lib.stride_tricks.sliding_window_view(buf.samples, nfft)[::step]
     batch = max(1, _WELCH_BATCH_SAMPLES // nfft)

@@ -27,8 +27,8 @@ import numpy as np
 from .exceptions import ConfigurationError, CorrectnessError
 from .basis import AphConfig
 from .predistorter import (
-    DEFAULT_CHUNK_LEN,
     CoefficientVector,
+    default_chunk_len,
     predistort_parallel,
     predistort_serial,
 )
@@ -83,25 +83,30 @@ def run_bench(
     coeffs: CoefficientVector,
     n_samples: int,
     workers_list,
-    chunk_len: int = DEFAULT_CHUNK_LEN,
+    chunk_len: int | None = None,
     repeats: int = 5,
 ) -> list[BenchResult]:
-    """Time the parallel engine for each worker count; verify before timing."""
-    if n_samples < chunk_len:
-        raise ConfigurationError(
-            f"n_samples ({n_samples}) must be at least chunk_len ({chunk_len})"
-        )
+    """Time the parallel engine for each worker count; verify before timing.
+
+    `chunk_len` None times each worker count at the engine's default,
+    `default_chunk_len(workers)`.
+    """
     if repeats < 1:
         raise ConfigurationError(f"repeats must be >= 1, got {repeats}")
     workers_list = [int(w) for w in workers_list]
     if not workers_list or any(w < 1 for w in workers_list):
         raise ConfigurationError(f"workers_list must hold positive counts, got {workers_list}")
+    chunks = [default_chunk_len(w) if chunk_len is None else chunk_len for w in workers_list]
+    if n_samples < max(chunks):
+        raise ConfigurationError(
+            f"n_samples ({n_samples}) must be at least chunk_len ({max(chunks)})"
+        )
 
     buf = make_bench_buffer(n_samples)
     reference = predistort_serial(buf, coeffs, cfg).samples
 
     results = []
-    for workers in workers_list:
+    for workers, chunk_len in zip(workers_list, chunks):
         geometry = {"chunk_len": chunk_len, "n_workers": workers}
         # Warm-up run, also the correctness gate for this configuration.
         out = predistort_parallel(buf, coeffs, cfg, **geometry).samples

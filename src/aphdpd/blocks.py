@@ -11,6 +11,7 @@ at any worker count: the worker count never changes a bit.
 from __future__ import annotations
 
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 from .exceptions import ConfigurationError
@@ -35,6 +36,26 @@ def run_blocks(fn, starts, n_workers: int) -> list:
         return [fn(start) for start in starts]
     with ThreadPoolExecutor(max_workers=min(n_workers, len(starts))) as executor:
         return list(executor.map(fn, starts))
+
+
+def per_thread(make):
+    """A function that returns one `make()` result per calling thread,
+    made on that thread's first call.
+
+    A stage builds one per call and hands it to its block function, so
+    each worker computes its blocks in arrays it allocated once, and no
+    two workers share them.
+    """
+    local = threading.local()
+
+    def get():
+        try:
+            return local.value
+        except AttributeError:
+            local.value = make()
+            return local.value
+
+    return get
 
 
 def usable_cpus() -> int:

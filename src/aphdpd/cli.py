@@ -29,7 +29,8 @@ from .config import load_experiment_config
 from .exceptions import ConfigurationError, DpdError
 from .iqfile import read_iq, write_iq
 from .predistorter import (
-    DEFAULT_CHUNK_LEN,
+    PARALLEL_CHUNK_LEN,
+    SERIAL_CHUNK_LEN,
     CoefficientVector,
     coefficients_from_json_dict,
     coefficients_to_json_dict,
@@ -156,8 +157,7 @@ def _cmd_bench(args) -> int:
         h = rng.normal(size=aph.n_coefficients) + 1j * rng.normal(size=aph.n_coefficients)
         coeffs = CoefficientVector((0.05 * h).astype(np.complex64))
         coeffs = CoefficientVector(coeffs.h + identity_coefficients(aph).h)
-    workers_list = [int(w) for w in args.workers.split(",") if w]
-    results = run_bench(aph, coeffs, args.n, workers_list, args.chunk_len, args.repeats)
+    results = run_bench(aph, coeffs, args.n, args.workers, args.chunk_len, args.repeats)
     write_bench_csv(results, args.out_csv)
     print(f"host: {os.cpu_count()} cpus, numpy {np.__version__}, python {sys.version.split()[0]}")
     for r in results:
@@ -166,6 +166,22 @@ def _cmd_bench(args) -> int:
             f"(min {r.throughput_sps_min / 1e6:.1f})"
         )
     return 0
+
+
+_CHUNK_LEN_HELP = (
+    f"samples per engine chunk (default: {SERIAL_CHUNK_LEN} on one worker, "
+    f"{PARALLEL_CHUNK_LEN} on more)"
+)
+
+
+def _worker_list(text: str) -> list[int]:
+    """argparse type of `bench --workers`: comma-separated worker counts."""
+    try:
+        return [int(w) for w in text.split(",") if w]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}"
+        ) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -189,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("in_iq")
     p.add_argument("out_iq")
     p.add_argument("--workers", type=int, default=usable_cpus())
-    p.add_argument("--chunk-len", type=int, default=DEFAULT_CHUNK_LEN)
+    p.add_argument("--chunk-len", type=int, default=None, help=_CHUNK_LEN_HELP)
     p.set_defaults(func=_cmd_predistort)
 
     p = sub.add_parser("simulate", help="run the impaired transmit chain over an I/Q file")
@@ -212,8 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config")
     p.add_argument("out_csv")
     p.add_argument("--n", type=int, default=2_000_000)
-    p.add_argument("--workers", default="1,2,4")
-    p.add_argument("--chunk-len", type=int, default=DEFAULT_CHUNK_LEN)
+    p.add_argument("--workers", type=_worker_list, default="1,2,4")
+    p.add_argument("--chunk-len", type=int, default=None, help=_CHUNK_LEN_HELP)
     p.add_argument("--repeats", type=int, default=5)
     p.add_argument("--coeffs", default=None)
     p.set_defaults(func=_cmd_bench)

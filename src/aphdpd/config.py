@@ -17,6 +17,7 @@ import math
 import os
 from dataclasses import dataclass
 
+from .analysis import welch_step
 from .basis import ORTHOGONAL, PLAIN, AphConfig, BranchSets, PolyBasis, fit_orthogonal_basis
 from .exceptions import ConfigurationError
 from .impairments import IqModulatorModel, PaModel, TxChain
@@ -256,6 +257,7 @@ def parse_experiment_config(doc: dict, seed_override: int | None = None) -> Expe
     _reject_unknown(an, ("nfft", "overlap", "bands"), "analysis.")
     nfft = _integer(an, "nfft", "analysis.", 4096)
     overlap = _number(an, "overlap", "analysis.", 0.5)
+    welch_step(nfft, overlap)
     raw_bands = _require(an, "bands", "analysis.")
     if not isinstance(raw_bands, list):
         raise ConfigurationError("'analysis.bands' must be a list of [f_lo, f_hi] pairs")

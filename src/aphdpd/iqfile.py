@@ -4,14 +4,23 @@ Repo-wide format: little-endian 32-bit floats, interleaved I,Q,I,Q,...
 with an optional sidecar JSON (`<path>.json`) carrying
 {"sample_rate_hz": <number>, "n_samples": <number>}.
 
-The sample layout is byte for byte little-endian complex64, so files are
-read and written straight from and into the sample array, with no
-interleaving copy.
+The sample layout is byte for byte little-endian complex64. A file is
+read by mapping it read-only: the samples are a view of the file's pages,
+with no copy, and pages are read as they are first touched. Output is
+written straight from the sample array, with no interleaving copy.
+
+A mapping stays valid only while its file keeps its length. If another
+process truncates the file while a buffer still maps it, touching the
+lost pages raises SIGBUS, which kills the process. Writing a file
+truncates it, so `write_iq` copies a buffer that maps the very file it
+writes before it starts, and the `dpd` commands compute their whole
+output before they write it: in and out may be the same path.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -27,11 +36,28 @@ def sidecar_path(path: str | Path) -> Path:
 
 def write_iq(buf: IqBuffer, path: str | Path) -> None:
     """Write a buffer as interleaved little-endian float32 I/Q pairs, plus
-    its sidecar."""
+    its sidecar.
+
+    The file is truncated first, so samples that `read_iq` mapped from
+    this same file are copied before the write starts.
+    """
     path = Path(path)
-    np.ascontiguousarray(buf.samples, dtype="<c8").tofile(path)
+    samples = np.ascontiguousarray(buf.samples, dtype="<c8")
+    if _maps(samples, path):
+        samples = samples.copy()
+    samples.tofile(path)
     meta = {"sample_rate_hz": buf.sample_rate_hz, "n_samples": len(buf)}
     sidecar_path(path).write_text(json.dumps(meta) + "\n")
+
+
+def _maps(samples: np.ndarray, path: Path) -> bool:
+    """Whether `samples` are a view of a `read_iq` map of the file at `path`."""
+    base = samples
+    while base is not None:
+        if isinstance(base, np.memmap) and path.exists():
+            return os.path.samefile(base.filename, path)
+        base = base.base
+    return False
 
 
 def _read_sidecar(meta_file: Path, n_held: int) -> tuple[float, int]:
@@ -61,6 +87,12 @@ def read_iq(path: str | Path, sample_rate_hz: float | None = None) -> IqBuffer:
 
     The sample rate comes from the sidecar JSON when present; otherwise the
     caller must supply it.
+
+    The returned samples are a read-only view of the file mapped into
+    memory (see the module docstring for the SIGBUS risk if the file is
+    truncated while mapped); a zero-sample file gives an empty writable
+    array, since an empty file cannot be mapped. The buffer's finiteness
+    check reads every page once.
     """
     path = Path(path)
     size = path.stat().st_size
@@ -84,4 +116,6 @@ def read_iq(path: str | Path, sample_rate_hz: float | None = None) -> IqBuffer:
     else:
         raise ConfigurationError(f"{path}: no sidecar JSON and no sample_rate_hz given")
 
-    return IqBuffer(np.fromfile(path, dtype="<c8"), rate)
+    if n_held == 0:
+        return IqBuffer(np.empty(0, dtype="<c8"), rate)
+    return IqBuffer(np.memmap(path, dtype="<c8", mode="r"), rate)

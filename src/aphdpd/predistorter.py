@@ -33,6 +33,20 @@ the precision contract and bit identity.
 Per sample, branch envelopes are evaluated once from low to high order with
 incremental magnitude powers (r2, then r2*r2, ...), so lower-order partial
 results are reused by higher-order branches.
+
+Each worker evaluates its chunks in one workspace of arrays, allocated on
+its first chunk and sized min(chunk_len + halo, buffer length); every step
+is a ufunc writing into it with `out=`, so a chunk allocates nothing. That
+keeps the engine's speed independent of glibc's dynamic mmap threshold,
+under which chunk-sized temporaries become an mmap and a munmap each until
+some large free raises it. Storing a result in a workspace array instead
+of a new one runs the same ufunc loop on the same operands, so the bits
+are the same.
+
+The default chunk length depends on the worker count (`default_chunk_len`):
+16 Ki samples keep one worker's workspace in cache, while two or more
+workers run 64 Ki chunks, since every numpy call of a chunk hands the GIL
+over and short chunks make those handoffs dominate.
 """
 
 from __future__ import annotations
@@ -42,15 +56,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import AphConfig, BranchSets, PolyBasis, _members
-from .blocks import run_blocks
+from .blocks import per_thread, run_blocks
 from .exceptions import ConfigurationError
 from .waveforms import IqBuffer
-
-# Chunk length of the serial path and default of the parallel one.
-# Whole-buffer evaluation thrashes the cache (~5x slower at 1M samples);
-# any chunk length gives identical bits.
-DEFAULT_CHUNK_LEN = 65536
-
 
 @dataclass(frozen=True)
 class CoefficientVector:
@@ -99,6 +107,23 @@ def _check_length(coeffs: CoefficientVector, cfg: AphConfig) -> None:
         )
 
 
+class _Workspace:
+    """One worker's arrays for windows of up to `length` samples: every
+    window it evaluates is computed in them, so a window allocates
+    nothing."""
+
+    def __init__(self, length: int, max_power: int, has_conj: bool):
+        f32, c64 = np.float32, np.complex64
+        self.squares = np.empty(2 * length, dtype=f32)  # I^2, Q^2 interleaved; then a temp
+        self.powers = [None] + [np.empty(length, dtype=f32) for _ in range(max_power)]
+        self.envelope = np.empty(length, dtype=f32)
+        self.conj = np.empty(length, dtype=c64) if has_conj else None
+        self.psi = np.empty(length, dtype=c64)
+        self.term = np.empty(length, dtype=c64)
+        self.branch = np.empty(length, dtype=c64)
+        self.acc = np.empty(length, dtype=c64)
+
+
 class _CompiledKernel:
     """Coefficients + basis folded into a flat per-chunk evaluation program."""
 
@@ -129,45 +154,84 @@ class _CompiledKernel:
                 self.max_power = max(self.max_power, terms[-1][0])
                 self.branches.append((family == "conj", taps.copy(), terms))
 
-    def __call__(self, window: np.ndarray) -> np.ndarray:
-        """Evaluate one window (complex64 in, complex64 out, same length)."""
+    def workspace(self, length: int) -> _Workspace:
+        has_conj = any(is_conj for is_conj, _, _ in self.branches)
+        return _Workspace(length, self.max_power, has_conj)
+
+    def __call__(self, window: np.ndarray, ws: _Workspace, skip: int, out: np.ndarray) -> None:
+        """Evaluate one window (complex64) in `ws` and write its outputs
+        from index `skip` on into `out`.
+
+        Every step is one ufunc with its operands in a fixed order, written
+        into a workspace array; a numpy expression that allocated its result
+        would run the same loops, so the bits do not depend on where a
+        result is stored.
+        """
         n = window.size
-        powers = [None]  # powers[j] = |x|^(2j), built low to high
+        powers = [None] + [p[:n] for p in ws.powers[1:]]  # |x|^(2j), built low to high
         if self.max_power:
-            r2 = window.real * window.real
-            r2 += window.imag * window.imag
-            powers.append(r2)
-            for _ in range(2, self.max_power + 1):
-                powers.append(powers[-1] * r2)
+            # |x|^2 from the squares of the interleaved float32 view: one
+            # contiguous pass, then their even (I) and odd (Q) elements added.
+            squares = np.square(window.view(np.float32), out=ws.squares[: 2 * n])
+            np.add(squares[0::2], squares[1::2], out=powers[1])
+            for j in range(2, self.max_power + 1):
+                np.multiply(powers[j - 1], powers[1], out=powers[j])
 
         conj_window = None
         acc = None
         for is_conj, taps, terms in self.branches:
             if is_conj and conj_window is None:
-                conj_window = np.conj(window)
+                conj_window = np.conjugate(window, out=ws.conj[:n])
             base = conj_window if is_conj else window
             if terms is None:
                 psi = base
             else:
+                envelope = ws.envelope[:n]
                 first_power, first_coeff = terms[0]
                 if first_power == 0:
-                    envelope = np.full(n, first_coeff, dtype=np.float32)
+                    envelope.fill(first_coeff)
                 else:
-                    envelope = first_coeff * powers[first_power]
+                    np.multiply(first_coeff, powers[first_power], out=envelope)
+                scaled = ws.squares[:n]
                 for power_index, coeff in terms[1:]:
-                    envelope += coeff * powers[power_index]
-                psi = envelope * base
+                    np.multiply(coeff, powers[power_index], out=scaled)
+                    np.add(envelope, scaled, out=envelope)
+                # envelope * base: the float32 envelope is cast to complex64,
+                # the cast numpy's mixed-type multiply makes, then multiplied.
+                psi = ws.psi[:n]
+                np.copyto(psi, envelope)
+                np.multiply(psi, base, out=psi)
             # Tap-ascending shifted accumulation: fixed per-sample op order.
-            branch_acc = taps[0] * psi
-            for k in range(1, taps.size):
-                branch_acc[k:] += taps[k] * psi[: n - k]
-            acc = branch_acc if acc is None else acc + branch_acc
-        acc += self.c
-        return acc
+            branch_acc = ws.acc[:n] if acc is None else ws.branch[:n]
+            np.multiply(taps[0], psi, out=branch_acc)
+            term = ws.term
+            for k in range(1, min(taps.size, n)):
+                np.multiply(taps[k], psi[: n - k], out=term[: n - k])
+                np.add(branch_acc[k:], term[: n - k], out=branch_acc[k:])
+            if acc is None:
+                acc = branch_acc
+            else:
+                np.add(acc, branch_acc, out=acc)
+        np.add(acc[skip:], self.c, out=out)
+
+
+# Chunk length when none is given, by worker count. One worker runs
+# cache-sized chunks. More workers run longer ones: each numpy call of a
+# chunk hands the GIL over, and at 16 Ki samples those handoffs cost more
+# than the cache saves. At 16 Mi samples on a 2-vCPU x86 host (numpy 2.4):
+# one worker 0.40-0.42 s at 16 Ki against 0.46-0.48 s at 64 Ki; two
+# workers 0.61-0.63 s at 16 Ki against 0.27-0.28 s at 64 Ki.
+SERIAL_CHUNK_LEN = 1 << 14
+PARALLEL_CHUNK_LEN = 1 << 16
+
+
+def default_chunk_len(n_workers: int) -> int:
+    """The engine's chunk length on `n_workers` workers when none is given."""
+    return SERIAL_CHUNK_LEN if n_workers == 1 else PARALLEL_CHUNK_LEN
 
 
 def predistort_serial(x: IqBuffer, coeffs: CoefficientVector, cfg: AphConfig) -> IqBuffer:
-    """Reference path: the engine with one worker and the default chunk length."""
+    """Reference path: the engine with one worker and its default chunk length."""
     return predistort_parallel(x, coeffs, cfg)
 
 
@@ -176,16 +240,21 @@ def predistort_parallel(
     coeffs: CoefficientVector,
     cfg: AphConfig,
     *,
-    chunk_len: int = DEFAULT_CHUNK_LEN,
+    chunk_len: int | None = None,
     n_workers: int = 1,
 ) -> IqBuffer:
     """The engine: chunks with recomputed halos, bit-identical to serial.
 
-    The halo is the config's l_max - 1, and `chunk_len` must exceed it.
-    The chunks run on `run_blocks`, which rejects `n_workers` < 1: one
-    worker evaluates them in order on the calling thread, more share them
-    through a thread pool.
+    The halo is the config's l_max - 1, and `chunk_len` must exceed it;
+    None means `default_chunk_len(n_workers)`. The chunks run on
+    `run_blocks`, which rejects `n_workers` < 1: one worker evaluates them
+    in order on the calling thread, more share them through a thread pool.
+    Each worker evaluates its chunks in one workspace of
+    min(chunk_len + halo, len(x)) samples, allocated on its first chunk,
+    so the working memory is the output plus one workspace per worker.
     """
+    if chunk_len is None:
+        chunk_len = default_chunk_len(n_workers)
     halo = cfg.l_max - 1
     if chunk_len <= halo:
         raise ConfigurationError(f"chunk_len ({chunk_len}) must exceed halo ({halo})")
@@ -193,11 +262,12 @@ def predistort_parallel(
     samples = x.samples
     n = samples.size
     out = np.empty(n, dtype=np.complex64)
+    workspace = per_thread(lambda: kernel.workspace(min(chunk_len + halo, n)))
 
     def one_chunk(start: int) -> None:
         end = min(start + chunk_len, n)
         window_start = max(0, start - halo)
-        out[start:end] = kernel(samples[window_start:end])[start - window_start :]
+        kernel(samples[window_start:end], workspace(), start - window_start, out[start:end])
 
     run_blocks(one_chunk, range(0, n, chunk_len), n_workers)
     return IqBuffer(out, x.sample_rate_hz)

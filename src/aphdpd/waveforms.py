@@ -24,12 +24,26 @@ from .exceptions import ConfigurationError, DegenerateInputError
 _QAM16_LEVELS = np.array([-3.0, -1.0, 1.0, 3.0]) / np.sqrt(10.0)
 
 
+def _all_finite(samples: np.ndarray) -> bool:
+    """np.all(np.isfinite(samples)), one block at a time: the check holds
+    one block's mask, not a byte per sample."""
+    flat = samples.reshape(-1)
+    mask = np.empty(min(BLOCK_LEN, flat.size), dtype=bool)
+    for start in range(0, flat.size, BLOCK_LEN):
+        block = flat[start : start + BLOCK_LEN]
+        if not np.isfinite(block, out=mask[: block.size]).all():
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class IqBuffer:
     """A contiguous run of complex baseband samples at a fixed sample rate.
 
     Samples are stored as complex64 (the processing precision of the whole
-    toolkit); construction rejects non-finite values.
+    toolkit); construction rejects non-finite values. Samples that are
+    complex64 already are kept as given, not copied: they may be a
+    read-only view of a mapped file (see `read_iq`).
     """
 
     samples: np.ndarray
@@ -40,7 +54,7 @@ class IqBuffer:
         object.__setattr__(self, "samples", samples)
         if self.sample_rate_hz <= 0:
             raise ConfigurationError(f"sample_rate_hz must be positive, got {self.sample_rate_hz}")
-        if samples.size and not np.all(np.isfinite(samples)):
+        if not _all_finite(samples):
             raise ConfigurationError("IqBuffer samples must be finite")
 
     def __len__(self) -> int:

@@ -1,9 +1,13 @@
-"""Shared test helpers: independent double-precision oracles.
+"""Shared test helpers: independent double-precision oracles, and one
+bit oracle.
 
 The reference implementations here deliberately avoid the package's own
 evaluation code paths (no shared kernels, no reused branch evaluators):
 plain Python loops over the defining sums, in double precision, so that a
-bug in the production engine cannot hide in its own oracle.
+bug in the production engine cannot hide in its own oracle. The one
+exception is `reference_kernel`, which runs the engine's compiled program
+by allocating numpy expressions, the way the engine once did, to pin its
+bits.
 """
 
 from __future__ import annotations
@@ -42,6 +46,50 @@ def reference_predistort(x, coeffs: CoefficientVector, cfg: AphConfig) -> np.nda
             out[k:] += complex(coeffs.h[offset + k]) * psi[: n - k]
         offset += n_taps
     return out
+
+
+def reference_kernel(kernel, window: np.ndarray) -> np.ndarray:
+    """The engine kernel's program (`_CompiledKernel.branches`,
+    `max_power`, `c`) evaluated over one whole window by plain numpy
+    expressions that allocate every result, in the operation order the
+    engine defines: powers of |x|^2 low to high, each envelope summed from
+    its lowest term, psi = envelope * base, tap-ascending shifted
+    accumulation, branches in order, then the constant. Unlike the
+    oracles above it shares the engine's single-precision arithmetic, so
+    the engine must equal it bit for bit at any chunk length and worker
+    count."""
+    n = window.size
+    powers = [None]  # powers[j] = |x|^(2j), built low to high
+    if kernel.max_power:
+        r2 = window.real * window.real
+        r2 += window.imag * window.imag
+        powers.append(r2)
+        for _ in range(2, kernel.max_power + 1):
+            powers.append(powers[-1] * r2)
+
+    conj_window = None
+    acc = None
+    for is_conj, taps, terms in kernel.branches:
+        if is_conj and conj_window is None:
+            conj_window = np.conj(window)
+        base = conj_window if is_conj else window
+        if terms is None:
+            psi = base
+        else:
+            first_power, first_coeff = terms[0]
+            if first_power == 0:
+                envelope = np.full(n, first_coeff, dtype=np.float32)
+            else:
+                envelope = first_coeff * powers[first_power]
+            for power_index, coeff in terms[1:]:
+                envelope += coeff * powers[power_index]
+            psi = envelope * base
+        branch_acc = taps[0] * psi
+        for k in range(1, taps.size):
+            branch_acc[k:] += taps[k] * psi[: n - k]
+        acc = branch_acc if acc is None else acc + branch_acc
+    acc += kernel.c
+    return acc
 
 
 def reference_basis_matrix(x, cfg: AphConfig) -> np.ndarray:

@@ -180,6 +180,11 @@ class TestWelchPsd:
         with pytest.raises(ConfigurationError):
             welch_psd(buf, overlap=-0.1)
 
+    @pytest.mark.parametrize("nfft, overlap", [(4096, 0.9999), (3, 0.9)])
+    def test_overlap_rounding_step_to_zero_rejected(self, nfft, overlap):
+        with pytest.raises(ConfigurationError, match="analysis.overlap"):
+            welch_psd(_noise(10_000), nfft=nfft, overlap=overlap)
+
 
 class TestBandPower:
     def _flat_spectrum(self, level=1e-10, nfft=4096):

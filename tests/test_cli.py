@@ -287,6 +287,30 @@ class TestPredistortSimulate:
         assert cli.main(["simulate", ideal, wave, out]) == 0
         np.testing.assert_allclose(read_iq(out).samples, read_iq(wave).samples, rtol=1e-6)
 
+    def test_same_path_in_and_out(self, config_path, tmp_path):
+        """The input is a read-only map of its file, and writing the output
+        truncates that file. Every command reads its input completely
+        first, so in and out may be one path: simulate (with and without
+        DPD) and predistort then write the bytes they write to a fresh
+        path."""
+        wave = tmp_path / "wave.iq"
+        cli.main(["generate", config_path, str(wave)])
+        coeffs = str(tmp_path / "coeffs.json")
+        assert cli.main(["train", config_path, coeffs, str(tmp_path / "report.json")]) == 0
+        runs = {
+            "simulate": ["simulate", config_path],
+            "simulate_dpd": ["simulate", config_path, "--with-dpd", coeffs],
+            "predistort": ["predistort", config_path, coeffs],
+        }
+        for name, argv in runs.items():
+            fresh, same = tmp_path / f"{name}_fresh.iq", tmp_path / f"{name}_same.iq"
+            same.write_bytes(wave.read_bytes())
+            Path(str(same) + ".json").write_bytes(Path(str(wave) + ".json").read_bytes())
+            assert cli.main([*argv, str(wave), str(fresh)]) == 0
+            assert cli.main([*argv, str(same), str(same)]) == 0
+            assert same.read_bytes() == fresh.read_bytes(), name
+            assert Path(str(same) + ".json").read_bytes() == Path(str(fresh) + ".json").read_bytes()
+
     def test_simulate_with_dpd_flag(self, config_path, tmp_path):
         wave = str(tmp_path / "wave.iq")
         cli.main(["generate", config_path, wave])
@@ -350,6 +374,24 @@ class TestEvaluate:
             assert band["suppression_db"] == pytest.approx(0.0, abs=1e-12)
             assert band["reference_band_power_db"] == band["test_band_power_db"]
 
+    @pytest.mark.parametrize("nfft, overlap", [(4096, 0.9999), (3, 0.9)])
+    def test_overlap_rounding_step_to_zero_is_one_error_line(
+        self, config_path, tmp_path, capsys, nfft, overlap
+    ):
+        """An overlap that rounds the Welch step to 0 samples is a config
+        error naming `analysis.overlap`, not a traceback."""
+        wave = str(tmp_path / "wave.iq")
+        cli.main(["generate", config_path, wave])
+        bad = _config_variant(
+            tmp_path, "overlap.json",
+            analysis={**FAST_DOC["analysis"], "nfft": nfft, "overlap": overlap},
+        )
+        capsys.readouterr()
+        assert cli.main(["evaluate", bad, wave]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert "analysis.overlap" in err
+
     def test_band_outside_nyquist_fails_cleanly(self, tmp_path, capsys):
         bad = _config_variant(tmp_path, "bad_band.json", **{"analysis.bands": [[40e6, 50e6]]})
         rc = cli.main(["evaluate", bad, str(tmp_path / "missing.iq")])
@@ -369,6 +411,23 @@ class TestBench:
         assert lines[0].startswith("workers,chunk_len,n_samples")
         assert len(lines) == 3
         assert "Msps" in capsys.readouterr().out
+
+    def test_bad_worker_list_is_a_usage_error(self, config_path, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            cli.main(["bench", config_path, str(tmp_path / "b.csv"), "--workers", "x"])
+        assert exc_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert "'x'" in err
+
+    def test_chunk_len_defaults_by_worker_count(self, config_path, tmp_path):
+        out = tmp_path / "bench.csv"
+        rc = cli.main(
+            ["bench", config_path, str(out), "--n", "70000", "--workers", "1,2", "--repeats", "1"]
+        )
+        assert rc == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [(int(r[0]), int(r[1])) for r in rows] == [(1, 16384), (2, 65536)]
 
 
 def test_import_needs_no_scipy():

@@ -99,6 +99,20 @@ class TestParse:
         with pytest.raises(ConfigurationError):
             parse_experiment_config(doc)
 
+    @pytest.mark.parametrize(
+        "nfft, overlap, key",
+        [(4096, 0.9999, "analysis.overlap"), (3, 0.9, "analysis.overlap"),
+         (1024, 1.0, "analysis.overlap"), (1024, -0.5, "analysis.overlap"),
+         (1, 0.5, "analysis.nfft")],
+    )
+    def test_welch_geometry_checked_and_named(self, nfft, overlap, key):
+        """nfft >= 2, overlap in [0, 1), and a segment step of at least one
+        sample once the overlap is rounded."""
+        doc = _doc()
+        doc["analysis"].update(nfft=nfft, overlap=overlap)
+        with pytest.raises(ConfigurationError, match=re.escape(key)):
+            parse_experiment_config(doc)
+
     def test_complex_pair_shape_checked(self):
         doc = _doc()
         doc["pa"]["alpha1"] = [1.0]

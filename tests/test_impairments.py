@@ -124,6 +124,44 @@ class TestTxChain:
         buf = run_tx_chain(IqBuffer(x, 1e6), chain, n_workers=2)
         assert_array_equal(buf.samples.view(np.uint64), whole.view(np.uint64))
 
+    @pytest.mark.parametrize(
+        "pa",
+        [REF_PA, PaModel(alpha1=1.0), PaModel(2.0 - 1.0j, 0.25), PaModel(1.0, 0.3j, -0.2)],
+        ids=["complex", "real", "mixed-alpha1", "mixed-alpha3"],
+    )
+    @pytest.mark.parametrize("n", [1, BLOCK_LEN - 1, BLOCK_LEN + 1, 3 * BLOCK_LEN + 5])
+    def test_equals_the_elementwise_functions(self, rng, pa, n):
+        """Each block runs in its worker's workspace; the bits are those of
+        pa_evaluate(iq_modulate(x)) cast to complex64, for real, complex
+        and mixed PA coefficients, on one worker and two."""
+        x = (0.4 * (rng.normal(size=n) + 1j * rng.normal(size=n))).astype(np.complex64)
+        chain = TxChain(IqModulatorModel(1.0, 5.0, 0.0112 + 0.0112j), pa)
+        want = pa_evaluate(iq_modulate(x, chain.modulator), pa).astype(np.complex64)
+        for n_workers in (1, 2):
+            got = chain.apply(x, n_workers)
+            assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_memory_does_not_grow_with_length(self, rng):
+        """Each worker computes its blocks in one workspace: on one or two
+        workers the peak allocation beyond the output is the same at 1 Mi
+        and 4 Mi samples."""
+        x = (0.3 * (rng.normal(size=4 << 20) + 1j * rng.normal(size=4 << 20))).astype(
+            np.complex64
+        )
+        chain = TxChain(IqModulatorModel(1.0, 5.0, 0.0112 + 0.0112j), REF_PA)
+
+        def beyond_output(n, n_workers):
+            tracemalloc.start()
+            try:
+                out = chain.apply(x[:n], n_workers)
+                return tracemalloc.get_traced_memory()[1] - out.nbytes
+            finally:
+                tracemalloc.stop()
+
+        for n_workers in (1, 2):
+            small, large = beyond_output(1 << 20, n_workers), beyond_output(4 << 20, n_workers)
+            assert large <= 1.05 * small, (n_workers, small, large)
+
     def test_memory_is_output_plus_one_block(self, rng):
         """The double-precision temporaries live one block at a time: the
         peak allocation stays under twice the complex64 output."""

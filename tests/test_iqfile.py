@@ -133,3 +133,57 @@ def test_malformed_sidecar_is_configuration_error(tmp_path, sidecar):
     sidecar_path(path).write_text(sidecar)
     with pytest.raises(ConfigurationError, match="a.iq.json"):
         read_iq(path)
+
+
+class TestMappedRead:
+    """read_iq maps the file read-only: the samples are the file's pages."""
+
+    def test_samples_are_a_read_only_view_of_the_file(self, tmp_path):
+        buf = _buf(n=1000)
+        path = tmp_path / "a.iq"
+        write_iq(buf, path)
+        back = read_iq(path)
+        assert not back.samples.flags.writeable
+        with pytest.raises(ValueError):
+            back.samples[0] = 0
+        # No copy: a change written to the file in place shows in the samples.
+        new = np.complex64(0.5 - 0.25j)
+        with open(path, "r+b") as fh:
+            fh.seek(8 * 700)
+            fh.write(new.tobytes())
+        assert back.samples[700] == new
+        assert_array_equal(back.samples[:700], buf.samples[:700])
+
+    def test_writing_a_mapped_buffer_over_its_own_file(self, tmp_path):
+        """Writing truncates the file first; a buffer mapped from that very
+        file is copied before, so the file keeps its bytes."""
+        buf = _buf(n=300_000)
+        path = tmp_path / "a.iq"
+        write_iq(buf, path)
+        original = path.read_bytes()
+        write_iq(read_iq(path), path)
+        assert path.read_bytes() == original
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_in_a_mapped_file_is_rejected(self, tmp_path, bad):
+        """One bad value past the first finiteness block still fails the read."""
+        samples = np.full(3 * 65536 + 11, 0.25 - 0.5j, dtype=np.complex64)
+        samples[2 * 65536 + 5] = complex(0.0, bad)
+        path = tmp_path / "bad.iq"
+        samples.tofile(path)
+        with pytest.raises(ConfigurationError, match="finite"):
+            read_iq(path, sample_rate_hz=1e6)
+
+    def test_zero_sample_file(self, tmp_path):
+        """An empty file cannot be mapped; it reads as an empty buffer, with
+        the sidecar's rate or the given one."""
+        path = tmp_path / "empty.iq"
+        write_iq(IqBuffer(np.empty(0, np.complex64), 2e6), path)
+        back = read_iq(path)
+        assert len(back) == 0 and back.sample_rate_hz == 2e6
+        bare = tmp_path / "bare.iq"
+        bare.write_bytes(b"")
+        back = read_iq(bare, sample_rate_hz=3e6)
+        assert len(back) == 0 and back.sample_rate_hz == 3e6
+        with pytest.raises(ConfigurationError, match="no sidecar"):
+            read_iq(bare)

@@ -9,6 +9,8 @@ with the compiled kernel.
 from __future__ import annotations
 
 import json
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,10 +29,17 @@ from aphdpd import (
     coefficients_to_json_dict,
     fit_orthogonal_basis,
     identity_coefficients,
+    load_experiment_config,
     predistort_parallel,
     predistort_serial,
 )
-from conftest import reference_predistort
+from aphdpd.predistorter import (
+    PARALLEL_CHUNK_LEN,
+    SERIAL_CHUNK_LEN,
+    _CompiledKernel,
+    default_chunk_len,
+)
+from conftest import reference_kernel, reference_predistort
 
 CFG = AphConfig.default()
 
@@ -225,6 +234,63 @@ class TestBitIdentity:
             x, coeffs, CFG, chunk_len=chunk_len, n_workers=workers
         ).samples
         assert_array_equal(got, want)
+
+
+@pytest.fixture(scope="module")
+def layouts():
+    """The shipped configs' layouts (fitted bases), and a short plain one
+    with unequal tap counts."""
+    configs = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+    layouts = {p.stem: load_experiment_config(p, respect_env=False).aph_config() for p in configs}
+    sets = BranchSets.odd_orders_up_to(5, 3)
+    layouts["taps_312_11"] = AphConfig(sets, (3, 1, 2), (1, 1), PolyBasis.plain(sets))
+    return layouts
+
+
+class TestKernelBits:
+    """The engine computes each chunk in its workers' workspaces; the bits
+    are those of `reference_kernel`, the same program evaluated by
+    allocating numpy expressions over the whole buffer as one window."""
+
+    @pytest.mark.parametrize("layout", ["ca_3mhz_x2", "single_carrier", "taps_312_11"])
+    @pytest.mark.parametrize("chunk", ["l_max", 4097, 1 << 14, 1 << 16, 1 << 20])
+    def test_engine_equals_reference_kernel(self, layouts, layout, chunk):
+        cfg = layouts[layout]
+        chunk_len = cfg.l_max if chunk == "l_max" else chunk
+        # A partial last chunk; l_max chunks stay few, for speed.
+        n = 301 if chunk == "l_max" else chunk_len + chunk_len // 2 + 5
+        x = _buffer(n, seed=chunk_len)
+        coeffs = _random_coeffs(cfg, seed=n)
+        want = reference_kernel(_CompiledKernel(coeffs, cfg), x.samples)
+        for workers in (1, 2):
+            got = predistort_parallel(x, coeffs, cfg, chunk_len=chunk_len, n_workers=workers)
+            assert_array_equal(
+                got.samples.view(np.uint64), want.view(np.uint64), err_msg=f"workers={workers}"
+            )
+
+    def test_default_chunk_len_by_worker_count(self):
+        assert default_chunk_len(1) == SERIAL_CHUNK_LEN == 1 << 14
+        assert default_chunk_len(2) == default_chunk_len(8) == PARALLEL_CHUNK_LEN == 1 << 16
+
+    def test_memory_does_not_grow_with_length(self):
+        """Each worker evaluates its chunks in one workspace, allocated on
+        its first chunk: on one or two workers the peak allocation beyond
+        the output is the same at 1 Mi and 4 Mi samples."""
+        x = _buffer(4 << 20, seed=41).samples
+        coeffs = _random_coeffs(CFG)
+
+        def beyond_output(n, n_workers):
+            buf = IqBuffer(x[:n], 61.44e6)
+            tracemalloc.start()
+            try:
+                out = predistort_parallel(buf, coeffs, CFG, n_workers=n_workers)
+                return tracemalloc.get_traced_memory()[1] - out.samples.nbytes
+            finally:
+                tracemalloc.stop()
+
+        for n_workers in (1, 2):
+            small, large = beyond_output(1 << 20, n_workers), beyond_output(4 << 20, n_workers)
+            assert large <= 1.05 * small, (n_workers, small, large)
 
 
 class TestCoefficientJson:
