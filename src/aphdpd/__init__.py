@@ -11,7 +11,6 @@ from .analysis import (
     Spectrum,
     band_power_db,
     nmse_db,
-    read_spectrum_csv,
     suppression_db,
     welch_psd,
     write_spectrum_csv,

@@ -110,10 +110,10 @@ def welch_psd(
     fraction (rounded to whole samples, see `welch_step`), density
     scaling, no detrending. Requires at least one full segment.
 
-    Precision: each complex64 segment is multiplied by a float64 window,
-    which gives complex128; the FFT runs in place on it, and the
-    periodograms are summed in float64. Every bin, even 160 dB below the
-    peak, then stays within about 2e-9 of a long-double Welch.
+    Precision: each complex64 segment is cast to complex128 and multiplied
+    by the window; the FFT runs in place on it, and the periodograms are
+    summed in float64. Every bin, even 160 dB below the peak, then stays
+    within about 2e-9 of a long-double Welch.
 
     Segments go through the FFT in batches of about `_WELCH_BATCH_SAMPLES`
     samples, `_WELCH_GROUP_BATCHES` batches at a time. A group's batches
@@ -134,9 +134,16 @@ def welch_psd(
     batch = max(1, _WELCH_BATCH_SAMPLES // nfft)
     group = _WELCH_GROUP_BATCHES
     sums = np.empty((group, nfft))
+    # The complex128 window, repeated on as many rows as fit in 8192 values.
+    # Each batch is windowed in row groups of that shape: with a broadcast
+    # window, numpy would allocate an iteration buffer in every multiply.
+    window_rows = np.tile(window.astype(np.complex128), (max(1, 8192 // nfft), 1))
 
     def batch_power(start: int) -> None:
-        spectra = segments[start : start + batch] * window
+        spectra = segments[start : start + batch].astype(np.complex128)
+        for row in range(0, len(spectra), len(window_rows)):
+            rows = spectra[row : row + len(window_rows)]
+            np.multiply(rows, window_rows[: len(rows)], out=rows)
         np.fft.fft(spectra, axis=-1, out=spectra)
         # |X|^2 in place: square the real and imaginary parts, add them
         # into the real part, and sum that over the batch into its row.
@@ -233,20 +240,3 @@ def write_spectrum_csv(spec: Spectrum, path_or_file) -> None:
     else:
         with open(path_or_file, "w", newline="") as fh:
             emit(fh)
-
-
-def read_spectrum_csv(path) -> Spectrum:
-    """Read a spectrum written by write_spectrum_csv."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["freq_hz", "psd_db"]:
-            raise ConfigurationError(f"{path}: expected header freq_hz,psd_db, got {header}")
-        rows = [(float(f), float(p)) for f, p in reader]
-    if len(rows) < 2:
-        raise ConfigurationError(f"{path}: spectrum needs at least 2 rows")
-    freq = np.array([r[0] for r in rows])
-    psd = 10.0 ** (np.array([r[1] for r in rows]) / 10.0)
-    # Infer the rate from the grid: bins cover (-fs/2, fs/2].
-    fs = float(freq[1] - freq[0]) * len(rows)
-    return Spectrum(freq, psd, fs)

@@ -5,7 +5,8 @@ A stage splits its stream into blocks, computes each block by a function of
 the block's start alone, and either writes disjoint output slices or returns
 one partial result per block. Results come back in the order of the starts,
 so a caller that reduces them in that order gets the serial reduction order
-at any worker count: the worker count never changes a bit.
+at any worker count: the worker count never changes a bit. The engine and
+the TX chain write theirs through `map_blocks`.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
 
 from .exceptions import ConfigurationError
 
@@ -38,24 +41,33 @@ def run_blocks(fn, starts, n_workers: int) -> list:
         return list(executor.map(fn, starts))
 
 
-def per_thread(make):
-    """A function that returns one `make()` result per calling thread,
-    made on that thread's first call.
+def map_blocks(stage, x, block_len: int, n_workers: int, workspace, halo: int = 0):
+    """The complex64 output of `stage` over `x`, in blocks of `block_len`
+    samples on up to `n_workers` threads (see `run_blocks`).
 
-    A stage builds one per call and hands it to its block function, so
-    each worker computes its blocks in arrays it allocated once, and no
-    two workers share them.
+    For the block [start, end), `stage(window, ws, skip, out)` writes the
+    block's outputs into `out`, the result's slice [start, end), from the
+    window x[start - skip:end], which carries `skip` = min(halo, start)
+    preceding samples. Each worker thread makes its own `ws` on its first
+    block, as `workspace(min(block_len + halo, len(x)))`, so no two
+    workers share one and a block need allocate nothing.
     """
+    n = len(x)
+    out = np.empty(n, dtype=np.complex64)
+    size = min(block_len + halo, n)
     local = threading.local()
 
-    def get():
+    def one_block(start: int) -> None:
         try:
-            return local.value
+            ws = local.ws
         except AttributeError:
-            local.value = make()
-            return local.value
+            ws = local.ws = workspace(size)
+        end = min(start + block_len, n)
+        window_start = max(0, start - halo)
+        stage(x[window_start:end], ws, start - window_start, out[start:end])
 
-    return get
+    run_blocks(one_block, range(0, n, block_len), n_workers)
+    return out
 
 
 def usable_cpus() -> int:

@@ -185,8 +185,12 @@ def parse_experiment_config(doc: dict, seed_override: int | None = None) -> Expe
         raise ConfigurationError(f"'n_samples' must be >= 1, got {n_samples}")
     if drive_rms <= 0:
         raise ConfigurationError(f"'drive_rms' must be positive, got {drive_rms}")
+    if seed < 0:
+        raise ConfigurationError(f"'seed' must be >= 0, got {seed}")
     if seed_override is not None:
         seed = int(seed_override)
+        if seed < 0:
+            raise ConfigurationError(f"{SEED_ENV_VAR} must be >= 0, got {seed}")
 
     raw_carriers = _require(doc, "carriers", "")
     if not isinstance(raw_carriers, list) or not raw_carriers:
@@ -224,15 +228,12 @@ def parse_experiment_config(doc: dict, seed_override: int | None = None) -> Expe
         raise ConfigurationError(f"'dpd.basis_mode' must be plain or orthogonal, got {basis_mode!r}")
 
     tr = _section(doc, "training")
-    _reject_unknown(
-        tr, ("n_training_samples", "iterations", "ridge_lambda", "feedback_noise_db"), "training."
-    )
+    _reject_unknown(tr, ("n_training_samples", "iterations", "ridge_lambda"), "training.")
     training = TrainingConfig(
         n_training_samples=_integer(tr, "n_training_samples", "training."),
         iterations=_integer(tr, "iterations", "training.", 3),
         ridge_lambda=_optional_number(tr, "ridge_lambda", "training."),
         seed=seed,
-        feedback_noise_db=_optional_number(tr, "feedback_noise_db", "training."),
     )
 
     pa_doc = _section(doc, "pa")

@@ -16,11 +16,11 @@ conjugate branches and constant offset exist to cancel.
 
 All evaluation is pure, elementwise, and double precision internally.
 `pa_evaluate` and `iq_modulate` define the chain's arithmetic.
-`TxChain.apply` runs the same ufunc loops block by block, in arrays each
-worker allocates once per call, so a block allocates nothing and the
-chain's speed does not depend on glibc's mmap threshold (see
-`predistorter`). Its output equals pa_evaluate(iq_modulate(x)) cast to
-complex64, bit for bit.
+`TxChain.apply` runs the same ufunc loops block by block on
+`blocks.map_blocks`, in a workspace each worker makes once per call, so a
+block allocates nothing and the chain's speed does not depend on glibc's
+mmap threshold (see `predistorter`). Its output equals
+pa_evaluate(iq_modulate(x)) cast to complex64, bit for bit.
 """
 
 from __future__ import annotations
@@ -30,20 +30,23 @@ from functools import cached_property
 
 import numpy as np
 
-from .blocks import BLOCK_LEN, per_thread, run_blocks
+from .blocks import BLOCK_LEN, map_blocks
 from .exceptions import ConfigurationError
 from .waveforms import IqBuffer
 
 
 @dataclass(frozen=True)
 class PaModel:
-    """Memoryless polynomial power amplifier with odd-order terms 1, 3, 5."""
+    """Memoryless polynomial power amplifier with odd-order terms 1, 3, 5.
+    The coefficients are stored as Python complex numbers."""
 
     alpha1: complex
     alpha3: complex = 0.0
     alpha5: complex = 0.0
 
     def __post_init__(self):
+        for name in ("alpha1", "alpha3", "alpha5"):
+            object.__setattr__(self, name, complex(getattr(self, name)))
         if self.alpha1 == 0:
             raise ConfigurationError("alpha1 must be nonzero (invertible small-signal gain)")
 
@@ -79,38 +82,27 @@ class TxChain:
     def apply(self, x: np.ndarray, n_workers: int = 1) -> np.ndarray:
         """Modulator then PA over raw samples, cast to complex64.
 
-        Runs in blocks of `BLOCK_LEN` samples, on `n_workers` threads,
-        written into one complex64 output. The chain is elementwise (every
-        output sample depends on its input sample alone, through the same
-        operations), so neither the blocking nor the worker count can
-        change a bit of the result. Each block runs the operations of
-        `iq_modulate` then `pa_evaluate`, in their order and precision, in
-        arrays its worker allocated once for blocks of
-        min(BLOCK_LEN, len(x)) samples: the working memory is the output
-        plus one such set per worker.
+        Runs `_evaluate` on `blocks.map_blocks` in blocks of `BLOCK_LEN`
+        samples, on `n_workers` threads, each with its own workspace. The
+        chain is elementwise (every output sample depends on its input
+        sample alone, through the same operations), so neither the
+        blocking nor the worker count can change a bit of the result. The
+        working memory is the output plus one workspace of
+        min(BLOCK_LEN, len(x)) samples per worker.
 
         Unlike run_tx_chain this does not reject the result: a chain driven
         past single-precision range returns non-finite samples.
         """
-        out = np.empty(x.shape, dtype=np.complex64)
-        workspace = per_thread(lambda: _TxWorkspace(min(BLOCK_LEN, x.size)))
+        return map_blocks(self._evaluate, x, BLOCK_LEN, n_workers, _TxWorkspace)
 
-        def one_block(start: int) -> None:
-            block = slice(start, start + BLOCK_LEN)
-            self._evaluate(x[block], workspace(), out[block])
-
-        run_blocks(one_block, range(0, x.size, BLOCK_LEN), n_workers)
-        return out
-
-    def _evaluate(self, x: np.ndarray, ws: _TxWorkspace, out: np.ndarray) -> None:
+    def _evaluate(self, x: np.ndarray, ws: _TxWorkspace, skip: int, out: np.ndarray) -> None:
         """out = pa_evaluate(iq_modulate(x)), cast to complex64, computed in
         `ws` by the same ufunc loops on the same operands in the same order.
+        `skip` is always 0: an elementwise stage has no halo.
 
-        Every workspace array is complex128. A step whose numpy loop is
-        real (a real PA coefficient times a real array) runs on the real
-        parts, with the imaginary parts zero, so a later complex step reads
-        exactly the cast numpy would make, and no step casts through a
-        buffer of its own.
+        The workspace arrays and the PA coefficients are complex, so every
+        step runs numpy's complex128 loop, as in `pa_evaluate`. There `r2` is
+        real; here its imaginary part is zero, the cast numpy makes there.
         """
         m, pa, n = self.modulator, self.pa, x.size
         v, image, r2, poly = ws.v[:n], ws.image[:n], ws.r2[:n], ws.poly[:n]
@@ -125,25 +117,14 @@ class TxChain:
         # r2 = re^2 + im^2 comes from the squares of the float64 view of v.
         squares = np.square(v.view(np.float64), out=image.view(np.float64))
         np.add(squares[0::2], squares[1::2], out=r2.real)
-        c1, c3, c5 = (np.iscomplexobj(a) for a in (pa.alpha1, pa.alpha3, pa.alpha5))
-        c13, c135 = c1 or c3, c1 or c3 or c5
         fifth = image
-        if not c3:
-            poly.imag = 0.0
-        if not c5:
-            fifth.imag = 0.0
-        np.multiply(pa.alpha3, _part(r2, c3), out=_part(poly, c3))
-        np.add(pa.alpha1, _part(poly, c13), out=_part(poly, c13))
-        np.multiply(pa.alpha5, _part(r2, c5), out=_part(fifth, c5))
-        np.multiply(_part(fifth, c5), _part(r2, c5), out=_part(fifth, c5))
-        np.add(_part(poly, c135), _part(fifth, c135), out=_part(poly, c135))
+        np.multiply(pa.alpha3, r2, out=poly)
+        np.add(pa.alpha1, poly, out=poly)
+        np.multiply(pa.alpha5, r2, out=fifth)
+        np.multiply(fifth, r2, out=fifth)
+        np.add(poly, fifth, out=poly)
         np.multiply(poly, v, out=v)
         np.copyto(out, v)
-
-
-def _part(z: np.ndarray, is_complex: bool) -> np.ndarray:
-    """z, or its real part where the step's numpy loop is real."""
-    return z if is_complex else z.real
 
 
 class _TxWorkspace:

@@ -34,14 +34,14 @@ Per sample, branch envelopes are evaluated once from low to high order with
 incremental magnitude powers (r2, then r2*r2, ...), so lower-order partial
 results are reused by higher-order branches.
 
-Each worker evaluates its chunks in one workspace of arrays, allocated on
-its first chunk and sized min(chunk_len + halo, buffer length); every step
-is a ufunc writing into it with `out=`, so a chunk allocates nothing. That
-keeps the engine's speed independent of glibc's dynamic mmap threshold,
-under which chunk-sized temporaries become an mmap and a munmap each until
-some large free raises it. Storing a result in a workspace array instead
-of a new one runs the same ufunc loop on the same operands, so the bits
-are the same.
+The chunks run on `blocks.map_blocks`, which gives each worker one
+workspace of arrays, made on its first chunk and sized
+min(chunk_len + halo, buffer length); every step is a ufunc writing into
+it with `out=`, so a chunk allocates nothing. That keeps the engine's
+speed independent of glibc's dynamic mmap threshold, under which
+chunk-sized temporaries become an mmap and a munmap each until some large
+free raises it. Storing a result in a workspace array instead of a new one
+runs the same ufunc loop on the same operands, so the bits are the same.
 
 The default chunk length depends on the worker count (`default_chunk_len`):
 16 Ki samples keep one worker's workspace in cache, while two or more
@@ -56,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import AphConfig, BranchSets, PolyBasis, _members
-from .blocks import per_thread, run_blocks
+from .blocks import map_blocks
 from .exceptions import ConfigurationError
 from .waveforms import IqBuffer
 
@@ -247,11 +247,11 @@ def predistort_parallel(
 
     The halo is the config's l_max - 1, and `chunk_len` must exceed it;
     None means `default_chunk_len(n_workers)`. The chunks run on
-    `run_blocks`, which rejects `n_workers` < 1: one worker evaluates them
-    in order on the calling thread, more share them through a thread pool.
-    Each worker evaluates its chunks in one workspace of
-    min(chunk_len + halo, len(x)) samples, allocated on its first chunk,
-    so the working memory is the output plus one workspace per worker.
+    `blocks.map_blocks`, which rejects `n_workers` < 1: one worker
+    evaluates them in order on the calling thread, more share them through
+    a thread pool. Each worker evaluates its chunks in one workspace of
+    min(chunk_len + halo, len(x)) samples, so the working memory is the
+    output plus one workspace per worker.
     """
     if chunk_len is None:
         chunk_len = default_chunk_len(n_workers)
@@ -259,17 +259,7 @@ def predistort_parallel(
     if chunk_len <= halo:
         raise ConfigurationError(f"chunk_len ({chunk_len}) must exceed halo ({halo})")
     kernel = _CompiledKernel(coeffs, cfg)
-    samples = x.samples
-    n = samples.size
-    out = np.empty(n, dtype=np.complex64)
-    workspace = per_thread(lambda: kernel.workspace(min(chunk_len + halo, n)))
-
-    def one_chunk(start: int) -> None:
-        end = min(start + chunk_len, n)
-        window_start = max(0, start - halo)
-        kernel(samples[window_start:end], workspace(), start - window_start, out[start:end])
-
-    run_blocks(one_chunk, range(0, n, chunk_len), n_workers)
+    out = map_blocks(kernel, x.samples, chunk_len, n_workers, kernel.workspace, halo)
     return IqBuffer(out, x.sample_rate_hz)
 
 

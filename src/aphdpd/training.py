@@ -25,8 +25,9 @@ candidates leave the state unchanged, so the per-iteration NMSE series is
 non-increasing by construction and the final coefficients are the best
 validated ones.
 
-Everything is deterministic given the seed: waveform draws, feedback noise
-(when enabled), and the solver, so two runs produce bit-identical reports.
+Everything is deterministic given the caller's waveform factory and the
+seed: the stimuli and the solver, so two runs produce bit-identical
+reports.
 """
 
 from __future__ import annotations
@@ -46,12 +47,7 @@ from .exceptions import (
 )
 from .impairments import TxChain
 from .predistorter import CoefficientVector, identity_coefficients, predistort_serial
-from .waveforms import IqBuffer, white_gaussian
-
-# Default stimulus drive when the caller supplies no waveform factory.
-# Well below the fold-over amplitude of typical compressive PA models, so
-# out-of-model excursions stay rare at multitone peak factors.
-DEFAULT_TRAINING_RMS = 0.15
+from .waveforms import IqBuffer
 
 
 @dataclass(frozen=True)
@@ -62,15 +58,14 @@ class TrainingConfig:
     Gram diagonal (1e-8 x trace/cols): strong enough to absorb degenerate
     regressor directions, far too weak to bias a well-posed fit.
 
-    feedback_noise_db, when set, adds complex white noise to the feedback
-    capture at the given power relative to the feedback signal.
+    seed is the base seed of the stimuli: the validation stimulus uses it,
+    iteration i uses seed + i.
     """
 
     n_training_samples: int
     iterations: int = 3
     ridge_lambda: float | None = None
     seed: int = 0
-    feedback_noise_db: float | None = None
 
     def __post_init__(self):
         if self.n_training_samples < 1:
@@ -184,11 +179,6 @@ def _lstsq_ridge(
     return h, cond
 
 
-def _default_waveform_factory(n: int, seed: int) -> IqBuffer:
-    """Complex white Gaussian stimulus at the default drive (rate-agnostic)."""
-    return white_gaussian(n, DEFAULT_TRAINING_RMS, seed, 1.0)
-
-
 def _chain_output(chain: TxChain, z: IqBuffer, *, candidate: bool) -> IqBuffer | None:
     """The chain's response to z. Non-finite samples mean the system diverged.
 
@@ -221,26 +211,17 @@ def _linearization_nmse_db(
     return nmse_db(s.samples.astype(np.complex128) / gain, stimulus.samples)
 
 
-def _add_feedback_noise(s: IqBuffer, noise_db: float, rng: np.random.Generator) -> IqBuffer:
-    level = s.rms() * 10.0 ** (noise_db / 20.0)
-    noise = (rng.normal(size=len(s)) + 1j * rng.normal(size=len(s))) / np.sqrt(2.0)
-    return IqBuffer(
-        (s.samples.astype(np.complex128) + level * noise).astype(np.complex64),
-        s.sample_rate_hz,
-    )
-
-
 def ila_train(
     chain: TxChain,
     cfg: AphConfig,
     tcfg: TrainingConfig,
-    make_waveform=None,
+    make_waveform,
 ) -> tuple[CoefficientVector, TrainingReport]:
     """Train predistorter coefficients against a simulated transmit chain.
 
-    make_waveform(n, seed) -> IqBuffer supplies the stimuli; the default is
-    a white Gaussian source at a conservative drive. Iteration i trains on
-    seed+i; the validation stimulus uses the base seed and never changes.
+    make_waveform(n, seed) -> IqBuffer supplies the stimuli (the CLI passes
+    the config's `waveform_factory()`). Iteration i trains on seed+i; the
+    validation stimulus uses the base seed and never changes.
 
     Raises DivergenceError when the untrained chain's NMSE is 0 dB or
     worse, the score of an all-zero output: the drive is then far past
@@ -252,9 +233,7 @@ def ila_train(
         raise InsufficientDataError(
             f"n_training_samples={m} is below 10x the coefficient count ({10 * n_coeff})"
         )
-    wave = make_waveform if make_waveform is not None else _default_waveform_factory
-
-    validation = wave(m, tcfg.seed)
+    validation = make_waveform(m, tcfg.seed)
     coeffs = identity_coefficients(cfg)
     current_nmse = _linearization_nmse_db(chain, cfg, coeffs, validation, candidate=False)
     baseline_nmse = current_nmse
@@ -267,12 +246,9 @@ def ila_train(
 
     records: list[IterationRecord] = []
     for i in range(1, tcfg.iterations + 1):
-        y = wave(m, tcfg.seed + i)
+        y = make_waveform(m, tcfg.seed + i)
         z = predistort_serial(y, coeffs, cfg)
         s = _chain_output(chain, z, candidate=False)
-        if tcfg.feedback_noise_db is not None:
-            rng = np.random.default_rng(tcfg.seed + 7919 * i)
-            s = _add_feedback_noise(s, tcfg.feedback_noise_db, rng)
         gain = estimate_gain(z, s)
 
         regressor = IqBuffer(

@@ -16,6 +16,12 @@ import numpy as np
 import pytest
 
 from aphdpd import AphConfig, CarrierSpec, CoefficientVector, IqBuffer
+from aphdpd.waveforms import white_gaussian
+
+# Drive of the Gaussian training stimulus: well below the fold-over
+# amplitude of the tests' compressive PA models, so out-of-model
+# excursions stay rare.
+TRAINING_RMS = 0.15
 
 
 def _reference_branches(xs: np.ndarray, cfg: AphConfig):
@@ -191,6 +197,13 @@ def reference_generate_carrier(
         x *= np.exp(1j * phase)
     x *= 10.0 ** (spec.power_db / 20.0)
     return x.astype(np.complex64)
+
+
+def gaussian_waveform(n: int, seed: int) -> IqBuffer:
+    """The training stimulus of tests that need no carrier plan: complex
+    white Gaussian samples at `TRAINING_RMS`, `ila_train`'s
+    make_waveform(n, seed) signature."""
+    return white_gaussian(n, TRAINING_RMS, seed, 1.0)
 
 
 @pytest.fixture

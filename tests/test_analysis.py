@@ -25,7 +25,6 @@ from aphdpd import (
     band_power_db,
     load_experiment_config,
     nmse_db,
-    read_spectrum_csv,
     run_tx_chain,
     suppression_db,
     welch_psd,
@@ -267,13 +266,15 @@ class TestNmse:
 
 class TestSpectrumCsv:
     def test_file_round_trip(self, tmp_path):
+        """Every bin's frequency and dB density reads back exactly: each is
+        written as repr() of its float."""
         spec = welch_psd(_noise(50_000, seed=15), nfft=1024)
         path = tmp_path / "spec.csv"
         write_spectrum_csv(spec, path)
-        back = read_spectrum_csv(path)
-        assert_array_equal(back.freq_hz, spec.freq_hz)  # repr() round-trips exactly
-        assert_allclose(back.psd, spec.psd, rtol=1e-12)  # dB encoding rounds
-        assert back.sample_rate_hz == pytest.approx(spec.sample_rate_hz, rel=1e-9)
+        assert path.read_text().splitlines()[0] == "freq_hz,psd_db"
+        back = np.loadtxt(path, delimiter=",", skiprows=1)
+        assert_array_equal(back[:, 0], spec.freq_hz)
+        assert_array_equal(back[:, 1], spec.psd_db)
 
     def test_writes_header_to_stream(self):
         spec = welch_psd(_noise(20_000, seed=16), nfft=512)
@@ -282,9 +283,3 @@ class TestSpectrumCsv:
         lines = sink.getvalue().splitlines()
         assert lines[0] == "freq_hz,psd_db"
         assert len(lines) == 513
-
-    def test_bad_header_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("frequency,power\n0,1\n")
-        with pytest.raises(ConfigurationError):
-            read_spectrum_csv(path)

@@ -19,7 +19,7 @@ from aphdpd import (
     TxChain,
     predistort_parallel,
 )
-from aphdpd.blocks import per_thread, run_blocks, usable_cpus
+from aphdpd.blocks import map_blocks, run_blocks, usable_cpus
 
 
 class TestRunBlocks:
@@ -52,20 +52,77 @@ class TestRunBlocks:
             run_blocks(fn, range(5), n_workers)
 
 
-class TestPerThread:
-    def test_one_object_per_thread_made_once(self):
-        made = []
+class TestMapBlocks:
+    """`map_blocks` with a recording stage: what each block is given."""
 
-        def make():
-            made.append(threading.get_ident())
+    @staticmethod
+    def _record(x, block_len, n_workers, halo=0):
+        made, calls = [], []
+
+        def workspace(length):
+            made.append((threading.get_ident(), length))
             return object()
 
-        workspace = per_thread(make)
-        seen = run_blocks(lambda s: (threading.get_ident(), workspace()), range(64), 4)
-        by_thread = dict(seen)
-        assert all(obj is by_thread[thread] for thread, obj in seen)
-        assert len({id(obj) for obj in by_thread.values()}) == len(by_thread)
-        assert sorted(made) == sorted(by_thread)
+        def stage(window, ws, skip, out):
+            calls.append((threading.get_ident(), ws, window.copy(), skip, out.size))
+            out[:] = window[skip:]
+
+        out = map_blocks(stage, x, block_len, n_workers, workspace, halo)
+        return out, made, calls
+
+    @pytest.mark.parametrize("n_workers", [1, 2, 4])
+    def test_one_workspace_per_thread_made_once(self, n_workers):
+        """Each worker thread makes one workspace, of
+        min(block_len + halo, len(x)) samples, and uses it for every block
+        it computes; no two threads share one."""
+        x = np.arange(1000, dtype=np.complex64)
+        out, made, calls = self._record(x, 10, n_workers, halo=3)
+        threads = {thread for thread, _ in made}
+        assert len(threads) == len(made) <= n_workers
+        assert {length for _, length in made} == {13}
+        by_thread = {}
+        for thread, ws, *_ in calls:
+            assert by_thread.setdefault(thread, ws) is ws
+        assert set(by_thread) == threads
+        assert len({id(ws) for ws in by_thread.values()}) == len(by_thread)
+        assert np.array_equal(out, x)
+        # A buffer shorter than one block: the workspace is the buffer's length.
+        _, made, _ = self._record(x[:7], 10, n_workers, halo=3)
+        assert [length for _, length in made] == [7]
+
+    def test_windows_carry_the_halo(self):
+        """The first block has no preceding samples (skip 0); every later
+        one carries `halo` of them, and the partial last block ends at the
+        end of the buffer."""
+        x = np.arange(25, dtype=np.complex64)
+        out, _, calls = self._record(x, 10, 1, halo=3)
+        assert [(c[2].real.tolist(), c[3], c[4]) for c in calls] == [
+            (list(range(0, 10)), 0, 10),
+            (list(range(7, 20)), 3, 10),
+            (list(range(17, 25)), 3, 5),
+        ]
+        assert out.dtype == np.complex64 and np.array_equal(out, x)
+
+    def test_halo_shorter_at_the_start(self):
+        """A halo longer than the first block: the second window starts at
+        sample 0 and carries as many samples as precede its block."""
+        x = np.arange(12, dtype=np.complex64)
+        _, _, calls = self._record(x, 4, 1, halo=6)
+        assert [(c[2].real.tolist()[0], c[3]) for c in calls] == [(0, 0), (0, 4), (2, 6)]
+
+    def test_empty_input(self):
+        out, made, calls = self._record(np.empty(0, dtype=np.complex64), 10, 2, halo=3)
+        assert out.shape == (0,) and out.dtype == np.complex64
+        assert made == [] and calls == []
+
+    @pytest.mark.parametrize("n_workers", [0, -1])
+    def test_rejects_nonpositive_workers(self, n_workers):
+        with pytest.raises(ConfigurationError, match="n_workers"):
+            self._record(np.zeros(8, dtype=np.complex64), 4, n_workers)
+
+
+class TestPerThread:
+    """The engine and the TX chain give each worker thread its own workspace."""
 
     def test_workers_never_share_a_workspace(self):
         """More workers than cores and a switch interval of a microsecond:

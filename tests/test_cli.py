@@ -102,6 +102,34 @@ class TestGenerate:
         assert err.startswith("error: out of memory") and len(err.strip().splitlines()) == 1
 
 
+class TestNegativeSeed:
+    """numpy's generators take no seed below 0: such a seed, from the
+    config or from DPD_SEED, is one error line naming it, and no file is
+    written."""
+
+    @staticmethod
+    def _argv(command, config, tmp_path):
+        outs = ["x.iq"] if command == "generate" else ["c.json", "r.json"]
+        return [command, config, *(str(tmp_path / name) for name in outs)]
+
+    @pytest.mark.parametrize("command", ["generate", "train"])
+    def test_config_seed(self, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.delenv("DPD_SEED", raising=False)
+        config = _config_variant(tmp_path, "neg.json", seed=-1)
+        assert cli.main(self._argv(command, config, tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err == "error: 'seed' must be >= 0, got -1\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["neg.json"]
+
+    @pytest.mark.parametrize("command", ["generate", "train"])
+    def test_env_seed(self, config_path, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.setenv("DPD_SEED", "-3")
+        assert cli.main(self._argv(command, config_path, tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err == "error: DPD_SEED must be >= 0, got -3\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.json"]
+
+
 class TestTrain:
     def test_rerun_is_byte_identical(self, config_path, tmp_path):
         outs = []

@@ -7,6 +7,8 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aphdpd import (
     ConfigurationError,
@@ -144,6 +146,23 @@ class TestParse:
         assert cfg.seed == 99
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=-(2**64), max_value=2**128))
+def test_any_seed_draws_or_is_rejected(seed):
+    """Every integer seed either gives a config whose waveform factory
+    draws samples, or is rejected as a config error naming the seed:
+    never an exception from numpy's generator."""
+    doc = _doc()
+    doc["seed"] = seed
+    try:
+        cfg = parse_experiment_config(doc)
+    except ConfigurationError as err:
+        assert seed < 0 and "'seed' must be >= 0" in str(err)
+        return
+    assert seed >= 0
+    assert len(cfg.waveform_factory()(64, cfg.seed)) == 64
+
+
 class TestDerivedObjects:
     def test_tx_chain_matches_doc(self):
         chain = parse_experiment_config(_doc()).tx_chain()
@@ -187,6 +206,17 @@ class TestLoad:
         monkeypatch.setenv("DPD_SEED", "not-a-number")
         with pytest.raises(ConfigurationError, match="DPD_SEED"):
             load_experiment_config(path)
+
+    def test_negative_env_seed_rejected(self, tmp_path, monkeypatch):
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(_doc()))
+        monkeypatch.setenv("DPD_SEED", "-3")
+        with pytest.raises(ConfigurationError, match="DPD_SEED must be >= 0, got -3"):
+            load_experiment_config(path)
+        with pytest.raises(ConfigurationError, match="DPD_SEED must be >= 0, got -1"):
+            parse_experiment_config(_doc(), seed_override=-1)
+        monkeypatch.setenv("DPD_SEED", "0")
+        assert load_experiment_config(path).seed == 0
 
     def test_shipped_configs_parse(self):
         root = Path(__file__).resolve().parents[1]

@@ -52,6 +52,14 @@ class TestPaModel:
         x = rng.normal(size=64) + 1j * rng.normal(size=64)
         assert_allclose(pa_evaluate(x, PaModel(alpha1=2.0 - 1.0j)), (2.0 - 1.0j) * x, rtol=1e-12)
 
+    def test_coefficients_stored_complex(self):
+        """Real, integer and numpy coefficients are all stored as Python
+        complex numbers, with their values."""
+        pa = PaModel(np.float32(0.5), 2, np.complex64(-0.25 + 0.5j))
+        assert [type(a) for a in (pa.alpha1, pa.alpha3, pa.alpha5)] == [complex] * 3
+        assert (pa.alpha1, pa.alpha3, pa.alpha5) == (0.5 + 0j, 2 + 0j, -0.25 + 0.5j)
+        assert PaModel(1.0) == PaModel(1 + 0j, 0j, 0j)
+
     def test_zero_alpha1_rejected(self):
         with pytest.raises(ConfigurationError):
             PaModel(alpha1=0.0)
@@ -134,6 +142,7 @@ class TestTxChain:
         """Each block runs in its worker's workspace; the bits are those of
         pa_evaluate(iq_modulate(x)) cast to complex64, for real, complex
         and mixed PA coefficients, on one worker and two."""
+        assert all(type(a) is complex for a in (pa.alpha1, pa.alpha3, pa.alpha5))
         x = (0.4 * (rng.normal(size=n) + 1j * rng.normal(size=n))).astype(np.complex64)
         chain = TxChain(IqModulatorModel(1.0, 5.0, 0.0112 + 0.0112j), pa)
         want = pa_evaluate(iq_modulate(x, chain.modulator), pa).astype(np.complex64)

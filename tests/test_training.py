@@ -34,6 +34,7 @@ from aphdpd import (
     run_tx_chain,
 )
 from aphdpd.training import _lstsq_ridge
+from conftest import gaussian_waveform as WAVE
 from conftest import reference_basis_matrix
 
 CFG = AphConfig.default()
@@ -152,7 +153,7 @@ class TestIlaTrain:
         """A distortion-free chain leaves nothing to correct: the trained
         filter must act as (numerically) the identity."""
         coeffs, report = ila_train(
-            LINEAR_CHAIN, CFG, TrainingConfig(n_training_samples=2000, iterations=2)
+            LINEAR_CHAIN, CFG, TrainingConfig(n_training_samples=2000, iterations=2), WAVE
         )
         x = _buffer(2000, seed=99)
         out = predistort_serial(x, coeffs, CFG)
@@ -162,7 +163,7 @@ class TestIlaTrain:
 
     def test_improves_nonlinear_chain(self):
         coeffs, report = ila_train(
-            REF_CHAIN, CFG, TrainingConfig(n_training_samples=4000, iterations=3, seed=11)
+            REF_CHAIN, CFG, TrainingConfig(n_training_samples=4000, iterations=3, seed=11), WAVE
         )
         assert report.nmse_db[-1] < report.baseline_nmse_db - 15.0
 
@@ -170,7 +171,7 @@ class TestIlaTrain:
     def test_nmse_non_increasing(self, seed):
         """The candidate gate makes later iterations no worse (0.1 dB slack)."""
         _, report = ila_train(
-            REF_CHAIN, CFG, TrainingConfig(n_training_samples=3000, iterations=3, seed=seed)
+            REF_CHAIN, CFG, TrainingConfig(n_training_samples=3000, iterations=3, seed=seed), WAVE
         )
         nmse = report.nmse_db
         assert nmse[2] <= nmse[0] + 0.1
@@ -179,14 +180,14 @@ class TestIlaTrain:
 
     def test_repeat_run_is_bit_identical(self):
         tcfg = TrainingConfig(n_training_samples=2000, iterations=2, seed=5)
-        coeffs_a, report_a = ila_train(REF_CHAIN, CFG, tcfg)
-        coeffs_b, report_b = ila_train(REF_CHAIN, CFG, tcfg)
+        coeffs_a, report_a = ila_train(REF_CHAIN, CFG, tcfg, WAVE)
+        coeffs_b, report_b = ila_train(REF_CHAIN, CFG, tcfg, WAVE)
         assert_array_equal(coeffs_a.h, coeffs_b.h)
         assert report_a.to_json_list() == report_b.to_json_list()
 
     def test_report_structure(self):
         _, report = ila_train(
-            REF_CHAIN, CFG, TrainingConfig(n_training_samples=2000, iterations=2)
+            REF_CHAIN, CFG, TrainingConfig(n_training_samples=2000, iterations=2), WAVE
         )
         rows = report.to_json_list()
         assert [r["iteration"] for r in rows] == [1, 2]
@@ -203,14 +204,14 @@ class TestIlaTrain:
 
     def test_too_few_samples_rejected(self):
         with pytest.raises(InsufficientDataError):
-            ila_train(REF_CHAIN, CFG, TrainingConfig(n_training_samples=259))
+            ila_train(REF_CHAIN, CFG, TrainingConfig(n_training_samples=259), WAVE)
 
     def test_diverging_chain_reported(self):
         """An absurd chain gain overflows single precision; the trainer must
         say so instead of returning garbage."""
         hot = TxChain(IqModulatorModel(), PaModel(alpha1=1e39))
         with np.errstate(over="ignore"), pytest.raises(DivergenceError):
-            ila_train(hot, CFG, TrainingConfig(n_training_samples=2000, iterations=1))
+            ila_train(hot, CFG, TrainingConfig(n_training_samples=2000, iterations=1), WAVE)
 
     def test_overdriven_chain_fails_loudly(self):
         """At RMS 50 the PA polynomial is far outside its range, and the
@@ -230,7 +231,7 @@ class TestIlaTrain:
 
         monkeypatch.setattr("aphdpd.training.predistort_serial", broken)
         with pytest.raises(ConfigurationError, match="layout bug"):
-            ila_train(REF_CHAIN, CFG, TrainingConfig(n_training_samples=2000, iterations=1))
+            ila_train(REF_CHAIN, CFG, TrainingConfig(n_training_samples=2000, iterations=1), WAVE)
 
     def test_custom_waveform_factory(self):
         calls = []
@@ -244,12 +245,6 @@ class TestIlaTrain:
         assert (2000, 30) in calls          # validation stimulus
         assert (2000, 31) in calls and (2000, 32) in calls  # per-iteration
 
-    def test_feedback_noise_variant(self):
-        """Noise in the feedback path degrades but must not break training."""
-        tcfg = TrainingConfig(n_training_samples=3000, iterations=2, feedback_noise_db=-35.0)
-        _, report = ila_train(REF_CHAIN, CFG, tcfg)
-        assert report.nmse_db[-1] < report.baseline_nmse_db - 5.0
-
     def test_orthogonal_basis_path(self):
         training = _buffer(3000, seed=77, rms=0.15)
         from aphdpd import fit_orthogonal_basis
@@ -257,6 +252,6 @@ class TestIlaTrain:
         basis = fit_orthogonal_basis(training, CFG.sets)
         cfg = AphConfig(CFG.sets, CFG.taps_main, CFG.taps_conj, basis)
         _, report = ila_train(
-            REF_CHAIN, cfg, TrainingConfig(n_training_samples=3000, iterations=2, seed=77)
+            REF_CHAIN, cfg, TrainingConfig(n_training_samples=3000, iterations=2, seed=77), WAVE
         )
         assert report.nmse_db[-1] < report.baseline_nmse_db - 15.0
