@@ -7,6 +7,13 @@ one partial result per block. Results come back in the order of the starts,
 so a caller that reduces them in that order gets the serial reduction order
 at any worker count: the worker count never changes a bit. The engine and
 the TX chain write theirs through `map_blocks`.
+
+Each block runs under numpy's error state over="raise", invalid="raise":
+a block that overflows raises FloatingPointError in the thread that hit
+it, instead of warning and writing inf. The state is set in the block
+function because numpy keeps it per context and a pool thread starts in
+a fresh one, so a caller's `np.errstate` would not reach it. Each stage
+that can overflow turns the error into one that names the stage.
 """
 
 from __future__ import annotations
@@ -26,7 +33,8 @@ BLOCK_LEN = 65536
 
 
 def run_blocks(fn, starts, n_workers: int) -> list:
-    """[fn(start) for start in starts], computed on up to `n_workers` threads.
+    """[fn(start) for start in starts], computed on up to `n_workers` threads,
+    each block under the error state above.
 
     One worker or one block runs inline on the calling thread; otherwise a
     pool of min(n_workers, blocks) threads shares the blocks. An exception
@@ -35,10 +43,15 @@ def run_blocks(fn, starts, n_workers: int) -> list:
     if n_workers < 1:
         raise ConfigurationError(f"n_workers must be >= 1, got {n_workers}")
     starts = list(starts)
+
+    def block(start: int):
+        with np.errstate(over="raise", invalid="raise"):
+            return fn(start)
+
     if n_workers == 1 or len(starts) <= 1:
-        return [fn(start) for start in starts]
+        return [block(start) for start in starts]
     with ThreadPoolExecutor(max_workers=min(n_workers, len(starts))) as executor:
-        return list(executor.map(fn, starts))
+        return list(executor.map(block, starts))
 
 
 def map_blocks(stage, x, block_len: int, n_workers: int, workspace, halo: int = 0):

@@ -33,9 +33,9 @@ class ConditioningError(DpdError):
 
 
 class DivergenceError(DpdError):
-    """Training produced non-finite signals (drive level too high for the
-    simulated chain, runaway coefficients), or the untrained chain scores
-    no better than an all-zero output."""
+    """A stage overflowed single precision (the predistorter or the
+    transmit chain driven too hot, runaway coefficients), or the untrained
+    chain scores no better than an all-zero output."""
 
 
 class CorrectnessError(DpdError):

@@ -16,22 +16,22 @@ conjugate branches and constant offset exist to cancel.
 
 All evaluation is pure, elementwise, and double precision internally.
 `pa_evaluate` and `iq_modulate` define the chain's arithmetic.
-`TxChain.apply` runs the same ufunc loops block by block on
+`run_tx_chain` runs the same ufunc loops block by block on
 `blocks.map_blocks`, in a workspace each worker makes once per call, so a
 block allocates nothing and the chain's speed does not depend on glibc's
 mmap threshold (see `predistorter`). Its output equals
-pa_evaluate(iq_modulate(x)) cast to complex64, bit for bit.
+pa_evaluate(iq_modulate(x)) cast to complex64, bit for bit, or it raises
+DivergenceError when a block overflows single precision.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .blocks import BLOCK_LEN, map_blocks
-from .exceptions import ConfigurationError
+from .exceptions import ConfigurationError, DivergenceError
 from .waveforms import IqBuffer
 
 
@@ -57,11 +57,14 @@ class IqModulatorModel:
     phase_imbalance_deg: float = 0.0
     lo_leakage: complex = 0.0
 
-    @cached_property
-    def _imbalance(self) -> complex:
-        """g*exp(j*phi), shared by k1 and k2."""
-        g = 10.0 ** (self.gain_imbalance_db / 20.0)
-        return g * np.exp(1j * np.deg2rad(self.phase_imbalance_deg))
+    def __post_init__(self):
+        try:
+            g = 10.0 ** (self.gain_imbalance_db / 20.0)
+        except OverflowError:
+            msg = f"gain_imbalance_db {self.gain_imbalance_db} gives no finite linear gain"
+            raise ConfigurationError(msg) from None
+        phase = np.exp(1j * np.deg2rad(self.phase_imbalance_deg))
+        object.__setattr__(self, "_imbalance", g * phase)  # shared by k1 and k2
 
     @property
     def k1(self) -> complex:
@@ -78,22 +81,6 @@ class TxChain:
 
     modulator: IqModulatorModel
     pa: PaModel
-
-    def apply(self, x: np.ndarray, n_workers: int = 1) -> np.ndarray:
-        """Modulator then PA over raw samples, cast to complex64.
-
-        Runs `_evaluate` on `blocks.map_blocks` in blocks of `BLOCK_LEN`
-        samples, on `n_workers` threads, each with its own workspace. The
-        chain is elementwise (every output sample depends on its input
-        sample alone, through the same operations), so neither the
-        blocking nor the worker count can change a bit of the result. The
-        working memory is the output plus one workspace of
-        min(BLOCK_LEN, len(x)) samples per worker.
-
-        Unlike run_tx_chain this does not reject the result: a chain driven
-        past single-precision range returns non-finite samples.
-        """
-        return map_blocks(self._evaluate, x, BLOCK_LEN, n_workers, _TxWorkspace)
 
     def _evaluate(self, x: np.ndarray, ws: _TxWorkspace, skip: int, out: np.ndarray) -> None:
         """out = pa_evaluate(iq_modulate(x)), cast to complex64, computed in
@@ -155,5 +142,14 @@ def iq_modulate(x, m: IqModulatorModel):
 
 
 def run_tx_chain(x: IqBuffer, chain: TxChain, n_workers: int = 1) -> IqBuffer:
-    """Push a buffer through modulator + PA, elementwise, on `n_workers` threads."""
-    return IqBuffer(chain.apply(x.samples, n_workers), x.sample_rate_hz)
+    """Modulator then PA over a buffer, cast to complex64, in blocks of
+    `BLOCK_LEN` samples on `n_workers` threads. The chain is elementwise,
+    so neither the blocking nor the worker count can change a bit. The
+    working memory is the output plus one workspace of min(BLOCK_LEN,
+    len(x)) samples per worker."""
+    try:
+        out = map_blocks(chain._evaluate, x.samples, BLOCK_LEN, n_workers, _TxWorkspace)
+    except FloatingPointError as err:
+        msg = f"transmit chain output overflows single precision ({err}); reduce the drive level"
+        raise DivergenceError(msg) from err
+    return IqBuffer(out, x.sample_rate_hz)

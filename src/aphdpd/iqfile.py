@@ -116,6 +116,8 @@ def read_iq(path: str | Path, sample_rate_hz: float | None = None) -> IqBuffer:
     else:
         raise ConfigurationError(f"{path}: no sidecar JSON and no sample_rate_hz given")
 
-    if n_held == 0:
-        return IqBuffer(np.empty(0, dtype="<c8"), rate)
-    return IqBuffer(np.memmap(path, dtype="<c8", mode="r"), rate)
+    samples = np.memmap(path, dtype="<c8", mode="r") if n_held else np.empty(0, dtype="<c8")
+    try:
+        return IqBuffer(samples, rate)
+    except ConfigurationError as err:  # a non-finite sample or rate
+        raise ConfigurationError(f"{path}: {err}") from err

@@ -35,18 +35,12 @@ incremental magnitude powers (r2, then r2*r2, ...), so lower-order partial
 results are reused by higher-order branches.
 
 The chunks run on `blocks.map_blocks`, which gives each worker one
-workspace of arrays, made on its first chunk and sized
-min(chunk_len + halo, buffer length); every step is a ufunc writing into
-it with `out=`, so a chunk allocates nothing. That keeps the engine's
-speed independent of glibc's dynamic mmap threshold, under which
-chunk-sized temporaries become an mmap and a munmap each until some large
-free raises it. Storing a result in a workspace array instead of a new one
-runs the same ufunc loop on the same operands, so the bits are the same.
-
-The default chunk length depends on the worker count (`default_chunk_len`):
-16 Ki samples keep one worker's workspace in cache, while two or more
-workers run 64 Ki chunks, since every numpy call of a chunk hands the GIL
-over and short chunks make those handoffs dominate.
+workspace of arrays; every step is a ufunc writing into it with `out=`, so
+a chunk allocates nothing. That keeps the engine's speed independent of
+glibc's dynamic mmap threshold, under which chunk-sized temporaries become
+an mmap and a munmap each until some large free raises it. Storing a
+result in a workspace array instead of a new one runs the same ufunc loop
+on the same operands, so the bits are the same.
 """
 
 from __future__ import annotations
@@ -57,7 +51,7 @@ import numpy as np
 
 from .basis import AphConfig, BranchSets, PolyBasis, _members
 from .blocks import map_blocks
-from .exceptions import ConfigurationError
+from .exceptions import ConfigurationError, DivergenceError
 from .waveforms import IqBuffer
 
 @dataclass(frozen=True)
@@ -247,11 +241,10 @@ def predistort_parallel(
 
     The halo is the config's l_max - 1, and `chunk_len` must exceed it;
     None means `default_chunk_len(n_workers)`. The chunks run on
-    `blocks.map_blocks`, which rejects `n_workers` < 1: one worker
-    evaluates them in order on the calling thread, more share them through
-    a thread pool. Each worker evaluates its chunks in one workspace of
+    `blocks.map_blocks` on `n_workers` threads, each with one workspace of
     min(chunk_len + halo, len(x)) samples, so the working memory is the
-    output plus one workspace per worker.
+    output plus one workspace per worker. A chunk that overflows single
+    precision raises DivergenceError.
     """
     if chunk_len is None:
         chunk_len = default_chunk_len(n_workers)
@@ -259,7 +252,11 @@ def predistort_parallel(
     if chunk_len <= halo:
         raise ConfigurationError(f"chunk_len ({chunk_len}) must exceed halo ({halo})")
     kernel = _CompiledKernel(coeffs, cfg)
-    out = map_blocks(kernel, x.samples, chunk_len, n_workers, kernel.workspace, halo)
+    try:
+        out = map_blocks(kernel, x.samples, chunk_len, n_workers, kernel.workspace, halo)
+    except FloatingPointError as err:
+        msg = f"predistorter overflows single precision ({err}); reduce the input level"
+        raise DivergenceError(msg) from err
     return IqBuffer(out, x.sample_rate_hz)
 
 

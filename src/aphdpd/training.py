@@ -8,22 +8,21 @@ a ridge-stabilized least-squares problem in double precision.
 The regression never forms its rows x cols matrix A. Its normal
 equations A^H A and A^H b come straight from lagged correlations of the
 branch sequences (`basis.build_normal_equations`), and the small
-cols x cols system is solved by Cholesky (`_lstsq_ridge`). Without ridge
-(lambda = 0) a normal matrix whose condition number exceeds the package's
-one singularity limit (`basis._MOMENT_COND_LIMIT`) is reported as a
-ConditioningError rather than solved. The data residual ||A h - b|| is
-recomputed from the branch FIRs.
+cols x cols system is solved by Cholesky (`_lstsq_ridge`). The data
+residual ||A h - b|| is recomputed from the branch FIRs.
 
-Plain iterate-and-replace learning is not a descent method: once near its
-fixed point, consecutive fits wander by several dB because the update has
-no memory of how good the previous solution was (near-degenerate regressor
-directions plus bias from PA behavior outside the model class). To make
-the reported quality monotone, each new fit is a *candidate*: it replaces
-the current coefficients only if it does not worsen the linearization NMSE
-on a fixed validation stimulus generated once per session. Rejected
-candidates leave the state unchanged, so the per-iteration NMSE series is
-non-increasing by construction and the final coefficients are the best
-validated ones.
+Plain iterate-and-replace learning is not a descent method: near its
+fixed point consecutive fits wander by several dB (near-degenerate
+regressor directions, PA behavior outside the model class). So each new
+fit is a *candidate*: it replaces the current coefficients only if it does
+not worsen the linearization NMSE on a fixed validation stimulus made once
+per session. The per-iteration NMSE series is then non-increasing by
+construction, and the final coefficients are the best validated ones.
+
+Overflow follows the block runner's rule: the predistorter and the chain
+(`run_tx_chain`) raise DivergenceError. For the kept coefficients, at the
+baseline and in each iteration's training pass, that ends training; a
+candidate whose validation overflows scores +inf and is rejected.
 
 Everything is deterministic given the caller's waveform factory and the
 seed: the stimuli and the solver, so two runs produce bit-identical
@@ -45,7 +44,7 @@ from .exceptions import (
     DivergenceError,
     InsufficientDataError,
 )
-from .impairments import TxChain
+from .impairments import TxChain, run_tx_chain
 from .predistorter import CoefficientVector, identity_coefficients, predistort_serial
 from .waveforms import IqBuffer
 
@@ -76,6 +75,8 @@ class TrainingConfig:
             raise ConfigurationError(f"iterations must be >= 1, got {self.iterations}")
         if self.ridge_lambda is not None and self.ridge_lambda < 0:
             raise ConfigurationError(f"ridge_lambda must be >= 0, got {self.ridge_lambda}")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -179,32 +180,12 @@ def _lstsq_ridge(
     return h, cond
 
 
-def _chain_output(chain: TxChain, z: IqBuffer, *, candidate: bool) -> IqBuffer | None:
-    """The chain's response to z. Non-finite samples mean the system diverged.
-
-    For the committed state that is a hard error (the drive is too hot for
-    the chain); for a candidate evaluation it just disqualifies the
-    candidate (returns None).
-    """
-    s = chain.apply(z.samples)
-    if np.all(np.isfinite(s)):
-        return IqBuffer(s, z.sample_rate_hz)
-    if candidate:
-        return None
-    raise DivergenceError("transmit chain produced non-finite samples; reduce the drive level")
-
-
 def _linearization_nmse_db(
-    chain: TxChain, cfg: AphConfig, coeffs: CoefficientVector, stimulus: IqBuffer, *,
-    candidate: bool,
+    chain: TxChain, cfg: AphConfig, coeffs: CoefficientVector, stimulus: IqBuffer
 ) -> float:
-    """NMSE (dB) between the gain-normalized chain output and the stimulus.
-
-    Returns +inf for a candidate whose evaluation blows up.
-    """
-    s = _chain_output(chain, predistort_serial(stimulus, coeffs, cfg), candidate=candidate)
-    if s is None:
-        return float("inf")
+    """NMSE (dB) between the gain-normalized chain output and the stimulus;
+    DivergenceError when the predistorter or the chain overflows."""
+    s = run_tx_chain(predistort_serial(stimulus, coeffs, cfg), chain)
     gain = estimate_gain(stimulus, s)
     if gain == 0:
         return float("inf")
@@ -223,9 +204,10 @@ def ila_train(
     the config's `waveform_factory()`). Iteration i trains on seed+i; the
     validation stimulus uses the base seed and never changes.
 
-    Raises DivergenceError when the untrained chain's NMSE is 0 dB or
-    worse, the score of an all-zero output: the drive is then far past
-    the chain model's range and no candidate can be trusted.
+    Raises DivergenceError when the kept coefficients' chain overflows, or
+    when the untrained chain's NMSE is 0 dB or worse, the score of an
+    all-zero output: the drive is then far past the chain model's range
+    and no candidate can be trusted.
     """
     n_coeff = cfg.n_coefficients
     m = tcfg.n_training_samples
@@ -235,8 +217,7 @@ def ila_train(
         )
     validation = make_waveform(m, tcfg.seed)
     coeffs = identity_coefficients(cfg)
-    current_nmse = _linearization_nmse_db(chain, cfg, coeffs, validation, candidate=False)
-    baseline_nmse = current_nmse
+    baseline_nmse = current_nmse = _linearization_nmse_db(chain, cfg, coeffs, validation)
     if baseline_nmse >= 0.0:
         raise DivergenceError(
             f"baseline NMSE {baseline_nmse:+.2f} dB is no better than a zero output: "
@@ -246,9 +227,8 @@ def ila_train(
 
     records: list[IterationRecord] = []
     for i in range(1, tcfg.iterations + 1):
-        y = make_waveform(m, tcfg.seed + i)
-        z = predistort_serial(y, coeffs, cfg)
-        s = _chain_output(chain, z, candidate=False)
+        z = predistort_serial(make_waveform(m, tcfg.seed + i), coeffs, cfg)
+        s = run_tx_chain(z, chain)
         gain = estimate_gain(z, s)
 
         regressor = IqBuffer(
@@ -263,9 +243,10 @@ def ila_train(
         residual = normal.residual_norm(h)
         candidate = CoefficientVector(h.astype(np.complex64))
 
-        candidate_nmse = _linearization_nmse_db(
-            chain, cfg, candidate, validation, candidate=True
-        )
+        try:
+            candidate_nmse = _linearization_nmse_db(chain, cfg, candidate, validation)
+        except DivergenceError:
+            candidate_nmse = float("inf")
         accepted = candidate_nmse <= current_nmse
         if accepted:
             coeffs = candidate

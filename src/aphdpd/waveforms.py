@@ -79,6 +79,11 @@ class CarrierSpec:
     def __post_init__(self):
         if self.bandwidth_hz <= 0:
             raise ConfigurationError(f"bandwidth_hz must be positive, got {self.bandwidth_hz}")
+        try:
+            object.__setattr__(self, "_gain", 10.0 ** (self.power_db / 20.0))
+        except OverflowError:
+            msg = f"power_db {self.power_db} gives no finite linear gain"
+            raise ConfigurationError(msg) from None
 
     def check_fits(self, sample_rate_hz: float) -> None:
         """Raise unless the occupied band lies inside Nyquist."""
@@ -96,7 +101,8 @@ def generate_carrier(
     """Synthesize one random-QAM multitone carrier.
 
     The carrier occupies [center − BW/2, center + BW/2] and has unit mean
-    power before the spec's power_db scaling is applied.
+    power before the spec's power_db scaling is applied. A power that
+    overflows single precision raises ConfigurationError.
     """
     if n_samples <= 0:
         raise ConfigurationError(f"n_samples must be positive, got {n_samples}")
@@ -113,7 +119,7 @@ def generate_carrier(
     # whole-buffer form computes; an out-of-place product can differ in the
     # last bit.
     w = 2.0 * np.pi * spec.center_offset_hz / sample_rate_hz
-    g = 10.0 ** (spec.power_db / 20.0)
+    g = spec._gain
     out = np.empty(n_samples, dtype=np.complex64)
 
     def one_block(start: int) -> None:
@@ -124,7 +130,11 @@ def generate_carrier(
         block *= g
         out[start : start + BLOCK_LEN] = block
 
-    run_blocks(one_block, range(0, n_samples, BLOCK_LEN), 1)
+    try:
+        run_blocks(one_block, range(0, n_samples, BLOCK_LEN), 1)
+    except FloatingPointError as err:
+        msg = f"carrier power_db {spec.power_db} overflows single precision ({err})"
+        raise ConfigurationError(msg) from err
     return IqBuffer(out, sample_rate_hz)
 
 
@@ -178,7 +188,9 @@ def normalize_power(buf: IqBuffer, target_rms: float) -> IqBuffer:
     """Scale a buffer to an exact RMS amplitude.
 
     The scale factor is computed in double precision; a scale of exactly 1.0
-    leaves the samples bit-identical.
+    leaves the samples bit-identical. The buffer is scaled block by block on
+    `blocks.run_blocks`, so a target that overflows single precision raises
+    ConfigurationError.
     """
     if target_rms <= 0:
         raise ConfigurationError(f"target_rms must be positive, got {target_rms}")
@@ -188,4 +200,15 @@ def normalize_power(buf: IqBuffer, target_rms: float) -> IqBuffer:
     if current == 0.0:
         raise DegenerateInputError("cannot normalize an all-zero buffer")
     scale = target_rms / current  # python float: complex64 * weak scalar stays complex64
-    return IqBuffer(buf.samples * scale, buf.sample_rate_hz)
+    out = np.empty_like(buf.samples, subok=False)
+
+    def one_block(start: int) -> None:
+        block = slice(start, start + BLOCK_LEN)
+        np.multiply(buf.samples[block], scale, out=out[block])
+
+    try:
+        run_blocks(one_block, range(0, len(buf), BLOCK_LEN), 1)
+    except FloatingPointError as err:
+        msg = f"drive RMS {target_rms:g} overflows single precision ({err})"
+        raise ConfigurationError(msg) from err
+    return IqBuffer(out, buf.sample_rate_hz)

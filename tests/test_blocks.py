@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from aphdpd import (
     PaModel,
     TxChain,
     predistort_parallel,
+    run_tx_chain,
 )
 from aphdpd.blocks import map_blocks, run_blocks, usable_cpus
 
@@ -27,6 +29,24 @@ class TestRunBlocks:
     def test_results_in_start_order(self, n_workers):
         starts = range(0, 100, 7)
         assert run_blocks(lambda s: s * s, starts, n_workers) == [s * s for s in starts]
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    @pytest.mark.parametrize(
+        "fn",
+        [
+            lambda s: np.full(4, 1e38, dtype=np.float32) * np.float32(10 + s),
+            lambda s: np.zeros(4) / np.zeros(4),
+        ],
+        ids=["overflow", "invalid"],
+    )
+    def test_floating_point_errors_raise_in_every_worker(self, n_workers, fn):
+        """Every block runs under over="raise", invalid="raise", on the
+        calling thread and on pool threads alike, whatever the caller's
+        own error state: an overflow raises, it never warns."""
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError):
+                run_blocks(fn, range(3), n_workers)
 
     def test_no_blocks(self):
         assert run_blocks(lambda s: s, range(0), 3) == []
@@ -140,12 +160,12 @@ class TestPerThread:
         )
         buf = IqBuffer(x, 1e6)
         engine_one = predistort_parallel(buf, coeffs, cfg, chunk_len=4096).samples
-        chain_one = chain.apply(x)
+        chain_one = run_tx_chain(buf, chain).samples
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             engine_many = predistort_parallel(buf, coeffs, cfg, chunk_len=4096, n_workers=8)
-            chain_many = chain.apply(x, 8)
+            chain_many = run_tx_chain(buf, chain, 8).samples
         finally:
             sys.setswitchinterval(interval)
         assert np.array_equal(engine_many.samples.view(np.uint64), engine_one.view(np.uint64))

@@ -188,26 +188,22 @@ class TestTrain:
         assert "basis" in doc["layout"]
 
 
+def _identity_coeffs(config_path, tmp_path):
+    """The config's identity coefficients as a coefficient file: with the
+    plain basis the predistorter passes every sample through unchanged."""
+    from aphdpd import coefficients_to_json_dict, identity_coefficients, load_experiment_config
+
+    cfg = load_experiment_config(config_path).aph_config()
+    path = tmp_path / "identity.json"
+    path.write_text(json.dumps(coefficients_to_json_dict(identity_coefficients(cfg), cfg)))
+    return str(path)
+
+
 class TestPredistortSimulate:
-    def _identity_coeffs(self, config_path, tmp_path):
-        """Train against a distortion-free chain: plain basis keeps the
-        trained filter at the exact identity, giving a passthrough file."""
-        from aphdpd import (
-            AphConfig,
-            coefficients_to_json_dict,
-            identity_coefficients,
-            load_experiment_config,
-        )
-
-        cfg = load_experiment_config(config_path).aph_config()
-        path = tmp_path / "identity.json"
-        path.write_text(json.dumps(coefficients_to_json_dict(identity_coefficients(cfg), cfg)))
-        return str(path)
-
     def test_identity_round_trip_and_worker_invariance(self, config_path, tmp_path):
         wave = str(tmp_path / "wave.iq")
         cli.main(["generate", config_path, wave])
-        ident = self._identity_coeffs(config_path, tmp_path)
+        ident = _identity_coeffs(config_path, tmp_path)
         out1 = str(tmp_path / "out1.iq")
         out4 = str(tmp_path / "out4.iq")
         assert cli.main(["predistort", config_path, ident, wave, out1]) == 0
@@ -268,7 +264,7 @@ class TestPredistortSimulate:
         one, `value` is the whole file."""
         wave = str(tmp_path / "wave.iq")
         cli.main(["generate", config_path, wave])
-        bad = Path(self._identity_coeffs(config_path, tmp_path))
+        bad = Path(_identity_coeffs(config_path, tmp_path))
         if key is None:
             bad.write_text(value)
         else:
@@ -342,7 +338,7 @@ class TestPredistortSimulate:
     def test_simulate_with_dpd_flag(self, config_path, tmp_path):
         wave = str(tmp_path / "wave.iq")
         cli.main(["generate", config_path, wave])
-        ident = self._identity_coeffs(config_path, tmp_path)
+        ident = _identity_coeffs(config_path, tmp_path)
         plain = str(tmp_path / "sim_plain.iq")
         with_dpd = str(tmp_path / "sim_dpd.iq")
         assert cli.main(["simulate", config_path, wave, plain]) == 0
@@ -458,6 +454,103 @@ class TestBench:
         assert [(int(r[0]), int(r[1])) for r in rows] == [(1, 16384), (2, 65536)]
 
 
+def _one_error_line(capsys) -> str:
+    """The one stderr line of a command that failed, without 'error: '."""
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    return lines[0].removeprefix("error: ")
+
+
+class TestOverflow:
+    """A stage driven past single precision ends the command with one
+    error line that names the stage, exit 1 and no output file: no
+    RuntimeWarning, no traceback, no message about a finite input not
+    being finite."""
+
+    @pytest.fixture
+    def hot_input(self, config_path, tmp_path):
+        """A file of finite samples at 1e12, three 64 Ki-sample blocks long
+        so that two workers share them, and the config's identity
+        coefficients."""
+        from aphdpd import IqBuffer, write_iq
+
+        path = tmp_path / "hot.iq"
+        write_iq(IqBuffer(np.full(2 * 65536 + 7, 1e12 + 1e12j, np.complex64), 61.44e6), path)
+        return str(path), _identity_coeffs(config_path, tmp_path)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "command, stage",
+        [
+            ("simulate", "transmit chain output overflows"),
+            ("simulate --with-dpd", "predistorter overflows"),
+            ("predistort", "predistorter overflows"),
+        ],
+    )
+    def test_overflow_is_one_divergence_line(
+        self, config_path, hot_input, tmp_path, monkeypatch, capsys, command, stage, workers
+    ):
+        hot, coeffs = hot_input
+        out = tmp_path / "out.iq"
+        monkeypatch.setattr(cli, "usable_cpus", lambda: workers)
+        argv = {
+            "simulate": ["simulate", config_path, hot, str(out)],
+            "simulate --with-dpd": ["simulate", config_path, hot, str(out), "--with-dpd", coeffs],
+            "predistort": [
+                "predistort", config_path, coeffs, hot, str(out), "--workers", str(workers)
+            ],
+        }[command]
+        capsys.readouterr()
+        assert cli.main(argv) == 1
+        message = _one_error_line(capsys)
+        assert message.startswith(stage) and "single precision" in message
+        assert not out.exists()
+
+    def test_overdriven_pa_gain_stops_training(self, tmp_path, capsys):
+        """alpha1 = 1e39 is finite in double, but the chain's output is
+        not in single precision: training raises DivergenceError."""
+        hot = _config_variant(tmp_path, "hot.json", **{"pa.alpha1": [1e39, 0]})
+        coeffs, report = tmp_path / "c.json", tmp_path / "r.json"
+        capsys.readouterr()
+        assert cli.main(["train", hot, str(coeffs), str(report)]) == 1
+        assert _one_error_line(capsys).startswith("transmit chain output overflows")
+        assert not coeffs.exists() and not report.exists()
+
+
+class TestConfigGainBounds:
+    """A dB value whose linear gain overflows a double is a config error
+    naming its key; one that is finite in double but overflows single
+    precision ends as one line naming the carrier power or the drive."""
+
+    @pytest.mark.parametrize(
+        "key, value, command, expected",
+        [
+            ("carriers", [{"center_offset_hz": 0.0, "bandwidth_hz": 9e6, "power_db": 8000}],
+             "generate", "power_db 8000"),
+            ("iq_modulator.gain_imbalance_db", 8000, "simulate", "gain_imbalance_db 8000"),
+            ("carriers", [{"center_offset_hz": 0.0, "bandwidth_hz": 9e6, "power_db": 800}],
+             "generate", "carrier power_db 800"),
+            ("drive_rms", 1e308, "generate", "drive RMS 1e+308"),
+        ],
+        ids=["power_db-8000", "gain_imbalance_db-8000", "power_db-800", "drive_rms-1e308"],
+    )
+    def test_one_error_line_naming_the_key(
+        self, config_path, tmp_path, capsys, key, value, command, expected
+    ):
+        config = _config_variant(tmp_path, "hot.json", **{key: value})
+        out = tmp_path / "out.iq"
+        if command == "generate":
+            argv = ["generate", config, str(out)]
+        else:
+            wave = str(tmp_path / "wave.iq")
+            assert cli.main(["generate", config_path, wave]) == 0
+            argv = ["simulate", config, wave, str(out)]
+        capsys.readouterr()
+        assert cli.main(argv) == 1
+        assert _one_error_line(capsys).startswith(expected)
+        assert not out.exists()
+
+
 def test_import_needs_no_scipy():
     """The package runs on numpy alone; importing it is most of the
     start-up of every `dpd` command."""
@@ -465,9 +558,11 @@ def test_import_needs_no_scipy():
     env = {**os.environ, "PYTHONPATH": str(src)}
     code = "import sys, aphdpd.cli; print('scipy' in sys.modules)"
     proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-W", "error", "-c", code],
+        env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
     assert proc.stdout.strip() == "False"
 
 

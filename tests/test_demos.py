@@ -1,5 +1,6 @@
-"""Every walkthrough in demos/ runs to completion against the source tree
-and writes its outputs to the working directory, never under demos/."""
+"""Every walkthrough in demos/ runs to completion against the source tree,
+with warnings as errors and nothing on stderr, and writes its outputs to
+the working directory, never under demos/."""
 
 from __future__ import annotations
 
@@ -29,7 +30,9 @@ def test_demo_exits_cleanly(demo, tmp_path):
     env.pop("DPD_SEED", None)
     before = _files_under(ROOT / "demos")
     proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True
+        [sys.executable, "-W", "error", str(demo)],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
     assert _files_under(ROOT / "demos") == before

@@ -127,10 +127,8 @@ class TestTxChain:
         chain = TxChain(IqModulatorModel(1.0, 5.0, 0.0112 + 0.0112j), REF_PA)
         whole = pa_evaluate(iq_modulate(x, chain.modulator), chain.pa).astype(np.complex64)
         for n_workers in (1, 2, 3):
-            got = chain.apply(x, n_workers)
+            got = run_tx_chain(IqBuffer(x, 1e6), chain, n_workers).samples
             assert_array_equal(got.view(np.uint64), whole.view(np.uint64))
-        buf = run_tx_chain(IqBuffer(x, 1e6), chain, n_workers=2)
-        assert_array_equal(buf.samples.view(np.uint64), whole.view(np.uint64))
 
     @pytest.mark.parametrize(
         "pa",
@@ -147,7 +145,7 @@ class TestTxChain:
         chain = TxChain(IqModulatorModel(1.0, 5.0, 0.0112 + 0.0112j), pa)
         want = pa_evaluate(iq_modulate(x, chain.modulator), pa).astype(np.complex64)
         for n_workers in (1, 2):
-            got = chain.apply(x, n_workers)
+            got = run_tx_chain(IqBuffer(x, 1e6), chain, n_workers).samples
             assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_memory_does_not_grow_with_length(self, rng):
@@ -162,7 +160,7 @@ class TestTxChain:
         def beyond_output(n, n_workers):
             tracemalloc.start()
             try:
-                out = chain.apply(x[:n], n_workers)
+                out = run_tx_chain(IqBuffer(x[:n], 1e6), chain, n_workers).samples
                 return tracemalloc.get_traced_memory()[1] - out.nbytes
             finally:
                 tracemalloc.stop()
@@ -178,7 +176,7 @@ class TestTxChain:
         chain = TxChain(IqModulatorModel(1.0, 5.0, 0.0112 + 0.0112j), REF_PA)
         tracemalloc.start()
         try:
-            chain.apply(x)
+            run_tx_chain(IqBuffer(x, 1e6), chain)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

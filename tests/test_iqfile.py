@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -166,12 +167,14 @@ class TestMappedRead:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_sample_in_a_mapped_file_is_rejected(self, tmp_path, bad):
-        """One bad value past the first finiteness block still fails the read."""
+        """One bad value past the first finiteness block still fails the
+        read, and the error starts with the file's path, as every other
+        read error does."""
         samples = np.full(3 * 65536 + 11, 0.25 - 0.5j, dtype=np.complex64)
         samples[2 * 65536 + 5] = complex(0.0, bad)
         path = tmp_path / "bad.iq"
         samples.tofile(path)
-        with pytest.raises(ConfigurationError, match="finite"):
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(str(path))}: .*finite"):
             read_iq(path, sample_rate_hz=1e6)
 
     def test_zero_sample_file(self, tmp_path):

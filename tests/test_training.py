@@ -10,6 +10,8 @@ equations that training builds.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -29,6 +31,7 @@ from aphdpd import (
     TxChain,
     build_normal_equations,
     estimate_gain,
+    identity_coefficients,
     ila_train,
     predistort_serial,
     run_tx_chain,
@@ -85,6 +88,12 @@ class TestTrainingConfig:
     def test_negative_ridge_rejected(self):
         with pytest.raises(ConfigurationError):
             TrainingConfig(n_training_samples=2000, ridge_lambda=-1.0)
+
+    def test_negative_seed_rejected(self):
+        """numpy's generators take no seed below 0; the config says so
+        before any stimulus is drawn."""
+        with pytest.raises(ConfigurationError, match="seed must be >= 0, got -1"):
+            TrainingConfig(n_training_samples=2000, seed=-1)
 
 
 class TestLsSolve:
@@ -222,9 +231,35 @@ class TestIlaTrain:
         with pytest.raises(DivergenceError, match=r"baseline NMSE \+\d.*RMS 50\b"):
             ila_train(REF_CHAIN, CFG, tcfg, make_waveform=lambda n, seed: _buffer(n, seed, 50.0))
 
+    @pytest.mark.parametrize(
+        "blow_up",
+        [lambda h: 1e30 * h, lambda h: np.full_like(h, 3e38)],
+        ids=["chain-overflows", "predistorter-overflows"],
+    )
+    def test_overflowing_candidate_is_rejected(self, monkeypatch, blow_up):
+        """A candidate whose validation overflows single precision, in the
+        transmit chain or in the predistorter itself, is recorded as
+        rejected with no candidate NMSE, the kept state stays the
+        baseline, and no warning is raised."""
+
+        def huge_solve(*args):
+            h, cond = _lstsq_ridge(*args)
+            return blow_up(h), cond
+
+        monkeypatch.setattr("aphdpd.training._lstsq_ridge", huge_solve)
+        tcfg = TrainingConfig(n_training_samples=2000, iterations=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            coeffs, report = ila_train(REF_CHAIN, CFG, tcfg, WAVE)
+        (record,) = report.records
+        assert not record.accepted and record.candidate_nmse_db is None
+        assert record.nmse_db == report.baseline_nmse_db
+        assert report.to_json_list()[0]["candidate_nmse_db"] is None
+        assert_array_equal(coeffs.h, identity_coefficients(CFG).h)
+
     def test_stage_configuration_error_is_not_divergence(self, monkeypatch):
-        """Only non-finite chain output means divergence: a ConfigurationError
-        raised inside a stage is a real fault and must reach the caller as is."""
+        """Only an overflow means divergence: a ConfigurationError raised
+        inside a stage is a real fault and must reach the caller as is."""
 
         def broken(*args):
             raise ConfigurationError("layout bug")
