@@ -46,11 +46,12 @@ _WELCH_BATCH_SAMPLES = 1 << 17
 _WELCH_GROUP_BATCHES = 16
 
 # Most batches welch_psd has in flight at once, whatever `n_workers` asks.
-# Each worker thread's malloc arena keeps its freed 2 MB batch: `dpd
-# evaluate` at 16 Mi samples (2 vCPUs, threads oversubscribed) peaks at
-# 304, 310, 314, 318 and 318 MB RSS on 1, 2, 3, 4 and 8 workers, and at
-# 334 MB on 8 or 16 workers without the cap. The cap keeps that growth
-# bounded on any core count.
+# Each worker thread's malloc arena keeps its freed 2 MB batch, and the
+# block runner's threads live as long as the process, so their arenas do
+# too: `dpd evaluate` at 16 Mi samples (2 vCPUs, threads oversubscribed)
+# peaks at 290, 293, 295, 298 and 298 MB RSS on 1, 2, 3, 4 and 8 workers,
+# and at 307 and 326 MB on 8 and 16 workers without the cap. The cap keeps
+# that growth bounded on any core count.
 _WELCH_MAX_WORKERS = 4
 
 

@@ -151,9 +151,10 @@ class PolyBasis:
 
     @classmethod
     def from_json_dict(cls, doc: dict, where: str = "") -> "PolyBasis":
-        """Inverse of to_json_dict. A malformed or unknown field raises
+        """Inverse of to_json_dict. A malformed or unknown field, or a table
+        entry that does not fit in single precision, raises
         ConfigurationError naming its key, prefixed by `where`."""
-        from .config import _complex_pair, _integer_list, _reject_unknown, _require
+        from .config import _integer_list, _reject_unknown, _require, _single_pair
 
         _reject_unknown(doc, ("mode", "I_P", "I_Q", "u_main", "u_conj"), where)
         mode = _require(doc, "mode", where)
@@ -173,7 +174,7 @@ class PolyBasis:
                     raise ConfigurationError(
                         f"'{where}{name}[{i}]' must be a list of [re, im] pairs, got {row!r}"
                     )
-                values = [_complex_pair(v, f"{where}{name}[{i}][{j}]") for j, v in enumerate(row)]
+                values = [_single_pair(v, f"{where}{name}[{i}][{j}]") for j, v in enumerate(row)]
                 if any(v.imag != 0.0 for v in values):
                     raise ConfigurationError(
                         f"'{where}{name}[{i}]': non-real coefficients unsupported"

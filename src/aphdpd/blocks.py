@@ -14,13 +14,22 @@ it, instead of warning and writing inf. The state is set in the block
 function because numpy keeps it per context and a pool thread starts in
 a fresh one, so a caller's `np.errstate` would not reach it. Each stage
 that can overflow turns the error into one that names the stage.
+
+The worker threads live as long as the process. The first call that needs
+more than one worker makes a pool of `n_workers` threads, and every later
+call with that count reuses it, so a stage that calls the runner once per
+group of blocks (Welch) starts no threads after its first group. One pool
+per worker count bounds the threads by the sum of the distinct counts
+asked: `dpd` commands ask for the usable CPU count and Welch's capped
+count. A call made from inside a block runs inline, so a block never
+waits on the pool it occupies.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -31,27 +40,51 @@ from .exceptions import ConfigurationError
 # and their working memory independent of the buffer length.
 BLOCK_LEN = 65536
 
+_pools: dict[int, ThreadPoolExecutor] = {}
+_pools_lock = threading.Lock()
+# A child made by fork() has no pool threads, only the parent's pool objects.
+os.register_at_fork(after_in_child=_pools.clear)
+_in_block = threading.local()
+
+
+def _pool(n_workers: int) -> ThreadPoolExecutor:
+    """The process's pool of `n_workers` threads, made on first use."""
+    with _pools_lock:
+        if n_workers not in _pools:
+            _pools[n_workers] = ThreadPoolExecutor(n_workers, thread_name_prefix="aphdpd-block")
+        return _pools[n_workers]
+
 
 def run_blocks(fn, starts, n_workers: int) -> list:
     """[fn(start) for start in starts], computed on up to `n_workers` threads,
     each block under the error state above.
 
-    One worker or one block runs inline on the calling thread; otherwise a
-    pool of min(n_workers, blocks) threads shares the blocks. An exception
-    raised by any block propagates to the caller.
+    One worker, one block, or a call made from inside a block runs inline
+    on the calling thread. Otherwise the blocks go to the process's pool of
+    `n_workers` threads, made by the first call that asks for that count
+    and kept until the process exits (see the module docstring). The call
+    returns once every block has finished; if any raised, it raises the
+    exception of the first failing block in start order.
     """
     if n_workers < 1:
         raise ConfigurationError(f"n_workers must be >= 1, got {n_workers}")
     starts = list(starts)
 
     def block(start: int):
-        with np.errstate(over="raise", invalid="raise"):
-            return fn(start)
+        outer = getattr(_in_block, "active", False)
+        _in_block.active = True
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                return fn(start)
+        finally:
+            _in_block.active = outer
 
-    if n_workers == 1 or len(starts) <= 1:
+    if n_workers == 1 or len(starts) <= 1 or getattr(_in_block, "active", False):
         return [block(start) for start in starts]
-    with ThreadPoolExecutor(max_workers=min(n_workers, len(starts))) as executor:
-        return list(executor.map(block, starts))
+    pool = _pool(n_workers)
+    futures = [pool.submit(block, start) for start in starts]
+    wait(futures)
+    return [future.result() for future in futures]
 
 
 def map_blocks(stage, x, block_len: int, n_workers: int, workspace, halo: int = 0):

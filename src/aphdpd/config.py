@@ -17,6 +17,8 @@ import math
 import os
 from dataclasses import dataclass
 
+import numpy as np
+
 from .analysis import welch_step
 from .basis import ORTHOGONAL, PLAIN, AphConfig, BranchSets, PolyBasis, fit_orthogonal_basis
 from .exceptions import ConfigurationError
@@ -95,6 +97,17 @@ def _complex_pair(value, where: str) -> complex:
     if not isinstance(value, (list, tuple)) or len(value) != 2 or not all(map(_is_number, value)):
         raise ConfigurationError(f"'{where}' must be a [re, im] pair, got {value!r}")
     return complex(value[0], value[1])
+
+
+def _single_pair(value, where: str) -> complex:
+    """A [re, im] pair whose parts stay finite in single precision, the
+    precision the predistorter computes in."""
+    z = _complex_pair(value, where)
+    with np.errstate(over="ignore"):
+        fits = np.isfinite(np.complex64(z))
+    if not fits:
+        raise ConfigurationError(f"'{where}' does not fit in single precision, got {value!r}")
+    return z
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ DivergenceError when a block overflows single precision.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +47,10 @@ class PaModel:
 
     def __post_init__(self):
         for name in ("alpha1", "alpha3", "alpha5"):
-            object.__setattr__(self, name, complex(getattr(self, name)))
+            value = complex(getattr(self, name))
+            if not cmath.isfinite(value):
+                raise ConfigurationError(f"{name} must be finite, got {value}")
+            object.__setattr__(self, name, value)
         if self.alpha1 == 0:
             raise ConfigurationError("alpha1 must be nonzero (invertible small-signal gain)")
 
@@ -58,6 +62,9 @@ class IqModulatorModel:
     lo_leakage: complex = 0.0
 
     def __post_init__(self):
+        for name in ("gain_imbalance_db", "phase_imbalance_deg", "lo_leakage"):
+            if not cmath.isfinite(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)}")
         try:
             g = 10.0 ** (self.gain_imbalance_db / 20.0)
         except OverflowError:
@@ -152,4 +159,4 @@ def run_tx_chain(x: IqBuffer, chain: TxChain, n_workers: int = 1) -> IqBuffer:
     except FloatingPointError as err:
         msg = f"transmit chain output overflows single precision ({err}); reduce the drive level"
         raise DivergenceError(msg) from err
-    return IqBuffer(out, x.sample_rate_hz)
+    return IqBuffer._of_finite(out, x.sample_rate_hz)

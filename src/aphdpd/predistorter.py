@@ -118,6 +118,34 @@ class _Workspace:
         self.acc = np.empty(length, dtype=c64)
 
 
+def _compile_branches(coeffs: CoefficientVector, cfg: AphConfig) -> tuple[list, int]:
+    """The kernel's branches, one entry per branch in accumulation order,
+    and the highest envelope power they use.
+
+    An entry is (conjugate?, taps[c64], envelope terms [(power_index, f32
+    coeff)] or None). A None envelope means psi(x) = x (or conj x) with the
+    single basis coefficient pre-folded into the taps in double precision.
+    """
+    branches = []
+    max_power = 0
+    tables = {"main": cfg.basis.u_main, "conj": cfg.basis.u_conj}
+    orders = {"main": cfg.sets.main_orders, "conj": cfg.sets.conj_orders}
+    for family, order, sl in cfg.branch_slices():
+        u = tables[family][order]
+        members = _members(order, orders[family])
+        taps = coeffs.h[sl]
+        if tuple(members) == (1,):
+            # Pure linear branch: psi(x) = u*x, so fold u into the taps
+            # (in double, before the single-precision cast).
+            folded = (taps.astype(np.complex128) * float(u[0])).astype(np.complex64)
+            branches.append((family == "conj", folded, None))
+        else:
+            terms = [((m - 1) // 2, np.float32(coeff)) for coeff, m in zip(u, members)]
+            max_power = max(max_power, terms[-1][0])
+            branches.append((family == "conj", taps.copy(), terms))
+    return branches, max_power
+
+
 class _CompiledKernel:
     """Coefficients + basis folded into a flat per-chunk evaluation program."""
 
@@ -125,28 +153,15 @@ class _CompiledKernel:
         _check_length(coeffs, cfg)
         self.l_max = cfg.l_max
         self.c = np.complex64(coeffs.h[-1])
-
-        # One entry per branch, in accumulation order:
-        #   (conjugate?, taps[c64], envelope terms [(power_index, f32 coeff)] or None)
-        # A None envelope means psi(x) = x (or conj x) with the single basis
-        # coefficient pre-folded into the taps in double precision.
-        self.branches = []
-        self.max_power = 0
-        tables = {"main": cfg.basis.u_main, "conj": cfg.basis.u_conj}
-        orders = {"main": cfg.sets.main_orders, "conj": cfg.sets.conj_orders}
-        for family, order, sl in cfg.branch_slices():
-            u = tables[family][order]
-            members = _members(order, orders[family])
-            taps = coeffs.h[sl]
-            if tuple(members) == (1,):
-                # Pure linear branch: psi(x) = u*x, so fold u into the taps
-                # (in double, before the single-precision cast).
-                folded = (taps.astype(np.complex128) * float(u[0])).astype(np.complex64)
-                self.branches.append((family == "conj", folded, None))
-            else:
-                terms = [((m - 1) // 2, np.float32(coeff)) for coeff, m in zip(u, members)]
-                self.max_power = max(self.max_power, terms[-1][0])
-                self.branches.append((family == "conj", taps.copy(), terms))
+        # Every constant must be finite in single precision: only then is
+        # the engine's output finite by construction (see
+        # `IqBuffer._of_finite`).
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                self.branches, self.max_power = _compile_branches(coeffs, cfg)
+        except FloatingPointError as err:
+            msg = f"coefficients scaled by the basis overflow single precision ({err})"
+            raise ConfigurationError(msg) from err
 
     def workspace(self, length: int) -> _Workspace:
         has_conj = any(is_conj for is_conj, _, _ in self.branches)
@@ -257,7 +272,7 @@ def predistort_parallel(
     except FloatingPointError as err:
         msg = f"predistorter overflows single precision ({err}); reduce the input level"
         raise DivergenceError(msg) from err
-    return IqBuffer(out, x.sample_rate_hz)
+    return IqBuffer._of_finite(out, x.sample_rate_hz)
 
 
 # --- coefficient file format -------------------------------------------------
@@ -285,18 +300,19 @@ def coefficients_from_json_dict(doc: dict) -> tuple[CoefficientVector, AphConfig
 
     Parsed as strictly as the experiment config: `h` must be a list of
     [re, im] number pairs, `c` one such pair, `layout` an object of integer
-    lists plus the basis, and no key may be unknown. A malformed value
-    raises ConfigurationError naming its key.
+    lists plus the basis, and no key may be unknown. Every tap, the
+    constant and every basis entry must fit in single precision. A
+    malformed value raises ConfigurationError naming its key.
     """
-    from .config import _complex_pair, _integer_list, _reject_unknown, _section
+    from .config import _integer_list, _reject_unknown, _section, _single_pair
 
     if not isinstance(doc, dict):
         raise ConfigurationError("a coefficient file must hold a JSON object")
     _reject_unknown(doc, ("h", "c", "layout"), "")
     if not isinstance(doc.get("h"), list):
         raise ConfigurationError(f"'h' must be a list of [re, im] pairs, got {doc.get('h')!r}")
-    filters = [_complex_pair(pair, f"h[{i}]") for i, pair in enumerate(doc["h"])]
-    c = _complex_pair(doc.get("c"), "c")
+    filters = [_single_pair(pair, f"h[{i}]") for i, pair in enumerate(doc["h"])]
+    c = _single_pair(doc.get("c"), "c")
     layout = _section(doc, "layout")
     where = "layout."
     _reject_unknown(

@@ -22,7 +22,8 @@ construction, and the final coefficients are the best validated ones.
 Overflow follows the block runner's rule: the predistorter and the chain
 (`run_tx_chain`) raise DivergenceError. For the kept coefficients, at the
 baseline and in each iteration's training pass, that ends training; a
-candidate whose validation overflows scores +inf and is rejected.
+candidate whose validation overflows, or whose coefficients do not fit in
+single precision, scores +inf and is rejected.
 
 Everything is deterministic given the caller's waveform factory and the
 seed: the stimuli and the solver, so two runs produce bit-identical
@@ -180,6 +181,14 @@ def _lstsq_ridge(
     return h, cond
 
 
+def _single_precision(h: np.ndarray) -> CoefficientVector | None:
+    """A solve cast to single precision, or None when a coefficient does
+    not fit: that candidate has diverged."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = h.astype(np.complex64)
+    return CoefficientVector(h) if np.all(np.isfinite(h)) else None
+
+
 def _linearization_nmse_db(
     chain: TxChain, cfg: AphConfig, coeffs: CoefficientVector, stimulus: IqBuffer
 ) -> float:
@@ -241,12 +250,14 @@ def ila_train(
             lam = float(tcfg.ridge_lambda)
         h, cond = _lstsq_ridge(normal.gram, normal.rhs, lam)
         residual = normal.residual_norm(h)
-        candidate = CoefficientVector(h.astype(np.complex64))
+        candidate = _single_precision(h)
 
-        try:
-            candidate_nmse = _linearization_nmse_db(chain, cfg, candidate, validation)
-        except DivergenceError:
-            candidate_nmse = float("inf")
+        candidate_nmse = float("inf")
+        if candidate is not None:
+            try:
+                candidate_nmse = _linearization_nmse_db(chain, cfg, candidate, validation)
+            except DivergenceError:
+                pass
         accepted = candidate_nmse <= current_nmse
         if accepted:
             coeffs = candidate

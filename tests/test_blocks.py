@@ -3,25 +3,32 @@
 from __future__ import annotations
 
 import os
+import subprocess
 import sys
 import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aphdpd import (
     AphConfig,
     CoefficientVector,
     ConfigurationError,
+    DivergenceError,
     IqBuffer,
     IqModulatorModel,
     PaModel,
     TxChain,
+    identity_coefficients,
     predistort_parallel,
     run_tx_chain,
+    waveforms,
 )
-from aphdpd.blocks import map_blocks, run_blocks, usable_cpus
+from aphdpd.blocks import BLOCK_LEN, map_blocks, run_blocks, usable_cpus
 
 
 class TestRunBlocks:
@@ -70,6 +77,113 @@ class TestRunBlocks:
 
         with pytest.raises(ValueError, match="block 3 failed"):
             run_blocks(fn, range(5), n_workers)
+
+
+CHAIN = TxChain(
+    IqModulatorModel(1.0, 5.0, 0.01 + 0.01j), PaModel(0.95 - 0.02j, 0.5 + 0.1j, -1.0)
+)
+
+
+def _on_all_workers(n_workers: int, n_blocks: int):
+    """A block function for `n_blocks` blocks on `n_workers` threads that
+    holds each of the first `n_workers` blocks until all of them run, so
+    the call occupies every pool thread; it returns the thread it ran on."""
+    barrier = threading.Barrier(n_workers, timeout=30)
+
+    def fn(start):
+        if start < n_workers:
+            barrier.wait()
+        return threading.current_thread()
+
+    return fn, range(n_blocks)
+
+
+class TestWorkerPool:
+    """`run_blocks` keeps its worker threads for the life of the process."""
+
+    def test_a_later_call_reuses_the_threads(self):
+        first = set(run_blocks(*_on_all_workers(2, 6), 2))
+        second = set(run_blocks(*_on_all_workers(2, 6), 2))
+        assert len(first) == 2 and threading.current_thread() not in first
+        assert second == first
+
+    def test_thread_count_stays_flat(self):
+        run_blocks(*_on_all_workers(2, 4), 2)
+        before = threading.active_count()
+        counts = []
+        for _ in range(50):
+            counts.extend(run_blocks(lambda s: threading.active_count(), range(4), 2))
+        assert max(counts) == before and threading.active_count() == before
+
+    def test_a_call_from_inside_a_block_runs_inline(self):
+        """A nested call runs on the thread of the block that made it, so a
+        shared pool never waits on itself, even when the outer call holds
+        every pool thread."""
+        result = []
+
+        def outer(start):
+            inner = run_blocks(lambda s: threading.current_thread(), range(4), 2)
+            return threading.current_thread(), inner
+
+        thread = threading.Thread(target=lambda: result.extend(run_blocks(outer, range(4), 2)))
+        thread.start()
+        thread.join(timeout=30)
+        assert not thread.is_alive(), "a nested run_blocks call deadlocked"
+        assert len(result) == 4
+        for block_thread, inner in result:
+            assert inner == [block_thread] * 4
+
+    def test_threads_bounded_and_process_exits(self):
+        """Calls on 2 and 3 workers, each holding every thread, leave at
+        most 2 + 3 pool threads, and a process that made them still exits
+        promptly: no pool thread keeps the interpreter alive."""
+        code = (
+            "import threading\n"
+            "from aphdpd.blocks import run_blocks\n"
+            "def hold(n):\n"
+            "    barrier = threading.Barrier(n, timeout=30)\n"
+            "    return lambda s: barrier.wait() if s < n else s\n"
+            "seen = []\n"
+            "for n in (2, 3, 2, 3, 3):\n"
+            "    run_blocks(hold(n), range(9), n)\n"
+            "    seen.append(threading.active_count())\n"
+            "print(max(seen))\n"
+        )
+        root = Path(__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) <= 1 + 2 + 3
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_gets_its_own_threads(self):
+        """A child forked after a 2-worker call has none of the parent's
+        pool threads; its own 2-worker call must start new ones, not wait
+        for the parent's."""
+        code = (
+            "import os, time\n"
+            "from aphdpd.blocks import run_blocks\n"
+            "run_blocks(lambda s: s, range(4), 2)\n"
+            "pid = os.fork()\n"
+            "if pid == 0:\n"
+            "    os._exit(0 if run_blocks(lambda s: s, range(4), 2) == [0, 1, 2, 3] else 1)\n"
+            "for _ in range(200):\n"
+            "    done, status = os.waitpid(pid, os.WNOHANG)\n"
+            "    if done:\n"
+            "        raise SystemExit(os.waitstatus_to_exitcode(status))\n"
+            "    time.sleep(0.05)\n"
+            "os.kill(pid, 9)\n"
+            "os.waitpid(pid, 0)\n"
+            "raise SystemExit('the forked child hung')\n"
+        )
+        root = Path(__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestMapBlocks:
@@ -155,9 +269,7 @@ class TestPerThread:
         cfg = AphConfig.default()
         h = rng.normal(size=cfg.n_coefficients) + 1j * rng.normal(size=cfg.n_coefficients)
         coeffs = CoefficientVector(0.05 * h)
-        chain = TxChain(
-            IqModulatorModel(1.0, 5.0, 0.01 + 0.01j), PaModel(0.95 - 0.02j, 0.5 + 0.1j, -1.0)
-        )
+        chain = CHAIN
         buf = IqBuffer(x, 1e6)
         engine_one = predistort_parallel(buf, coeffs, cfg, chunk_len=4096).samples
         chain_one = run_tx_chain(buf, chain).samples
@@ -170,6 +282,48 @@ class TestPerThread:
             sys.setswitchinterval(interval)
         assert np.array_equal(engine_many.samples.view(np.uint64), engine_one.view(np.uint64))
         assert np.array_equal(chain_many.view(np.uint64), chain_one.view(np.uint64))
+
+
+class TestStageOutputs:
+    """The engine and the transmit chain hand their output over unscanned:
+    it is finite by construction, or the call raised."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(exponent=st.floats(-3.0, 38.6), n_workers=st.sampled_from([1, 2]))
+    def test_finite_or_divergence_and_never_rescanned(self, exponent, n_workers):
+        """Inputs scaled up to the complex64 limit, on one and two workers:
+        each stage raises DivergenceError or returns all-finite samples,
+        and no finiteness scan runs on its output."""
+        cfg = AphConfig.default()
+        rng = np.random.default_rng(11)
+        h = rng.normal(size=cfg.n_coefficients) + 1j * rng.normal(size=cfg.n_coefficients)
+        coeffs = CoefficientVector(identity_coefficients(cfg).h + (0.05 * h).astype(np.complex64))
+        scale = min(10.0**exponent, float(np.finfo(np.float32).max))
+        parts = rng.uniform(-1.0, 1.0, size=(BLOCK_LEN + 999, 2)) * scale
+        x = IqBuffer(parts.astype(np.float32).view(np.complex64)[:, 0], 1e6)
+        stages = {
+            "engine": lambda: predistort_parallel(
+                x, coeffs, cfg, chunk_len=8192, n_workers=n_workers
+            ),
+            "chain": lambda: run_tx_chain(x, CHAIN, n_workers),
+        }
+        all_finite = waveforms._all_finite
+        scans = []
+
+        def counting(samples):
+            scans.append(samples.size)
+            return all_finite(samples)
+
+        with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+            mp.setattr(waveforms, "_all_finite", counting)
+            warnings.simplefilter("error")
+            for name, stage in stages.items():
+                try:
+                    out = stage().samples
+                except DivergenceError:
+                    continue
+                assert np.all(np.isfinite(out)), name
+                assert scans == [], name
 
 
 def test_usable_cpus_follows_the_affinity_mask(monkeypatch):

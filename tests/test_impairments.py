@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -63,6 +64,26 @@ class TestPaModel:
     def test_zero_alpha1_rejected(self):
         with pytest.raises(ConfigurationError):
             PaModel(alpha1=0.0)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: PaModel(1.0, alpha3=complex("inf")),
+            lambda: PaModel(1.0, alpha5=complex("nan")),
+            lambda: IqModulatorModel(gain_imbalance_db=float("inf")),
+            lambda: IqModulatorModel(phase_imbalance_deg=float("nan")),
+            lambda: IqModulatorModel(lo_leakage=complex(0.0, float("-inf"))),
+        ],
+        ids=["alpha3-inf", "alpha5-nan", "gain-inf", "phase-nan", "leakage-inf"],
+    )
+    def test_non_finite_parameters_rejected(self, make):
+        """The chain's output is finite by construction only from finite
+        constants: an infinite constant times a finite sample gives an
+        infinite sample without any overflow."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError, match="must be finite"):
+                make()
 
 
 class TestIqModulator:

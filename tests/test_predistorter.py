@@ -9,7 +9,9 @@ with the compiled kernel.
 from __future__ import annotations
 
 import json
+import re
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -315,3 +317,36 @@ class TestCoefficientJson:
             predistort_serial(x, back, cfg_back).samples,
             predistort_serial(x, coeffs, cfg).samples,
         )
+
+    @pytest.mark.parametrize(
+        "key", ["h[1]", "c", "layout.basis.u_main[2][2]", "layout.basis.u_conj[1][1]"]
+    )
+    @pytest.mark.parametrize("part", [0, 1], ids=["re", "im"])
+    def test_entries_must_fit_single_precision(self, key, part):
+        """A tap, the constant or a basis entry with a part that overflows
+        single precision is refused at parse time, naming its key, with no
+        warning."""
+        doc = coefficients_to_json_dict(identity_coefficients(CFG), CFG)
+        pair = doc
+        for step in key.replace("]", "").replace("[", ".").split("."):
+            pair = pair[int(step) if step.isdigit() else step]
+        pair[part] = -1e39
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError, match=re.escape(f"'{key}' does not fit")):
+                coefficients_from_json_dict(doc)
+
+    def test_taps_times_basis_must_fit_single_precision(self):
+        """A tap and a basis entry that each fit in single precision, but
+        whose product folded into the linear taps does not: the engine
+        refuses them instead of running with an infinite tap, which gives
+        infinite samples without any overflow."""
+        doc = coefficients_to_json_dict(identity_coefficients(CFG), CFG)
+        doc["h"][0] = [1e30, 0.0]
+        doc["layout"]["basis"]["u_main"][0][0] = [1e30, 0.0]
+        coeffs, cfg = coefficients_from_json_dict(doc)
+        x = IqBuffer(np.full(100, 0.5 + 0.5j, dtype=np.complex64), 1e6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError, match="basis overflow single precision"):
+                predistort_parallel(x, coeffs, cfg)

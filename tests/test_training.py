@@ -233,14 +233,15 @@ class TestIlaTrain:
 
     @pytest.mark.parametrize(
         "blow_up",
-        [lambda h: 1e30 * h, lambda h: np.full_like(h, 3e38)],
-        ids=["chain-overflows", "predistorter-overflows"],
+        [lambda h: 1e30 * h, lambda h: np.full_like(h, 3e38), lambda h: 1e40 * h],
+        ids=["chain-overflows", "predistorter-overflows", "coefficients-overflow"],
     )
     def test_overflowing_candidate_is_rejected(self, monkeypatch, blow_up):
         """A candidate whose validation overflows single precision, in the
-        transmit chain or in the predistorter itself, is recorded as
-        rejected with no candidate NMSE, the kept state stays the
-        baseline, and no warning is raised."""
+        transmit chain or in the predistorter itself, or whose coefficients
+        do not fit in single precision at all, is recorded as rejected with
+        no candidate NMSE, the kept state stays the baseline, and no
+        warning is raised."""
 
         def huge_solve(*args):
             h, cond = _lstsq_ridge(*args)

@@ -38,6 +38,19 @@ class TestIqBuffer:
         with pytest.raises(ConfigurationError):
             IqBuffer(np.array([np.nan + 0j]), 1e6)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("part", ["real", "imag"])
+    @pytest.mark.parametrize(
+        "index", [0, BLOCK_LEN - 1, BLOCK_LEN, 2 * BLOCK_LEN + 2], ids=lambda i: f"at{i}"
+    )
+    def test_rejects_nonfinite_in_either_part_anywhere(self, bad, part, index):
+        """One non-finite part is found at the first and the last sample and
+        on both sides of a check-block boundary."""
+        samples = np.full(2 * BLOCK_LEN + 3, 0.5 - 0.25j, dtype=np.complex64)
+        setattr(samples[index : index + 1], part, bad)
+        with pytest.raises(ConfigurationError, match="finite"):
+            IqBuffer(samples, 1e6)
+
     def test_rejects_bad_rate(self):
         with pytest.raises(ConfigurationError):
             IqBuffer(np.zeros(4, np.complex64), 0.0)
