@@ -25,7 +25,7 @@ import numpy as np
 from .analysis import band_power_db, suppression_db, welch_psd, write_spectrum_csv
 from .bench import run_bench, write_bench_csv
 from .blocks import usable_cpus
-from .config import load_experiment_config
+from .config import _read_json, load_experiment_config
 from .exceptions import ConfigurationError, DpdError
 from .iqfile import read_iq, write_iq
 from .predistorter import (
@@ -55,11 +55,7 @@ def _write_json(doc, path) -> None:
 
 
 def _load_coefficients(path):
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as err:  # JSONDecodeError, UnicodeDecodeError
-            raise ConfigurationError(f"{path}: invalid JSON ({err})") from err
+    doc = _read_json(path)
     try:
         return coefficients_from_json_dict(doc)
     except ConfigurationError as err:
@@ -147,16 +143,12 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    cfg = load_experiment_config(args.config)
-    if args.coeffs is not None:
-        coeffs, aph = _load_coefficients(args.coeffs)
-    else:
-        aph = cfg.aph_config()
-        # Timing is coefficient-value independent; any finite set works.
-        rng = np.random.default_rng(2718)
-        h = rng.normal(size=aph.n_coefficients) + 1j * rng.normal(size=aph.n_coefficients)
-        coeffs = CoefficientVector((0.05 * h).astype(np.complex64))
-        coeffs = CoefficientVector(coeffs.h + identity_coefficients(aph).h)
+    aph = load_experiment_config(args.config).aph_config()
+    # Timing is coefficient-value independent; any finite set works.
+    rng = np.random.default_rng(2718)
+    h = rng.normal(size=aph.n_coefficients) + 1j * rng.normal(size=aph.n_coefficients)
+    coeffs = CoefficientVector((0.05 * h).astype(np.complex64))
+    coeffs = CoefficientVector(coeffs.h + identity_coefficients(aph).h)
     results = run_bench(aph, coeffs, args.n, args.workers, args.chunk_len, args.repeats)
     write_bench_csv(results, args.out_csv)
     print(f"host: {os.cpu_count()} cpus, numpy {np.__version__}, python {sys.version.split()[0]}")
@@ -231,7 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=_worker_list, default="1,2,4")
     p.add_argument("--chunk-len", type=int, default=None, help=_CHUNK_LEN_HELP)
     p.add_argument("--repeats", type=int, default=5)
-    p.add_argument("--coeffs", default=None)
     p.set_defaults(func=_cmd_bench)
 
     return parser
@@ -242,8 +233,6 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except SystemExit:
-        raise
     except DpdError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -67,11 +67,6 @@ def _number(doc: dict, key: str, where: str, default=_REQUIRED) -> float:
     return float(value)
 
 
-def _optional_number(doc: dict, key: str, where: str) -> float | None:
-    """A number, or None when the key is absent or null."""
-    return None if doc.get(key) is None else _number(doc, key, where)
-
-
 def _integer(doc: dict, key: str, where: str, default=_REQUIRED) -> int:
     value = _require(doc, key, where, default)
     if not _is_int(value):
@@ -241,11 +236,10 @@ def parse_experiment_config(doc: dict, seed_override: int | None = None) -> Expe
         raise ConfigurationError(f"'dpd.basis_mode' must be plain or orthogonal, got {basis_mode!r}")
 
     tr = _section(doc, "training")
-    _reject_unknown(tr, ("n_training_samples", "iterations", "ridge_lambda"), "training.")
+    _reject_unknown(tr, ("n_training_samples", "iterations"), "training.")
     training = TrainingConfig(
         n_training_samples=_integer(tr, "n_training_samples", "training."),
         iterations=_integer(tr, "iterations", "training.", 3),
-        ridge_lambda=_optional_number(tr, "ridge_lambda", "training."),
         seed=seed,
     )
 
@@ -307,13 +301,19 @@ def parse_experiment_config(doc: dict, seed_override: int | None = None) -> Expe
     )
 
 
-def load_experiment_config(path, respect_env: bool = True) -> ExperimentConfig:
-    """Load and validate a config file; DPD_SEED (if set) overrides its seed."""
+def _read_json(path):
+    """The JSON document in the file at `path`; a ConfigurationError naming
+    the path when it does not parse."""
     with open(path) as fh:
         try:
-            doc = json.load(fh)
+            return json.load(fh)
         except ValueError as err:  # JSONDecodeError, UnicodeDecodeError
             raise ConfigurationError(f"{path}: invalid JSON ({err})") from err
+
+
+def load_experiment_config(path, respect_env: bool = True) -> ExperimentConfig:
+    """Load and validate a config file; DPD_SEED (if set) overrides its seed."""
+    doc = _read_json(path)
     seed_override = None
     if respect_env and os.environ.get(SEED_ENV_VAR):
         try:

@@ -1,7 +1,7 @@
 """Binary I/Q file I/O.
 
 Repo-wide format: little-endian 32-bit floats, interleaved I,Q,I,Q,...
-with an optional sidecar JSON (`<path>.json`) carrying
+with a required sidecar JSON (`<path>.json`) carrying
 {"sample_rate_hz": <number>, "n_samples": <number>}.
 
 The sample layout is byte for byte little-endian complex64. A file is
@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import _is_int, _is_number
+from .config import _is_int, _is_number, _read_json
 from .exceptions import ConfigurationError
 from .waveforms import IqBuffer
 
@@ -63,10 +63,7 @@ def _maps(samples: np.ndarray, path: Path) -> bool:
 def _read_sidecar(meta_file: Path, n_held: int) -> tuple[float, int]:
     """(sample rate, declared sample count) from a sidecar document; the
     count defaults to the n_held samples the data file holds."""
-    try:
-        meta = json.loads(meta_file.read_text())
-    except ValueError as err:  # JSONDecodeError, UnicodeDecodeError
-        raise ConfigurationError(f"{meta_file}: invalid JSON ({err})") from err
+    meta = _read_json(meta_file)
     if not isinstance(meta, dict):
         raise ConfigurationError(f"{meta_file}: sidecar must be a JSON object")
     if "sample_rate_hz" not in meta:
@@ -82,11 +79,9 @@ def _read_sidecar(meta_file: Path, n_held: int) -> tuple[float, int]:
     return float(rate), n
 
 
-def read_iq(path: str | Path, sample_rate_hz: float | None = None) -> IqBuffer:
-    """Read an interleaved float32 I/Q file.
-
-    The sample rate comes from the sidecar JSON when present; otherwise the
-    caller must supply it.
+def read_iq(path: str | Path) -> IqBuffer:
+    """Read an interleaved float32 I/Q file and the sample rate from its
+    sidecar JSON.
 
     The returned samples are a read-only view of the file mapped into
     memory (see the module docstring for the SIGBUS risk if the file is
@@ -101,20 +96,13 @@ def read_iq(path: str | Path, sample_rate_hz: float | None = None) -> IqBuffer:
     n_held = size // 8
 
     meta_file = sidecar_path(path)
-    if meta_file.exists():
-        rate, n_declared = _read_sidecar(meta_file, n_held)
-        if n_declared != n_held:
-            raise ConfigurationError(
-                f"{path}: sidecar declares {n_declared} samples, file holds {n_held}"
-            )
-        if sample_rate_hz is not None and sample_rate_hz != rate:
-            raise ConfigurationError(
-                f"{path}: sidecar sample rate {rate} contradicts requested {sample_rate_hz}"
-            )
-    elif sample_rate_hz is not None:
-        rate = sample_rate_hz
-    else:
-        raise ConfigurationError(f"{path}: no sidecar JSON and no sample_rate_hz given")
+    if not meta_file.exists():
+        raise ConfigurationError(f"{path}: no sidecar JSON")
+    rate, n_declared = _read_sidecar(meta_file, n_held)
+    if n_declared != n_held:
+        raise ConfigurationError(
+            f"{path}: sidecar declares {n_declared} samples, file holds {n_held}"
+        )
 
     samples = np.memmap(path, dtype="<c8", mode="r") if n_held else np.empty(0, dtype="<c8")
     try:

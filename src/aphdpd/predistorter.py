@@ -151,7 +151,6 @@ class _CompiledKernel:
 
     def __init__(self, coeffs: CoefficientVector, cfg: AphConfig):
         _check_length(coeffs, cfg)
-        self.l_max = cfg.l_max
         self.c = np.complex64(coeffs.h[-1])
         # Every constant must be finite in single precision: only then is
         # the engine's output finite by construction (see

@@ -54,17 +54,12 @@ from .waveforms import IqBuffer
 class TrainingConfig:
     """Knobs of one training session.
 
-    ridge_lambda=None selects an automatic level proportional to the mean
-    Gram diagonal (1e-8 x trace/cols): strong enough to absorb degenerate
-    regressor directions, far too weak to bias a well-posed fit.
-
     seed is the base seed of the stimuli: the validation stimulus uses it,
     iteration i uses seed + i.
     """
 
     n_training_samples: int
     iterations: int = 3
-    ridge_lambda: float | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -74,8 +69,6 @@ class TrainingConfig:
             )
         if self.iterations < 1:
             raise ConfigurationError(f"iterations must be >= 1, got {self.iterations}")
-        if self.ridge_lambda is not None and self.ridge_lambda < 0:
-            raise ConfigurationError(f"ridge_lambda must be >= 0, got {self.ridge_lambda}")
         if self.seed < 0:
             raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
 
@@ -244,10 +237,10 @@ def ila_train(
             (s.samples.astype(np.complex128) / gain).astype(np.complex64), s.sample_rate_hz
         )
         normal = build_normal_equations(regressor, z.samples, cfg)
-        if tcfg.ridge_lambda is None:
-            lam = 1e-8 * float(np.trace(normal.gram).real) / len(normal.rhs)
-        else:
-            lam = float(tcfg.ridge_lambda)
+        # Proportional to the mean Gram diagonal: strong enough to absorb
+        # degenerate regressor directions, far too weak to bias a
+        # well-posed fit.
+        lam = 1e-8 * float(np.trace(normal.gram).real) / len(normal.rhs)
         h, cond = _lstsq_ridge(normal.gram, normal.rhs, lam)
         residual = normal.residual_norm(h)
         candidate = _single_precision(h)

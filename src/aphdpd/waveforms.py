@@ -13,6 +13,7 @@ no shared RNG state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,8 +59,9 @@ class IqBuffer:
     def __post_init__(self):
         samples = np.ascontiguousarray(np.asarray(self.samples, dtype=np.complex64))
         object.__setattr__(self, "samples", samples)
-        if self.sample_rate_hz <= 0:
-            raise ConfigurationError(f"sample_rate_hz must be positive, got {self.sample_rate_hz}")
+        rate = self.sample_rate_hz
+        if not (math.isfinite(rate) and rate > 0):
+            raise ConfigurationError(f"sample_rate_hz must be finite and positive, got {rate}")
         if not _all_finite(samples):
             raise ConfigurationError("IqBuffer samples must be finite")
 

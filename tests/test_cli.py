@@ -26,7 +26,7 @@ FAST_DOC = {
         "taps_conj": 5,
         "basis_mode": "plain",
     },
-    "training": {"n_training_samples": 3000, "iterations": 2, "ridge_lambda": None},
+    "training": {"n_training_samples": 3000, "iterations": 2},
     "pa": {"alpha1": [0.949, -0.0197], "alpha3": [0.4885, 0.1071], "alpha5": [-1.0156, -0.0474]},
     "iq_modulator": {
         "gain_imbalance_db": 1.0,
@@ -577,3 +577,32 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc_info:
             cli.main([])
         assert exc_info.value.code == 2
+
+
+class TestRemovedSettings:
+    """Settings that no command used are gone; an input that still gives one
+    ends the command with one error line."""
+
+    @pytest.mark.parametrize("command, n_outputs", [("generate", 1), ("train", 2)])
+    def test_config_with_ridge_lambda(self, tmp_path, monkeypatch, capsys, command, n_outputs):
+        monkeypatch.delenv("DPD_SEED", raising=False)
+        old = _config_variant(tmp_path, "old.json", **{"training.ridge_lambda": None})
+        outputs = [str(tmp_path / f"out{i}") for i in range(n_outputs)]
+        assert cli.main([command, old, *outputs]) == 1
+        assert _one_error_line(capsys) == "unknown key 'training.ridge_lambda'"
+
+    def test_bench_coeffs_is_a_usage_error(self, config_path, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            cli.main(["bench", config_path, str(tmp_path / "b.csv"), "--coeffs", "c.json"])
+        assert exc_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert "--coeffs" in err
+
+    def test_file_without_sidecar(self, config_path, tmp_path, capsys):
+        wave = tmp_path / "wave.iq"
+        assert cli.main(["generate", config_path, str(wave)]) == 0
+        (tmp_path / "wave.iq.json").unlink()
+        capsys.readouterr()
+        assert cli.main(["evaluate", config_path, str(wave)]) == 1
+        assert _one_error_line(capsys) == f"{wave}: no sidecar JSON"

@@ -31,7 +31,7 @@ def _doc():
             "taps_conj": 5,
             "basis_mode": "plain",
         },
-        "training": {"n_training_samples": 5000, "iterations": 3, "ridge_lambda": None},
+        "training": {"n_training_samples": 5000, "iterations": 3},
         "pa": {"alpha1": [0.949, -0.0197], "alpha3": [0.4885, 0.1071], "alpha5": [-1.0156, -0.0474]},
         "iq_modulator": {
             "gain_imbalance_db": 1.0,
@@ -126,7 +126,6 @@ class TestParse:
         [
             ("carriers", [1]),
             ("seed", "abc"),
-            ("training.ridge_lambda", "x"),
             ("training.iterations", 2.5),
             ("sample_rate_hz", float("inf")),
         ],

@@ -19,6 +19,11 @@ def _buf(n=257, fs=61.44e6, seed=1):
     return IqBuffer(x, fs)
 
 
+def _write_sidecar(path, rate, n_samples):
+    """Give a payload written by hand the sidecar `write_iq` writes."""
+    sidecar_path(path).write_text(json.dumps({"sample_rate_hz": rate, "n_samples": n_samples}))
+
+
 def test_round_trip_bits(tmp_path):
     buf = _buf()
     path = tmp_path / "a.iq"
@@ -48,8 +53,9 @@ def test_round_trip_every_bit_pattern(tmp_path):
     nan_payload.view(np.uint32)[1] = 0x7FC01234
     nan_path = tmp_path / "nan.iq"
     nan_payload.tofile(nan_path)
+    _write_sidecar(nan_path, 1e6, 2)
     with pytest.raises(ConfigurationError, match="finite"):
-        read_iq(nan_path, sample_rate_hz=1e6)
+        read_iq(nan_path)
 
 
 def test_interleaved_float32_layout(tmp_path):
@@ -95,23 +101,12 @@ def test_sidecar_count_mismatch_rejected(tmp_path):
         read_iq(path)
 
 
-def test_missing_sidecar_needs_explicit_rate(tmp_path):
+def test_missing_sidecar_rejected(tmp_path):
     path = tmp_path / "a.iq"
-    buf = _buf(n=16, fs=5e6)
-    write_iq(buf, path)
+    write_iq(_buf(), path)
     sidecar_path(path).unlink()
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(str(path))}: no sidecar JSON$"):
         read_iq(path)
-    back = read_iq(path, sample_rate_hz=5e6)
-    assert back.sample_rate_hz == 5e6
-    assert_array_equal(back.samples, buf.samples)
-
-
-def test_rate_contradiction_rejected(tmp_path):
-    path = tmp_path / "a.iq"
-    write_iq(_buf(fs=5e6), path)
-    with pytest.raises(ConfigurationError):
-        read_iq(path, sample_rate_hz=6e6)
 
 
 @pytest.mark.parametrize(
@@ -174,19 +169,21 @@ class TestMappedRead:
         samples[2 * 65536 + 5] = complex(0.0, bad)
         path = tmp_path / "bad.iq"
         samples.tofile(path)
+        _write_sidecar(path, 1e6, samples.size)
         with pytest.raises(ConfigurationError, match=f"^{re.escape(str(path))}: .*finite"):
-            read_iq(path, sample_rate_hz=1e6)
+            read_iq(path)
 
     def test_zero_sample_file(self, tmp_path):
-        """An empty file cannot be mapped; it reads as an empty buffer, with
-        the sidecar's rate or the given one."""
+        """An empty file cannot be mapped; it reads as an empty buffer at
+        its sidecar's rate, whether the sidecar gives the count or not."""
         path = tmp_path / "empty.iq"
         write_iq(IqBuffer(np.empty(0, np.complex64), 2e6), path)
         back = read_iq(path)
         assert len(back) == 0 and back.sample_rate_hz == 2e6
         bare = tmp_path / "bare.iq"
         bare.write_bytes(b"")
-        back = read_iq(bare, sample_rate_hz=3e6)
-        assert len(back) == 0 and back.sample_rate_hz == 3e6
         with pytest.raises(ConfigurationError, match="no sidecar"):
             read_iq(bare)
+        sidecar_path(bare).write_text('{"sample_rate_hz": 3e6}')
+        back = read_iq(bare)
+        assert len(back) == 0 and back.sample_rate_hz == 3e6

@@ -85,10 +85,6 @@ class TestEstimateGain:
 
 
 class TestTrainingConfig:
-    def test_negative_ridge_rejected(self):
-        with pytest.raises(ConfigurationError):
-            TrainingConfig(n_training_samples=2000, ridge_lambda=-1.0)
-
     def test_negative_seed_rejected(self):
         """numpy's generators take no seed below 0; the config says so
         before any stimulus is drawn."""

@@ -52,8 +52,11 @@ class TestIqBuffer:
             IqBuffer(samples, 1e6)
 
     def test_rejects_bad_rate(self):
-        with pytest.raises(ConfigurationError):
-            IqBuffer(np.zeros(4, np.complex64), 0.0)
+        """A NaN or infinite rate would reach a sidecar as NaN or Infinity,
+        which `read_iq` rejects, and Welch's bin frequencies."""
+        for rate in (np.nan, np.inf, -np.inf, 0.0, -1.0):
+            with pytest.raises(ConfigurationError, match="must be finite and positive"):
+                IqBuffer(np.zeros(4, np.complex64), rate)
 
     def test_rms_double_precision(self):
         buf = IqBuffer(np.full(1000, 3 + 4j, np.complex64), 1e6)
