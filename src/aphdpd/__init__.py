@@ -25,7 +25,13 @@ from .basis import (
     fit_orthogonal_basis,
 )
 from .bench import BENCH_CSV_HEADER, BenchResult, make_bench_buffer, run_bench, write_bench_csv
-from .config import ExperimentConfig, load_experiment_config, parse_experiment_config
+from .config import (
+    ExperimentConfig,
+    coefficients_from_json_dict,
+    coefficients_to_json_dict,
+    load_experiment_config,
+    parse_experiment_config,
+)
 from .exceptions import (
     ConditioningError,
     ConfigurationError,
@@ -46,8 +52,6 @@ from .impairments import (
 from .iqfile import read_iq, write_iq
 from .predistorter import (
     CoefficientVector,
-    coefficients_from_json_dict,
-    coefficients_to_json_dict,
     identity_coefficients,
     predistort_parallel,
     predistort_serial,

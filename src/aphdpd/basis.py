@@ -17,7 +17,7 @@ and its Cholesky factor orthogonalizes both families.
 
 Everything here evaluates in double precision — this is the training /
 reference side of the toolkit. The single-precision streaming engine lives
-in `predistorter`.
+in `predistorter`, and the coefficient file's basis block in `config`.
 """
 
 from __future__ import annotations
@@ -98,7 +98,7 @@ class PolyBasis:
 
     ``u_main[p]`` holds the coefficients over the member orders of branch p
     (ascending), i.e. a row of a lower-triangular table. Tables are real by
-    construction; the JSON form still writes [re, im] pairs.
+    construction; the coefficient file still writes [re, im] pairs.
     """
 
     mode: str
@@ -136,55 +136,6 @@ class PolyBasis:
             }
 
         return cls(PLAIN, sets, identity(sets.main_orders), identity(sets.conj_orders))
-
-    def to_json_dict(self) -> dict:
-        def rows(orders, table):
-            return [[[float(v), 0.0] for v in table[p]] for p in orders]
-
-        return {
-            "mode": self.mode,
-            "I_P": list(self.sets.main_orders),
-            "I_Q": list(self.sets.conj_orders),
-            "u_main": rows(self.sets.main_orders, self.u_main),
-            "u_conj": rows(self.sets.conj_orders, self.u_conj),
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict, where: str = "") -> "PolyBasis":
-        """Inverse of to_json_dict. A malformed or unknown field, or a table
-        entry that does not fit in single precision, raises
-        ConfigurationError naming its key, prefixed by `where`."""
-        from .config import _integer_list, _reject_unknown, _require, _single_pair
-
-        _reject_unknown(doc, ("mode", "I_P", "I_Q", "u_main", "u_conj"), where)
-        mode = _require(doc, "mode", where)
-        if mode not in (PLAIN, ORTHOGONAL):
-            raise ConfigurationError(f"'{where}mode' must be plain or orthogonal, got {mode!r}")
-        sets = BranchSets(_integer_list(doc, "I_P", where), _integer_list(doc, "I_Q", where))
-
-        def tables(orders, name):
-            rows = _require(doc, name, where)
-            if not isinstance(rows, list) or len(rows) != len(orders):
-                raise ConfigurationError(
-                    f"'{where}{name}' must list one row per branch ({len(orders)}), got {rows!r}"
-                )
-            out = {}
-            for i, (order, row) in enumerate(zip(orders, rows)):
-                if not isinstance(row, list):
-                    raise ConfigurationError(
-                        f"'{where}{name}[{i}]' must be a list of [re, im] pairs, got {row!r}"
-                    )
-                values = [_single_pair(v, f"{where}{name}[{i}][{j}]") for j, v in enumerate(row)]
-                if any(v.imag != 0.0 for v in values):
-                    raise ConfigurationError(
-                        f"'{where}{name}[{i}]': non-real coefficients unsupported"
-                    )
-                out[order] = np.array([v.real for v in values], dtype=np.float64)
-            return out
-
-        return cls(
-            mode, sets, tables(sets.main_orders, "u_main"), tables(sets.conj_orders, "u_conj")
-        )
 
 
 def evaluate_branch(x, branch_order: int, conjugate: bool, basis: PolyBasis):
@@ -301,12 +252,11 @@ class AphConfig:
             raise ConfigurationError("basis was built for different branch sets")
 
     @classmethod
-    def default(cls, basis: PolyBasis | None = None) -> "AphConfig":
+    def default(cls) -> "AphConfig":
         """The reference configuration: odd orders to 5 (main) and 3
-        (conjugate), five taps per branch, 26 coefficients total."""
+        (conjugate), five taps per branch, plain basis, 26 coefficients total."""
         sets = BranchSets.odd_orders_up_to(5, 3)
-        if basis is None:
-            basis = PolyBasis.plain(sets)
+        basis = PolyBasis.plain(sets)
         return cls(sets, (5,) * len(sets.main_orders), (5,) * len(sets.conj_orders), basis)
 
     @property
@@ -316,6 +266,12 @@ class AphConfig:
     @property
     def n_coefficients(self) -> int:
         return sum(self.taps_main) + sum(self.taps_conj) + 1
+
+    def check_length(self, coeffs) -> None:
+        if len(coeffs) != self.n_coefficients:
+            raise ConfigurationError(
+                f"coefficient vector has {len(coeffs)} entries, config needs {self.n_coefficients}"
+            )
 
     def branch_slices(self) -> list[tuple[str, int, slice]]:
         """(family, order, slice into the stacked vector) per branch, in

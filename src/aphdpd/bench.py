@@ -46,6 +46,7 @@ BENCH_CSV_HEADER = [
 
 _BUFFER_SEED = 0x5EED
 _BUFFER_RMS = 0.2
+_BUFFER_RATE_HZ = 61.44e6
 
 
 @dataclass(frozen=True)
@@ -74,9 +75,9 @@ class BenchResult:
         return self.n_samples / max(self.latencies_s)
 
 
-def make_bench_buffer(n_samples: int, sample_rate_hz: float = 61.44e6) -> IqBuffer:
+def make_bench_buffer(n_samples: int) -> IqBuffer:
     """The fixed random buffer all benchmark runs process."""
-    return white_gaussian(n_samples, _BUFFER_RMS, _BUFFER_SEED, sample_rate_hz)
+    return white_gaussian(n_samples, _BUFFER_RMS, _BUFFER_SEED, _BUFFER_RATE_HZ)
 
 
 def run_bench(

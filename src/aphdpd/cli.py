@@ -25,15 +25,13 @@ import numpy as np
 from .analysis import band_power_db, suppression_db, welch_psd, write_spectrum_csv
 from .bench import run_bench, write_bench_csv
 from .blocks import usable_cpus
-from .config import _read_json, load_experiment_config
-from .exceptions import ConfigurationError, DpdError
+from .config import coefficients_to_json_dict, load_coefficients, load_experiment_config
+from .exceptions import DpdError
 from .iqfile import read_iq, write_iq
 from .predistorter import (
     PARALLEL_CHUNK_LEN,
     SERIAL_CHUNK_LEN,
     CoefficientVector,
-    coefficients_from_json_dict,
-    coefficients_to_json_dict,
     identity_coefficients,
     predistort_parallel,
     predistort_serial,
@@ -52,14 +50,6 @@ def _write_json(doc, path) -> None:
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
-
-
-def _load_coefficients(path):
-    doc = _read_json(path)
-    try:
-        return coefficients_from_json_dict(doc)
-    except ConfigurationError as err:
-        raise ConfigurationError(f"{path}: {err}") from err
 
 
 def _cmd_generate(args) -> int:
@@ -91,7 +81,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_predistort(args) -> int:
     load_experiment_config(args.config)  # validate the experiment document
-    coeffs, aph = _load_coefficients(args.coeffs)
+    coeffs, aph = load_coefficients(args.coeffs)
     buf = read_iq(args.in_iq)
     out = predistort_parallel(buf, coeffs, aph, chunk_len=args.chunk_len, n_workers=args.workers)
     write_iq(out, args.out_iq)
@@ -102,7 +92,7 @@ def _cmd_simulate(args) -> int:
     cfg = load_experiment_config(args.config)
     buf = read_iq(args.in_iq)
     if args.with_dpd is not None:
-        coeffs, aph = _load_coefficients(args.with_dpd)
+        coeffs, aph = load_coefficients(args.with_dpd)
         buf = predistort_serial(buf, coeffs, aph)
     out = run_tx_chain(buf, cfg.tx_chain(), n_workers=usable_cpus())
     write_iq(out, args.out_iq)

@@ -8,6 +8,12 @@ any visible failure.
 The document aggregates everything a run needs: sampling, carriers, the
 predistorter structure, training knobs, the simulated chain impairments,
 and the analysis bands. Complex values are written as [re, im] pairs.
+
+The coefficient file, the one artifact that crosses from training to run
+time, is written and read here under the same rules. Every JSON document
+(config, coefficient file, I/Q sidecar) is read by `_read_json`, which
+also refuses a key given twice in one object and nesting deeper than the
+decoder recurses.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from .analysis import welch_step
 from .basis import ORTHOGONAL, PLAIN, AphConfig, BranchSets, PolyBasis, fit_orthogonal_basis
 from .exceptions import ConfigurationError
 from .impairments import IqModulatorModel, PaModel, TxChain
+from .predistorter import CoefficientVector
 from .training import TrainingConfig
 from .waveforms import CarrierSpec, IqBuffer, compose_multicarrier, normalize_power
 
@@ -32,6 +39,13 @@ SEED_ENV_VAR = "DPD_SEED"
 # with the validation stimulus (seed) or training draws (seed+1..seed+iters).
 _BASIS_FIT_SEED_OFFSET = 500
 
+
+# numpy indexes with 64-bit integers, so an integer key beyond int64, or a
+# sample count whose complex128 buffer has more bytes than an index can
+# count, would make it raise ValueError or OverflowError instead of a
+# MemoryError. The parser refuses both, naming the key; it sets no size cap.
+_INT64 = np.iinfo(np.int64)
+_MAX_SAMPLES = np.iinfo(np.intp).max // np.dtype(np.complex128).itemsize
 
 _REQUIRED = object()
 
@@ -71,7 +85,16 @@ def _integer(doc: dict, key: str, where: str, default=_REQUIRED) -> int:
     value = _require(doc, key, where, default)
     if not _is_int(value):
         raise ConfigurationError(f"'{where}{key}' must be an integer, got {value!r}")
+    if not _INT64.min <= value <= _INT64.max:
+        raise ConfigurationError(f"'{where}{key}' must be a 64-bit integer, got {value}")
     return value
+
+
+def _check_sample_count(n: int, key: str, limit: int) -> None:
+    if n > limit:
+        raise ConfigurationError(
+            f"'{key}' of {n} samples is more than numpy can index (at most {limit})"
+        )
 
 
 def _integer_list(doc: dict, key: str, where: str) -> tuple[int, ...]:
@@ -187,10 +210,13 @@ def parse_experiment_config(doc: dict, seed_override: int | None = None) -> Expe
 
     fs = _number(doc, "sample_rate_hz", "")
     n_samples = _integer(doc, "n_samples", "")
-    seed = _integer(doc, "seed", "")
+    seed = _require(doc, "seed", "")  # of any size: numpy seeds a generator with it
+    if not _is_int(seed):
+        raise ConfigurationError(f"'seed' must be an integer, got {seed!r}")
     drive_rms = _number(doc, "drive_rms", "")
     if n_samples < 1:
         raise ConfigurationError(f"'n_samples' must be >= 1, got {n_samples}")
+    _check_sample_count(n_samples, "n_samples", _MAX_SAMPLES)
     if drive_rms <= 0:
         raise ConfigurationError(f"'drive_rms' must be positive, got {drive_rms}")
     if seed < 0:
@@ -241,6 +267,10 @@ def parse_experiment_config(doc: dict, seed_override: int | None = None) -> Expe
         n_training_samples=_integer(tr, "n_training_samples", "training."),
         iterations=_integer(tr, "iterations", "training.", 3),
         seed=seed,
+    )
+    # The orthogonal basis is fitted on twice as many samples (`aph_config`).
+    _check_sample_count(
+        training.n_training_samples, "training.n_training_samples", _MAX_SAMPLES // 2
     )
 
     pa_doc = _section(doc, "pa")
@@ -303,11 +333,21 @@ def parse_experiment_config(doc: dict, seed_override: int | None = None) -> Expe
 
 def _read_json(path):
     """The JSON document in the file at `path`; a ConfigurationError naming
-    the path when it does not parse."""
+    the path when it does not parse, nests deeper than the decoder
+    recurses, or gives one object a key twice."""
+
+    def unique_keys(pairs):
+        doc = {}
+        for key, value in pairs:
+            if key in doc:
+                raise ConfigurationError(f"{path}: duplicate key '{key}'")
+            doc[key] = value
+        return doc
+
     with open(path) as fh:
         try:
-            return json.load(fh)
-        except ValueError as err:  # JSONDecodeError, UnicodeDecodeError
+            return json.load(fh, object_pairs_hook=unique_keys)
+        except (ValueError, RecursionError) as err:  # a decode error, or nesting too deep
             raise ConfigurationError(f"{path}: invalid JSON ({err})") from err
 
 
@@ -323,3 +363,116 @@ def load_experiment_config(path, respect_env: bool = True) -> ExperimentConfig:
                 f"{SEED_ENV_VAR} must be an integer, got {os.environ[SEED_ENV_VAR]!r}"
             ) from err
     return parse_experiment_config(doc, seed_override)
+
+
+# --- coefficient file format -------------------------------------------------
+
+def _basis_to_json(basis: PolyBasis) -> dict:
+    def rows(orders, table):
+        return [[[float(v), 0.0] for v in table[p]] for p in orders]
+
+    return {
+        "mode": basis.mode,
+        "I_P": list(basis.sets.main_orders),
+        "I_Q": list(basis.sets.conj_orders),
+        "u_main": rows(basis.sets.main_orders, basis.u_main),
+        "u_conj": rows(basis.sets.conj_orders, basis.u_conj),
+    }
+
+
+def _basis_from_json(doc: dict) -> PolyBasis:
+    """Inverse of _basis_to_json. A malformed or unknown field, or a table entry
+    that does not fit in single precision, raises ConfigurationError naming its key."""
+    where = "layout.basis."
+    _reject_unknown(doc, ("mode", "I_P", "I_Q", "u_main", "u_conj"), where)
+    mode = _require(doc, "mode", where)
+    if mode not in (PLAIN, ORTHOGONAL):
+        raise ConfigurationError(f"'{where}mode' must be plain or orthogonal, got {mode!r}")
+    sets = BranchSets(_integer_list(doc, "I_P", where), _integer_list(doc, "I_Q", where))
+
+    def tables(orders, name):
+        rows = _require(doc, name, where)
+        if not isinstance(rows, list) or len(rows) != len(orders):
+            raise ConfigurationError(
+                f"'{where}{name}' must list one row per branch ({len(orders)}), got {rows!r}"
+            )
+        out = {}
+        for i, (order, row) in enumerate(zip(orders, rows)):
+            if not isinstance(row, list):
+                raise ConfigurationError(
+                    f"'{where}{name}[{i}]' must be a list of [re, im] pairs, got {row!r}"
+                )
+            values = [_single_pair(v, f"{where}{name}[{i}][{j}]") for j, v in enumerate(row)]
+            if any(v.imag != 0.0 for v in values):
+                raise ConfigurationError(
+                    f"'{where}{name}[{i}]': non-real coefficients unsupported"
+                )
+            out[order] = np.array([v.real for v in values], dtype=np.float64)
+        return out
+
+    return PolyBasis(
+        mode, sets, tables(sets.main_orders, "u_main"), tables(sets.conj_orders, "u_conj")
+    )
+
+
+def coefficients_to_json_dict(coeffs: CoefficientVector, cfg: AphConfig) -> dict:
+    """Self-contained JSON form: taps, constant, and the layout + basis
+    needed to apply them anywhere."""
+    cfg.check_length(coeffs)
+    filters = coeffs.h[:-1]
+    return {
+        "h": [[float(v.real), float(v.imag)] for v in filters],
+        "c": [float(coeffs.h[-1].real), float(coeffs.h[-1].imag)],
+        "layout": {
+            "main_orders": list(cfg.sets.main_orders),
+            "conj_orders": list(cfg.sets.conj_orders),
+            "taps_main": list(cfg.taps_main),
+            "taps_conj": list(cfg.taps_conj),
+            "basis": _basis_to_json(cfg.basis),
+        },
+    }
+
+
+def coefficients_from_json_dict(doc: dict) -> tuple[CoefficientVector, AphConfig]:
+    """Rebuild coefficients plus the AphConfig they were trained under.
+
+    Parsed as strictly as the experiment config: `h` must be a list of
+    [re, im] number pairs, `c` one such pair, `layout` an object of integer
+    lists plus the basis, and no key may be unknown. Every tap, the
+    constant and every basis entry must fit in single precision. A
+    malformed value raises ConfigurationError naming its key.
+    """
+    if not isinstance(doc, dict):
+        raise ConfigurationError("a coefficient file must hold a JSON object")
+    _reject_unknown(doc, ("h", "c", "layout"), "")
+    if not isinstance(doc.get("h"), list):
+        raise ConfigurationError(f"'h' must be a list of [re, im] pairs, got {doc.get('h')!r}")
+    filters = [_single_pair(pair, f"h[{i}]") for i, pair in enumerate(doc["h"])]
+    c = _single_pair(doc.get("c"), "c")
+    layout = _section(doc, "layout")
+    where = "layout."
+    _reject_unknown(
+        layout, ("main_orders", "conj_orders", "taps_main", "taps_conj", "basis"), where
+    )
+    cfg = AphConfig(
+        BranchSets(
+            _integer_list(layout, "main_orders", where),
+            _integer_list(layout, "conj_orders", where),
+        ),
+        _integer_list(layout, "taps_main", where),
+        _integer_list(layout, "taps_conj", where),
+        _basis_from_json(_section(layout, "basis", where)),
+    )
+    h = np.array(filters + [c], dtype=np.complex64)
+    coeffs = CoefficientVector(h)
+    cfg.check_length(coeffs)
+    return coeffs, cfg
+
+
+def load_coefficients(path) -> tuple[CoefficientVector, AphConfig]:
+    """Load and validate a coefficient file; an error names the path."""
+    doc = _read_json(path)
+    try:
+        return coefficients_from_json_dict(doc)
+    except ConfigurationError as err:
+        raise ConfigurationError(f"{path}: {err}") from err

@@ -41,6 +41,8 @@ glibc's dynamic mmap threshold, under which chunk-sized temporaries become
 an mmap and a munmap each until some large free raises it. Storing a
 result in a workspace array instead of a new one runs the same ufunc loop
 on the same operands, so the bits are the same.
+
+This module only computes; `config` writes and reads the coefficient file.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import AphConfig, BranchSets, PolyBasis, _members
+from .basis import AphConfig, _members
 from .blocks import map_blocks
 from .exceptions import ConfigurationError, DivergenceError
 from .waveforms import IqBuffer
@@ -92,13 +94,6 @@ def identity_coefficients(cfg: AphConfig) -> CoefficientVector:
     h = np.zeros(cfg.n_coefficients, dtype=np.complex128)
     h[0] = 1.0 / cfg.basis.u_main[1][0]
     return CoefficientVector(h.astype(np.complex64))
-
-
-def _check_length(coeffs: CoefficientVector, cfg: AphConfig) -> None:
-    if len(coeffs) != cfg.n_coefficients:
-        raise ConfigurationError(
-            f"coefficient vector has {len(coeffs)} entries, config needs {cfg.n_coefficients}"
-        )
 
 
 class _Workspace:
@@ -150,7 +145,7 @@ class _CompiledKernel:
     """Coefficients + basis folded into a flat per-chunk evaluation program."""
 
     def __init__(self, coeffs: CoefficientVector, cfg: AphConfig):
-        _check_length(coeffs, cfg)
+        cfg.check_length(coeffs)
         self.c = np.complex64(coeffs.h[-1])
         # Every constant must be finite in single precision: only then is
         # the engine's output finite by construction (see
@@ -272,61 +267,3 @@ def predistort_parallel(
         msg = f"predistorter overflows single precision ({err}); reduce the input level"
         raise DivergenceError(msg) from err
     return IqBuffer._of_finite(out, x.sample_rate_hz)
-
-
-# --- coefficient file format -------------------------------------------------
-
-def coefficients_to_json_dict(coeffs: CoefficientVector, cfg: AphConfig) -> dict:
-    """Self-contained JSON form: taps, constant, and the layout + basis
-    needed to apply them anywhere."""
-    _check_length(coeffs, cfg)
-    filters = coeffs.h[:-1]
-    return {
-        "h": [[float(v.real), float(v.imag)] for v in filters],
-        "c": [float(coeffs.h[-1].real), float(coeffs.h[-1].imag)],
-        "layout": {
-            "main_orders": list(cfg.sets.main_orders),
-            "conj_orders": list(cfg.sets.conj_orders),
-            "taps_main": list(cfg.taps_main),
-            "taps_conj": list(cfg.taps_conj),
-            "basis": cfg.basis.to_json_dict(),
-        },
-    }
-
-
-def coefficients_from_json_dict(doc: dict) -> tuple[CoefficientVector, AphConfig]:
-    """Rebuild coefficients plus the AphConfig they were trained under.
-
-    Parsed as strictly as the experiment config: `h` must be a list of
-    [re, im] number pairs, `c` one such pair, `layout` an object of integer
-    lists plus the basis, and no key may be unknown. Every tap, the
-    constant and every basis entry must fit in single precision. A
-    malformed value raises ConfigurationError naming its key.
-    """
-    from .config import _integer_list, _reject_unknown, _section, _single_pair
-
-    if not isinstance(doc, dict):
-        raise ConfigurationError("a coefficient file must hold a JSON object")
-    _reject_unknown(doc, ("h", "c", "layout"), "")
-    if not isinstance(doc.get("h"), list):
-        raise ConfigurationError(f"'h' must be a list of [re, im] pairs, got {doc.get('h')!r}")
-    filters = [_single_pair(pair, f"h[{i}]") for i, pair in enumerate(doc["h"])]
-    c = _single_pair(doc.get("c"), "c")
-    layout = _section(doc, "layout")
-    where = "layout."
-    _reject_unknown(
-        layout, ("main_orders", "conj_orders", "taps_main", "taps_conj", "basis"), where
-    )
-    cfg = AphConfig(
-        BranchSets(
-            _integer_list(layout, "main_orders", where),
-            _integer_list(layout, "conj_orders", where),
-        ),
-        _integer_list(layout, "taps_main", where),
-        _integer_list(layout, "taps_conj", where),
-        PolyBasis.from_json_dict(_section(layout, "basis", where), "layout.basis."),
-    )
-    h = np.array(filters + [c], dtype=np.complex64)
-    coeffs = CoefficientVector(h)
-    _check_length(coeffs, cfg)
-    return coeffs, cfg

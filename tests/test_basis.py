@@ -28,6 +28,7 @@ from aphdpd import (
     fit_orthogonal_basis,
 )
 from aphdpd.basis import _lower_triangular_inverse
+from aphdpd.config import _basis_from_json, _basis_to_json
 from conftest import gram_schmidt_basis_rows, reference_basis_matrix
 
 TABLE_SETS = BranchSets.odd_orders_up_to(5, 3)
@@ -85,18 +86,18 @@ class TestPolyBasis:
 
     def test_json_round_trip(self):
         basis = fit_orthogonal_basis(_training_buffer(), TABLE_SETS)
-        doc = json.loads(json.dumps(basis.to_json_dict()))
-        back = PolyBasis.from_json_dict(doc)
+        doc = json.loads(json.dumps(_basis_to_json(basis)))
+        back = _basis_from_json(doc)
         assert back.mode == basis.mode
         assert back.sets == basis.sets
         for order in TABLE_SETS.main_orders:
             assert_allclose(back.u_main[order], basis.u_main[order], rtol=0, atol=0)
 
     def test_json_rejects_complex_coefficients(self):
-        doc = PolyBasis.plain(TABLE_SETS).to_json_dict()
+        doc = _basis_to_json(PolyBasis.plain(TABLE_SETS))
         doc["u_main"][0][0] = [1.0, 0.5]
         with pytest.raises(ConfigurationError):
-            PolyBasis.from_json_dict(doc)
+            _basis_from_json(doc)
 
 
 class TestEvaluateBranch:

@@ -606,3 +606,60 @@ class TestRemovedSettings:
         capsys.readouterr()
         assert cli.main(["evaluate", config_path, str(wave)]) == 1
         assert _one_error_line(capsys) == f"{wave}: no sidecar JSON"
+
+
+class TestJsonBoundary:
+    """Every JSON document a command reads (the config, a coefficient file,
+    a sidecar) refuses a key given twice in one object and a nesting deeper
+    than the decoder recurses: one error line naming the file, exit 1."""
+
+    @pytest.fixture
+    def documents(self, config_path, tmp_path):
+        """(document name) -> (its path, a command that reads it)."""
+        wave = str(tmp_path / "wave.iq")
+        assert cli.main(["generate", config_path, wave]) == 0
+        coeffs = _identity_coeffs(config_path, tmp_path)
+        out = str(tmp_path / "out.iq")
+        return {
+            "config": (config_path, ["generate", config_path, out]),
+            "coefficients": (coeffs, ["predistort", config_path, coeffs, wave, out]),
+            "sidecar": (wave + ".json", ["evaluate", config_path, wave]),
+        }
+
+    @pytest.mark.parametrize(
+        "document, key, value",
+        [
+            ("config", "seed", "7"),
+            ("coefficients", "c", "[0.5, 0.0]"),
+            ("sidecar", "n_samples", "1"),
+        ],
+        ids=["config-seed", "coefficients-c", "sidecar-n_samples"],
+    )
+    def test_duplicate_key(self, documents, capsys, document, key, value):
+        """The key is given twice, first with another valid `value`."""
+        path, argv = documents[document]
+        text = Path(path).read_text()
+        first = text.index(f'"{key}"')
+        Path(path).write_text(f'{text[:first]}"{key}": {value}, {text[first:]}')
+        capsys.readouterr()
+        assert cli.main(argv) == 1
+        assert _one_error_line(capsys) == f"{path}: duplicate key '{key}'"
+
+    @pytest.mark.parametrize("document", ["config", "coefficients", "sidecar"])
+    def test_deep_nesting(self, documents, capsys, document):
+        path, argv = documents[document]
+        Path(path).write_text("[" * 100_000 + "]" * 100_000)
+        capsys.readouterr()
+        assert cli.main(argv) == 1
+        assert _one_error_line(capsys).startswith(f"{path}: invalid JSON (maximum recursion")
+
+
+@pytest.mark.parametrize("value", [10**30, 2**62], ids=["1e30", "2^62"])
+def test_train_sample_count_numpy_cannot_index(tmp_path, monkeypatch, capsys, value):
+    """A training length beyond what numpy can index is refused at parse
+    time, naming the key, and no file is written."""
+    monkeypatch.delenv("DPD_SEED", raising=False)
+    config = _config_variant(tmp_path, "huge.json", **{"training.n_training_samples": value})
+    assert cli.main(["train", config, str(tmp_path / "c.json"), str(tmp_path / "r.json")]) == 1
+    assert _one_error_line(capsys).startswith("'training.n_training_samples' ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.json"]

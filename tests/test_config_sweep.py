@@ -11,9 +11,11 @@ every layout leaf); `simulate` and `evaluate` on a mutated sidecar. Each
 must exit 0 with nothing on stderr, or exit 1 with exactly one stderr line
 that starts with `error:`: never a traceback and never a warning.
 
-The table holds no large integer, so a size key (`n_samples`, `nfft`,
-tap counts, orders) only ever takes a small one and the sweep allocates
-little memory.
+The table's large integers are 10**30, beyond int64, and 2**62, a sample
+count whose complex128 buffer numpy cannot index. The parser refuses the
+first in every integer key but `seed` and the second as a sample count;
+an order of 2**62 passes it and fails its first allocation as out of
+memory. So the sweep still allocates little memory.
 """
 
 from __future__ import annotations
@@ -53,6 +55,8 @@ MUTATIONS = {
     "zero": 0,
     "minus-one": -1,
     "tiny": 1e-300,
+    "1e30-int": 10**30,
+    "2^62": 2**62,
     "deleted": DELETE,
     "extra": EXTRA,
 }
