@@ -17,7 +17,7 @@ from aphdpd import (
     BranchSets,
     PolyBasis,
     build_normal_equations,
-    evaluate_branch,
+    evaluate_branches,
     fit_orthogonal_basis,
     load_experiment_config,
 )
@@ -41,9 +41,8 @@ def main() -> None:
               f"{normal_matrix_condition(gram):.2e}")
 
     basis = fit_orthogonal_basis(buf, sets)
-    x = buf.samples.astype(np.complex128)
     print("\nbranch cross-correlations after fitting (main family):")
-    signals = {p: evaluate_branch(x, p, False, basis) for p in sets.main_orders}
+    signals = dict(zip(sets.main_orders, evaluate_branches(buf.samples, basis)))
     for i, p in enumerate(sets.main_orders):
         for q in sets.main_orders[:i]:
             num = abs(np.mean(signals[p] * np.conj(signals[q])))

@@ -21,7 +21,7 @@ from .basis import (
     NormalEquations,
     PolyBasis,
     build_normal_equations,
-    evaluate_branch,
+    evaluate_branches,
     fit_orthogonal_basis,
 )
 from .bench import BENCH_CSV_HEADER, BenchResult, make_bench_buffer, run_bench, write_bench_csv

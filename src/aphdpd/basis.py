@@ -2,7 +2,8 @@
 statistically orthogonalized variants, the predistorter structure built
 from them (`AphConfig`, which owns the coefficient column layout), and the
 normal equations of the convolution-structured regression matrix that
-least-squares training solves, built from lagged branch correlations.
+least-squares training solves, built from lagged branch correlations over
+one evaluation of the whole branch set (`evaluate_branches`).
 
 A main branch of order p evaluates
 
@@ -34,6 +35,11 @@ from .waveforms import IqBuffer
 # degenerate (constant-modulus inputs make them exactly rank one).
 _MOMENT_COND_LIMIT = 1e12
 
+# The highest branch order. The engine raises |x|^2 to the power (p-1)/2 in
+# float32, whose normal range is 2^-126 .. 2^128: p - 1 <= 126 keeps
+# |x|^(p-1) a normal float32 for every 1/2 <= |x| <= 2.
+MAX_ORDER = 127
+
 PLAIN = "plain"
 ORTHOGONAL = "orthogonal"
 
@@ -54,6 +60,10 @@ def _check_orders(name: str, orders: tuple[int, ...]) -> None:
         raise ConfigurationError(f"{name} must contain odd positive orders, got {orders}")
     if list(orders) != sorted(set(orders)):
         raise ConfigurationError(f"{name} must be strictly ascending, got {orders}")
+    if orders[-1] > MAX_ORDER:
+        raise ConfigurationError(
+            f"{name} holds order {orders[-1]}, above the order bound {MAX_ORDER}"
+        )
 
 
 @dataclass(frozen=True)
@@ -75,11 +85,17 @@ class BranchSets:
             )
 
     @classmethod
-    def odd_orders_up_to(cls, max_main: int, max_conj: int) -> "BranchSets":
-        """All odd orders 1..max_main (main) and 1..max_conj (conjugate)."""
+    def odd_orders_up_to(cls, max_order_main: int, max_order_conj: int) -> "BranchSets":
+        """All odd orders 1..max_order_main (main) and 1..max_order_conj
+        (conjugate)."""
+        for name, top in (("max_order_main", max_order_main), ("max_order_conj", max_order_conj)):
+            if top > MAX_ORDER:
+                raise ConfigurationError(
+                    f"'{name}' of {top} is above the order bound {MAX_ORDER}"
+                )
         return cls(
-            tuple(range(1, max_main + 1, 2)),
-            tuple(range(1, max_conj + 1, 2)),
+            tuple(range(1, max_order_main + 1, 2)),
+            tuple(range(1, max_order_conj + 1, 2)),
         )
 
     @property
@@ -138,27 +154,26 @@ class PolyBasis:
         return cls(PLAIN, sets, identity(sets.main_orders), identity(sets.conj_orders))
 
 
-def evaluate_branch(x, branch_order: int, conjugate: bool, basis: PolyBasis):
-    """Evaluate one branch polynomial at x (scalar or array), double precision."""
-    orders = basis.sets.conj_orders if conjugate else basis.sets.main_orders
-    if branch_order not in orders:
-        family = "conjugate" if conjugate else "main"
-        raise ConfigurationError(f"order {branch_order} not in the {family} branch set {orders}")
-    u = (basis.u_conj if conjugate else basis.u_main)[branch_order]
-
+def evaluate_branches(x, basis: PolyBasis) -> np.ndarray:
+    """Every branch polynomial at x, double precision: one row per branch,
+    main orders ascending, then conjugate (the `branch_slices` order).
+    |x|^2 and its powers are computed once for the whole set."""
     x = np.asarray(x, dtype=np.complex128)
     r2 = x.real**2 + x.imag**2
-    envelope = np.zeros_like(r2)
-    power = np.ones_like(r2)  # |x|^(m-1) as r2^((m-1)/2), raised incrementally
-    exponent = 0
-    for coeff, m in zip(u, _members(branch_order, orders)):  # low to high order
-        while exponent < (m - 1) // 2:
-            power = power * r2
-            exponent += 1
-        envelope = envelope + coeff * power
-    base = np.conj(x) if conjugate else x
-    result = envelope * base
-    return complex(result) if result.ndim == 0 else result
+    powers = [np.ones_like(r2)]  # powers[j] = |x|^(2j), raised incrementally
+    for _ in range((basis.sets.main_orders[-1] - 1) // 2):
+        powers.append(powers[-1] * r2)
+    rows = []
+    for orders, table, base in (
+        (basis.sets.main_orders, basis.u_main, x),
+        (basis.sets.conj_orders, basis.u_conj, np.conj(x)),
+    ):
+        for order in orders:
+            envelope = np.zeros_like(r2)
+            for coeff, m in zip(table[order], _members(order, orders)):  # low to high
+                envelope = envelope + coeff * powers[(m - 1) // 2]
+            rows.append(envelope * base)
+    return np.stack(rows)
 
 
 def _lower_triangular_inverse(chol: np.ndarray) -> np.ndarray:
@@ -204,11 +219,15 @@ def fit_orthogonal_basis(training: IqBuffer, sets: BranchSets) -> PolyBasis:
         for i, mi in enumerate(orders):
             for j, mj in enumerate(orders[: i + 1]):
                 moments[i, j] = moments[j, i] = float(np.mean(r2 ** ((mi + mj) // 2)))
-        cond = float(np.linalg.cond(moments))
+        # Scaling x by a scales M by a diagonal matrix, so the raw cond(M)
+        # tracks the drive level; cond(D M D) with D = diag(M)^-1/2 does not.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scaled = moments / np.sqrt(np.outer(np.diag(moments), np.diag(moments)))
+        cond = float(np.linalg.cond(scaled)) if np.all(np.isfinite(scaled)) else np.inf
         if not np.isfinite(cond) or cond > _MOMENT_COND_LIMIT:
             raise ConditioningError(
-                f"sample moment matrix for orders {orders} is numerically singular "
-                f"(cond ~ {cond:.3g}) over training data of RMS {_rms():.3g}",
+                f"diagonally scaled sample moment matrix for orders {orders} is numerically "
+                f"singular (cond ~ {cond:.3g}) over training data of RMS {_rms():.3g}",
                 condition_estimate=cond,
             )
         try:
@@ -291,31 +310,24 @@ class AphConfig:
 
 @dataclass(frozen=True)
 class NormalEquations:
-    """The normal equations A^H A h = A^H b of the regression matrix A,
-    without A itself.
+    """The normal equations G h = r of the regression matrix A (G = A^H A,
+    r = A^H b) and the target power ||b||^2; nothing as long as the buffer.
 
     Column block a of A holds branch sequence psi_a delayed by 0..taps-1
     samples, zero-padded to n + l_max - 1 rows, at the columns its
-    `branch_slices` entry names; the last column is all ones. branches
-    holds the psi_a (one row each, column order) and target the
-    zero-padded b, so the data residual ||A h - b|| is a sum of short
-    branch FIRs.
+    `branch_slices` entry names; the last column is all ones.
     """
 
     gram: np.ndarray
     rhs: np.ndarray
-    slices: list[tuple[str, int, slice]]
-    branches: np.ndarray
-    target: np.ndarray
+    target_power: float
 
     def residual_norm(self, h: np.ndarray) -> float:
-        """||A h - b|| from the branch FIRs plus the constant column, each
-        FIR as one shifted add per tap."""
-        out = np.full(len(self.target), h[-1], dtype=np.complex128)
-        for seq, (_, _, cols) in zip(self.branches, self.slices):
-            for k in range(cols.stop - cols.start):
-                out[k : k + len(seq)] += h[cols.start + k] * seq
-        return float(np.linalg.norm(out - self.target))
+        """||A h - b||, whose square is h^H G h - 2 Re(h^H r) + ||b||^2. On
+        data the model fits to rounding that sum cancels and can fall
+        below zero, so it is clamped there."""
+        square = np.vdot(h, self.gram @ h).real - 2.0 * np.vdot(h, self.rhs).real
+        return float(np.sqrt(max(0.0, square + self.target_power)))
 
 
 def build_normal_equations(y: IqBuffer, target: np.ndarray, cfg: AphConfig) -> NormalEquations:
@@ -340,12 +352,7 @@ def build_normal_equations(y: IqBuffer, target: np.ndarray, cfg: AphConfig) -> N
     b = np.concatenate([b, np.zeros(rows - len(b), dtype=np.complex128)])
 
     slices = cfg.branch_slices()
-    psi = np.stack(
-        [
-            evaluate_branch(y.samples, order, family == "conj", cfg.basis)
-            for family, order, _ in slices
-        ]
-    )
+    psi = evaluate_branches(y.samples, cfg.basis)
     psi_h = psi.conj()
     # corr[l_max - 1 + d, a, c] = c_ac[d] for d in -(l_max-1)..(l_max-1).
     corr = np.empty((2 * l_max - 1, len(slices), len(slices)), dtype=np.complex128)
@@ -370,4 +377,4 @@ def build_normal_equations(y: IqBuffer, target: np.ndarray, cfg: AphConfig) -> N
         rhs[rows_a] = proj[:ta, a]
     gram[-1, -1] = rows
     rhs[-1] = b.sum()
-    return NormalEquations(gram, rhs, slices, psi, b)
+    return NormalEquations(gram, rhs, float(np.vdot(b, b).real))

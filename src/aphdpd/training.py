@@ -9,7 +9,7 @@ The regression never forms its rows x cols matrix A. Its normal
 equations A^H A and A^H b come straight from lagged correlations of the
 branch sequences (`basis.build_normal_equations`), and the small
 cols x cols system is solved by Cholesky (`_lstsq_ridge`). The data
-residual ||A h - b|| is recomputed from the branch FIRs.
+residual ||A h - b|| follows from those two and ||b||^2.
 
 Plain iterate-and-replace learning is not a descent method: near its
 fixed point consecutive fits wander by several dB (near-degenerate

@@ -10,6 +10,7 @@ regression matrix that tests/conftest.py builds column by column.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,14 +25,16 @@ from aphdpd import (
     IqBuffer,
     PolyBasis,
     build_normal_equations,
-    evaluate_branch,
+    evaluate_branches,
     fit_orthogonal_basis,
+    parse_experiment_config,
 )
 from aphdpd.basis import _lower_triangular_inverse
-from aphdpd.config import _basis_from_json, _basis_to_json
+from aphdpd.config import _BASIS_FIT_SEED_OFFSET, _basis_from_json, _basis_to_json
 from conftest import gram_schmidt_basis_rows, reference_basis_matrix
 
 TABLE_SETS = BranchSets.odd_orders_up_to(5, 3)
+SHIPPED_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "single_carrier.json"
 
 
 def _training_buffer(n=4000, seed=2, rms=0.2):
@@ -101,32 +104,27 @@ class TestPolyBasis:
 
 
 class TestEvaluateBranch:
+    """`evaluate_branches` returns one row per branch: main orders
+    ascending, then conjugate orders ascending."""
+
     def test_plain_monomial_p5(self):
         basis = PolyBasis.plain(TABLE_SETS)
-        assert evaluate_branch(2 + 0j, 5, False, basis) == pytest.approx(32 + 0j)
+        assert evaluate_branches(2 + 0j, basis)[2] == pytest.approx(32 + 0j)
 
     def test_plain_conjugate_q3(self):
         basis = PolyBasis.plain(TABLE_SETS)
-        assert evaluate_branch(1j, 3, True, basis) == pytest.approx(0 - 1j)
-
-    def test_order_outside_set_rejected(self):
-        basis = PolyBasis.plain(TABLE_SETS)
-        with pytest.raises(ConfigurationError):
-            evaluate_branch(1.0, 7, False, basis)
-        with pytest.raises(ConfigurationError):
-            evaluate_branch(1.0, 5, True, basis)  # conj set stops at 3
+        assert evaluate_branches(1j, basis)[4] == pytest.approx(0 - 1j)
 
     def test_linear_in_u_table(self, rng):
-        """Scaling one coefficient row scales that branch's output."""
+        """Scaling one coefficient row scales that branch's output only."""
         sets = BranchSets((1, 3), (1,))
         x = rng.normal(size=50) + 1j * rng.normal(size=50)
         base = PolyBasis("orthogonal", sets, {1: [2.0], 3: [0.3, 1.5]}, {1: [1.0]})
         doubled = PolyBasis("orthogonal", sets, {1: [2.0], 3: [0.6, 3.0]}, {1: [1.0]})
-        assert_allclose(
-            evaluate_branch(x, 3, False, doubled),
-            2.0 * evaluate_branch(x, 3, False, base),
-            rtol=1e-12,
-        )
+        got, want = evaluate_branches(x, doubled), evaluate_branches(x, base)
+        assert got.shape == (3, 50)
+        assert_allclose(got[1], 2.0 * want[1], rtol=1e-12)
+        assert_allclose(got[[0, 2]], want[[0, 2]], rtol=0, atol=0)
 
     def test_orthogonal_matches_gram_schmidt_oracle(self):
         training = _training_buffer(seed=8)
@@ -134,13 +132,13 @@ class TestEvaluateBranch:
         oracle = gram_schmidt_basis_rows(training.samples.astype(np.complex128), (1, 3, 5))
         probe = np.array([0.05 + 0.02j, 0.1 - 0.3j, 0.25 + 0.2j, -0.15 + 0.05j])
         mag = np.abs(probe)
-        for order in (1, 3, 5):
+        rows = evaluate_branches(probe, basis)
+        for row, order in enumerate((1, 3, 5)):
             members = [m for m in (1, 3, 5) if m <= order]
             want = np.zeros_like(probe)
             for u, m in zip(oracle[order], members):
                 want += u * mag ** (m - 1) * probe
-            got = evaluate_branch(probe, order, False, basis)
-            assert_allclose(got, want, rtol=1e-5)
+            assert_allclose(rows[row], want, rtol=1e-5)
 
 
 class TestFitOrthogonalBasis:
@@ -155,12 +153,19 @@ class TestFitOrthogonalBasis:
             fit_orthogonal_basis(buf, TABLE_SETS)
         assert exc_info.value.condition_estimate is not None
 
+    def test_all_zero_training_degenerates(self):
+        """A zero moment diagonal cannot be scaled away: the fit is refused
+        with an infinite condition, not a division warning."""
+        buf = IqBuffer(np.zeros(500, np.complex64), 1e6)
+        with pytest.raises(ConditioningError, match="cond ~ inf"):
+            fit_orthogonal_basis(buf, TABLE_SETS)
+
     def test_gram_is_identity_on_training_set(self):
         training = _training_buffer(n=6000, seed=13)
         basis = fit_orthogonal_basis(training, TABLE_SETS)
         x = training.samples.astype(np.complex128)
-        for conjugate, orders in ((False, (1, 3, 5)), (True, (1, 3))):
-            signals = [evaluate_branch(x, p, conjugate, basis) for p in orders]
+        rows = evaluate_branches(x, basis)
+        for signals in (rows[:3], rows[3:]):  # main (1, 3, 5), conjugate (1, 3)
             k = len(signals)
             gram = np.empty((k, k), dtype=np.complex128)
             for i in range(k):
@@ -171,6 +176,26 @@ class TestFitOrthogonalBasis:
             off = gram - np.diag(np.diag(gram))
             assert np.max(np.abs(off)) < 1e-3
 
+
+    @pytest.mark.parametrize("max_order", [11, 13])
+    def test_high_orders_fit_the_shipped_stimulus(self, max_order):
+        """The moment matrix's diagonal scaling tracks the drive level, not
+        its conditioning: judged after removing it, orders to 13 fit on
+        the shipped single-carrier basis-fit stimulus, and the branches
+        decorrelate within criterion 8's bound."""
+        doc = json.loads(SHIPPED_CONFIG.read_text())
+        doc["dpd"].update(max_order_main=max_order, max_order_conj=max_order)
+        cfg = parse_experiment_config(doc)
+        wave = cfg.waveform_factory()
+        training = wave(2 * cfg.training.n_training_samples, cfg.seed + _BASIS_FIT_SEED_OFFSET)
+        basis = cfg.aph_config().basis
+        rows = evaluate_branches(training.samples, basis)
+        n_main = len(basis.sets.main_orders)
+        for signals in (rows[:n_main], rows[n_main:]):
+            corr = signals.conj() @ signals.T
+            norm = np.sqrt(np.diag(corr).real)
+            corr /= np.outer(norm, norm)
+            assert np.max(np.abs(corr - np.diag(np.diag(corr)))) < 1e-3
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_lower_triangular_inverse(self, rng, k):
@@ -204,8 +229,8 @@ class TestBuildBasisMatrix:
         buf = _training_buffer(n=1000)
         a = reference_basis_matrix(buf.samples, cfg)
         assert a.shape == (1004, 26)
-        for family, order, cols in cfg.branch_slices():
-            want = evaluate_branch(buf.samples, order, family == "conj", cfg.basis)
+        rows = evaluate_branches(buf.samples, cfg.basis)
+        for want, (_, _, cols) in zip(rows, cfg.branch_slices(), strict=True):
             assert_allclose(a[:1000, cols.start], want, rtol=1e-12)
 
     def test_toeplitz_within_blocks(self):
@@ -251,6 +276,23 @@ class TestBuildNormalEquations:
         assert np.linalg.norm(ne.rhs - rhs) <= 1e-12 * np.linalg.norm(rhs)
         h = rng.normal(size=a.shape[1]) + 1j * rng.normal(size=a.shape[1])
         assert ne.residual_norm(h) == pytest.approx(np.linalg.norm(a @ h - b), rel=1e-12)
+
+        # The least-squares h on data that the model nearly fits: the
+        # residual is about 1e-3 of ||b||, so ||A h - b||^2 is a small
+        # difference of large terms.
+        noise = rng.normal(size=a.shape[0]) + 1j * rng.normal(size=a.shape[0])
+        near = a @ h + 1e-3 * np.linalg.norm(a @ h) / np.linalg.norm(noise) * noise
+        ne = build_normal_equations(buf, near, cfg)
+        h_ls = np.linalg.solve(ne.gram, ne.rhs)
+        dense = np.linalg.norm(a @ h_ls - near)
+        assert ne.residual_norm(h_ls) == pytest.approx(dense, rel=1e-6)
+
+        # Exact data: the square cancels to rounding and can fall below
+        # zero; the norm stays finite, >= 0 and tiny.
+        exact = a @ h
+        ne = build_normal_equations(buf, exact, cfg)
+        residual = ne.residual_norm(np.linalg.solve(ne.gram, ne.rhs))
+        assert np.isfinite(residual) and 0.0 <= residual <= 1e-6 * np.linalg.norm(exact)
 
     def test_short_buffer_rejected(self):
         cfg = AphConfig(TABLE_SETS, (5, 5, 5), (5, 5), PolyBasis.plain(TABLE_SETS))

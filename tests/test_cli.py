@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from aphdpd import analysis, cli, read_iq
+from aphdpd.config import _read_json
 
 FAST_DOC = {
     "sample_rate_hz": 61.44e6,
@@ -155,10 +156,15 @@ class TestTrain:
                 assert "candidate" in line
 
     def test_overdriven_basis_fit_reports_the_rms(self, tmp_path, capsys):
-        """At drive_rms 50 the basis moments are numerically singular; the
-        one error line reports the condition and the training RMS."""
+        """With main orders to 23 the diagonally scaled basis moments are
+        numerically singular at any drive (the scaling removes the drive
+        level); at drive_rms 50 the one error line reports the condition
+        and the training RMS."""
         hot = _config_variant(
-            tmp_path, "hot.json", drive_rms=50, **{"dpd.basis_mode": "orthogonal"}
+            tmp_path,
+            "hot.json",
+            drive_rms=50,
+            **{"dpd.basis_mode": "orthogonal", "dpd.max_order_main": 23},
         )
         capsys.readouterr()
         rc = cli.main(["train", hot, str(tmp_path / "c.json"), str(tmp_path / "r.json")])
@@ -179,6 +185,27 @@ class TestTrain:
         assert len(lines) == 1 and lines[0].startswith("error: baseline NMSE +")
         assert "RMS 50" in lines[0] and "reduce the drive" in lines[0]
         assert not coeffs.exists() and not report.exists()
+
+    def test_linear_chain_report_has_finite_residuals(self, tmp_path):
+        """On a linear chain the model fits the data to rounding, so the
+        residual's square cancels to about zero and may land below it:
+        every reported residual_norm is still a finite number that the
+        strict JSON reader accepts."""
+        linear = _config_variant(
+            tmp_path,
+            "linear.json",
+            **{
+                "pa.alpha3": [0.0, 0.0],
+                "pa.alpha5": [0.0, 0.0],
+                "iq_modulator.gain_imbalance_db": 0.0,
+                "iq_modulator.phase_imbalance_deg": 0.0,
+                "iq_modulator.lo_leakage": [0.0, 0.0],
+            },
+        )
+        report = tmp_path / "r.json"
+        assert cli.main(["train", linear, str(tmp_path / "c.json"), str(report)]) == 0
+        residuals = [row["residual_norm"] for row in _read_json(report)]
+        assert residuals and all(np.isfinite(r) and r >= 0.0 for r in residuals)
 
     def test_coefficient_file_is_self_contained(self, config_path, tmp_path):
         coeffs = tmp_path / "coeffs.json"
@@ -652,6 +679,34 @@ class TestJsonBoundary:
         capsys.readouterr()
         assert cli.main(argv) == 1
         assert _one_error_line(capsys).startswith(f"{path}: invalid JSON (maximum recursion")
+
+
+class TestOrderBound:
+    """A branch order above basis.MAX_ORDER is refused where it is read,
+    before anything is sized by it: one error line naming the key and the
+    bound, exit 1."""
+
+    @pytest.mark.parametrize("key", ["dpd.max_order_main", "dpd.max_order_conj"])
+    def test_config_order(self, tmp_path, monkeypatch, capsys, key):
+        monkeypatch.delenv("DPD_SEED", raising=False)
+        config = _config_variant(tmp_path, "huge.json", **{key: 2**62})
+        assert cli.main(["generate", config, str(tmp_path / "w.iq")]) == 1
+        line = _one_error_line(capsys)
+        assert key.removeprefix("dpd.") in line and "order bound 127" in line
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.json"]
+
+    def test_coefficient_file_order(self, config_path, tmp_path, capsys):
+        wave = str(tmp_path / "wave.iq")
+        cli.main(["generate", config_path, wave])
+        bad = Path(_identity_coeffs(config_path, tmp_path))
+        doc = json.loads(bad.read_text())
+        huge = [1, 3, 10**30 + 1]
+        doc["layout"]["main_orders"] = doc["layout"]["basis"]["I_P"] = huge
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert cli.main(["predistort", config_path, str(bad), wave, wave + ".o"]) == 1
+        line = _one_error_line(capsys)
+        assert line.startswith(f"{bad}: main_orders ") and "order bound 127" in line
 
 
 @pytest.mark.parametrize("value", [10**30, 2**62], ids=["1e30", "2^62"])

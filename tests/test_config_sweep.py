@@ -13,9 +13,9 @@ that starts with `error:`: never a traceback and never a warning.
 
 The table's large integers are 10**30, beyond int64, and 2**62, a sample
 count whose complex128 buffer numpy cannot index. The parser refuses the
-first in every integer key but `seed` and the second as a sample count;
-an order of 2**62 passes it and fails its first allocation as out of
-memory. So the sweep still allocates little memory.
+first in every integer key but `seed`, and the second as a sample count
+and as an order above the order bound. So the sweep allocates little
+memory.
 """
 
 from __future__ import annotations
