@@ -28,6 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .blocks import SERIAL_CHUNK_LEN
 from .exceptions import ConditioningError, ConfigurationError, InsufficientDataError
 from .waveforms import IqBuffer
 
@@ -156,24 +157,56 @@ class PolyBasis:
 
 def evaluate_branches(x, basis: PolyBasis) -> np.ndarray:
     """Every branch polynomial at x, double precision: one row per branch,
-    main orders ascending, then conjugate (the `branch_slices` order).
-    |x|^2 and its powers are computed once for the whole set."""
+    main orders ascending, then conjugate (the `branch_slices` order), each
+    row shaped like x.
+
+    |x|^2 and its powers are computed once for the whole set. A branch's
+    envelope is 0 + u[m] |x|^(m-1) summed over its member orders m from low
+    to high, then multiplied by x or conj(x) as a complex128 value with a
+    zero imaginary part. Every step is one ufunc written with `out=` into a
+    few arrays and the rows of the result, so each row has the bits of that
+    sum written as a plain numpy expression, without a temporary per term.
+    The steps run over blocks of `SERIAL_CHUNK_LEN` samples, so the arrays
+    stay cache-sized; every step is elementwise, so the blocking changes no
+    bit.
+    """
     x = np.asarray(x, dtype=np.complex128)
-    r2 = x.real**2 + x.imag**2
-    powers = [np.ones_like(r2)]  # powers[j] = |x|^(2j), raised incrementally
-    for _ in range((basis.sets.main_orders[-1] - 1) // 2):
-        powers.append(powers[-1] * r2)
-    rows = []
-    for orders, table, base in (
-        (basis.sets.main_orders, basis.u_main, x),
-        (basis.sets.conj_orders, basis.u_conj, np.conj(x)),
-    ):
-        for order in orders:
-            envelope = np.zeros_like(r2)
-            for coeff, m in zip(table[order], _members(order, orders)):  # low to high
-                envelope = envelope + coeff * powers[(m - 1) // 2]
-            rows.append(envelope * base)
-    return np.stack(rows)
+    shape = x.shape
+    x = np.ascontiguousarray(x).reshape(-1)
+    out = np.empty((basis.sets.n_branches, x.size), dtype=np.complex128)
+    top = (basis.sets.main_orders[-1] - 1) // 2  # the highest power of |x|^2 used
+    size = min(SERIAL_CHUNK_LEN, x.size)
+    conj_ws, envelope_ws, term_ws = np.empty(size, np.complex128), np.empty(size), np.empty(size)
+    powers_ws = [np.empty(size) for _ in range(max(top, 1))]
+    for start in range(0, x.size, SERIAL_CHUNK_LEN):
+        block = x[start : start + SERIAL_CHUNK_LEN]
+        m = block.size
+        conj, envelope, term = conj_ws[:m], envelope_ws[:m], term_ws[:m]
+        # powers[j] = |x|^(2j); 1 * r2 is r2 exactly, so powers[1] is r2.
+        powers = [None] + [p[:m] for p in powers_ws]
+        # r2 = re^2 + im^2, from the squares of the float64 view (held in `conj`).
+        squares = np.square(block.view(np.float64), out=conj.view(np.float64))
+        np.add(squares[0::2], squares[1::2], out=powers[1])
+        for j in range(2, top + 1):
+            np.multiply(powers[j - 1], powers[1], out=powers[j])
+        np.conjugate(block, out=conj)
+        rows = iter(out[:, start : start + m])
+        for orders, table, base in (
+            (basis.sets.main_orders, basis.u_main, block),
+            (basis.sets.conj_orders, basis.u_conj, conj),
+        ):
+            for order in orders:
+                for k, (coeff, member) in enumerate(zip(table[order], _members(order, orders))):
+                    if member == 1:
+                        term.fill(coeff)  # coeff * |x|^0
+                    else:
+                        np.multiply(coeff, powers[(member - 1) // 2], out=term)
+                    # The first term is added to 0, as to a zero-filled envelope.
+                    np.add(envelope if k else 0.0, term, out=envelope)
+                row = next(rows)
+                np.copyto(row, envelope)
+                np.multiply(row, base, out=row)
+    return out.reshape((len(out),) + shape)
 
 
 def _lower_triangular_inverse(chol: np.ndarray) -> np.ndarray:

@@ -27,12 +27,8 @@ import numpy as np
 
 from .exceptions import ConfigurationError, CorrectnessError
 from .basis import AphConfig
-from .predistorter import (
-    CoefficientVector,
-    default_chunk_len,
-    predistort_parallel,
-    predistort_serial,
-)
+from .blocks import default_chunk_len
+from .predistorter import CoefficientVector, predistort_parallel, predistort_serial
 from .waveforms import IqBuffer, white_gaussian
 
 BENCH_CSV_HEADER = [

@@ -24,13 +24,11 @@ import numpy as np
 
 from .analysis import band_power_db, suppression_db, welch_psd, write_spectrum_csv
 from .bench import run_bench, write_bench_csv
-from .blocks import usable_cpus
+from .blocks import PARALLEL_CHUNK_LEN, SERIAL_CHUNK_LEN, usable_cpus
 from .config import coefficients_to_json_dict, load_coefficients, load_experiment_config
 from .exceptions import DpdError
 from .iqfile import read_iq, write_iq
 from .predistorter import (
-    PARALLEL_CHUNK_LEN,
-    SERIAL_CHUNK_LEN,
     CoefficientVector,
     identity_coefficients,
     predistort_parallel,
@@ -151,8 +149,8 @@ def _cmd_bench(args) -> int:
 
 
 _CHUNK_LEN_HELP = (
-    f"samples per engine chunk (default: {SERIAL_CHUNK_LEN} on one worker, "
-    f"{PARALLEL_CHUNK_LEN} on more)"
+    f"samples per engine chunk (default: the block length of every block stage, "
+    f"{SERIAL_CHUNK_LEN} on one worker, {PARALLEL_CHUNK_LEN} on more)"
 )
 
 

@@ -26,7 +26,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import welch_step
-from .basis import ORTHOGONAL, PLAIN, AphConfig, BranchSets, PolyBasis, fit_orthogonal_basis
+from .basis import (
+    ORTHOGONAL,
+    PLAIN,
+    AphConfig,
+    BranchSets,
+    PolyBasis,
+    _check_orders,
+    fit_orthogonal_basis,
+)
 from .exceptions import ConfigurationError
 from .impairments import IqModulatorModel, PaModel, TxChain
 from .predistorter import CoefficientVector
@@ -388,7 +396,14 @@ def _basis_from_json(doc: dict) -> PolyBasis:
     mode = _require(doc, "mode", where)
     if mode not in (PLAIN, ORTHOGONAL):
         raise ConfigurationError(f"'{where}mode' must be plain or orthogonal, got {mode!r}")
-    sets = BranchSets(_integer_list(doc, "I_P", where), _integer_list(doc, "I_Q", where))
+    main, conj = (_integer_list(doc, key, where) for key in ("I_P", "I_Q"))
+    # BranchSets names its own fields; check each list under its key first.
+    _check_orders(f"'{where}I_P'", main)
+    _check_orders(f"'{where}I_Q'", conj)
+    try:
+        sets = BranchSets(main, conj)
+    except ConfigurationError as err:
+        raise ConfigurationError(f"'{where}I_P' and '{where}I_Q': {err}") from err
 
     def tables(orders, name):
         rows = _require(doc, name, where)

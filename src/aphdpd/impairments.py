@@ -17,9 +17,11 @@ conjugate branches and constant offset exist to cancel.
 All evaluation is pure, elementwise, and double precision internally.
 `pa_evaluate` and `iq_modulate` define the chain's arithmetic.
 `run_tx_chain` runs the same ufunc loops block by block on
-`blocks.map_blocks`, in a workspace each worker makes once per call, so a
-block allocates nothing and the chain's speed does not depend on glibc's
-mmap threshold (see `predistorter`). Its output equals
+`blocks.map_blocks`, in blocks of the engine's length rule
+(`blocks.default_chunk_len`: 16 Ki samples on one worker, 64 Ki on more),
+in a workspace each worker makes once per call, so a block allocates
+nothing and the chain's speed does not depend on glibc's mmap threshold
+(see `predistorter`). Its output equals
 pa_evaluate(iq_modulate(x)) cast to complex64, bit for bit, or it raises
 DivergenceError when a block overflows single precision.
 """
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import BLOCK_LEN, map_blocks
+from .blocks import default_chunk_len, map_blocks
 from .exceptions import ConfigurationError, DivergenceError
 from .waveforms import IqBuffer
 
@@ -150,12 +152,13 @@ def iq_modulate(x, m: IqModulatorModel):
 
 def run_tx_chain(x: IqBuffer, chain: TxChain, n_workers: int = 1) -> IqBuffer:
     """Modulator then PA over a buffer, cast to complex64, in blocks of
-    `BLOCK_LEN` samples on `n_workers` threads. The chain is elementwise,
-    so neither the blocking nor the worker count can change a bit. The
-    working memory is the output plus one workspace of min(BLOCK_LEN,
-    len(x)) samples per worker."""
+    `default_chunk_len(n_workers)` samples on `n_workers` threads. The
+    chain is elementwise, so neither the blocking nor the worker count can
+    change a bit. The working memory is the output plus one workspace of
+    min(block length, len(x)) samples per worker."""
+    block_len = default_chunk_len(n_workers)
     try:
-        out = map_blocks(chain._evaluate, x.samples, BLOCK_LEN, n_workers, _TxWorkspace)
+        out = map_blocks(chain._evaluate, x.samples, block_len, n_workers, _TxWorkspace)
     except FloatingPointError as err:
         msg = f"transmit chain output overflows single precision ({err}); reduce the drive level"
         raise DivergenceError(msg) from err

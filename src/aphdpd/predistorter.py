@@ -34,13 +34,15 @@ Per sample, branch envelopes are evaluated once from low to high order with
 incremental magnitude powers (r2, then r2*r2, ...), so lower-order partial
 results are reused by higher-order branches.
 
-The chunks run on `blocks.map_blocks`, which gives each worker one
-workspace of arrays; every step is a ufunc writing into it with `out=`, so
-a chunk allocates nothing. That keeps the engine's speed independent of
-glibc's dynamic mmap threshold, under which chunk-sized temporaries become
-an mmap and a munmap each until some large free raises it. Storing a
-result in a workspace array instead of a new one runs the same ufunc loop
-on the same operands, so the bits are the same.
+The chunks run on `blocks.map_blocks`, at the one block-length rule of
+its stages (`blocks.default_chunk_len`: 16 Ki samples on one worker,
+64 Ki on more) unless the caller gives a length. `map_blocks` gives each
+worker one workspace of arrays; every step is a ufunc writing into it
+with `out=`, so a chunk allocates nothing. That keeps the engine's speed
+independent of glibc's dynamic mmap threshold, under which chunk-sized
+temporaries become an mmap and a munmap each until some large free
+raises it. Storing a result in a workspace array instead of a new one
+runs the same ufunc loop on the same operands, so the bits are the same.
 
 This module only computes; `config` writes and reads the coefficient file.
 """
@@ -52,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import AphConfig, _members
-from .blocks import map_blocks
+from .blocks import default_chunk_len, map_blocks
 from .exceptions import ConfigurationError, DivergenceError
 from .waveforms import IqBuffer
 
@@ -216,21 +218,6 @@ class _CompiledKernel:
             else:
                 np.add(acc, branch_acc, out=acc)
         np.add(acc[skip:], self.c, out=out)
-
-
-# Chunk length when none is given, by worker count. One worker runs
-# cache-sized chunks. More workers run longer ones: each numpy call of a
-# chunk hands the GIL over, and at 16 Ki samples those handoffs cost more
-# than the cache saves. At 16 Mi samples on a 2-vCPU x86 host (numpy 2.4):
-# one worker 0.40-0.42 s at 16 Ki against 0.46-0.48 s at 64 Ki; two
-# workers 0.61-0.63 s at 16 Ki against 0.27-0.28 s at 64 Ki.
-SERIAL_CHUNK_LEN = 1 << 14
-PARALLEL_CHUNK_LEN = 1 << 16
-
-
-def default_chunk_len(n_workers: int) -> int:
-    """The engine's chunk length on `n_workers` workers when none is given."""
-    return SERIAL_CHUNK_LEN if n_workers == 1 else PARALLEL_CHUNK_LEN
 
 
 def predistort_serial(x: IqBuffer, coeffs: CoefficientVector, cfg: AphConfig) -> IqBuffer:

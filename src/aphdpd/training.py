@@ -19,6 +19,19 @@ not worsen the linearization NMSE on a fixed validation stimulus made once
 per session. The per-iteration NMSE series is then non-increasing by
 construction, and the final coefficients are the best validated ones.
 
+Each piece of work is done once where it can be:
+* once per session: the validation stimulus, its complex128 copy and its
+  energy sum |x|^2, which every gate's gain and NMSE share;
+* once per iteration: the stimulus, its predistortion z and chain output
+  s, one complex128 copy of each (z serves both the gain and the target
+  of the normal equations; s is divided by the gain in place), one
+  evaluation of the branch set, the normal equations and their solve;
+* once per gate: the candidate's predistortion and chain output, cast to
+  complex128 once, then divided by the gain and reduced to the error in
+  place.
+The reference lives in `ila_train`'s frame, never in a module-level cache,
+so sessions run back to back in one process share nothing.
+
 Overflow follows the block runner's rule: the predistorter and the chain
 (`run_tx_chain`) raise DivergenceError. For the kept coefficients, at the
 baseline and in each iteration's training pass, that ends training; a
@@ -36,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import nmse_db
+from .analysis import _energy, _error_db
 from .basis import _MOMENT_COND_LIMIT, AphConfig, build_normal_equations
 from .exceptions import (
     ConditioningError,
@@ -128,11 +141,14 @@ def estimate_gain(pa_in: IqBuffer, pa_out: IqBuffer) -> complex:
             f"buffers must be nonempty and equal length, got {len(pa_in)} vs {len(pa_out)}"
         )
     a = pa_in.samples.astype(np.complex128)
-    b = pa_out.samples.astype(np.complex128)
-    denom = float(np.sum(a.real**2 + a.imag**2))
-    if denom == 0.0:
+    return _gain(a, pa_out.samples.astype(np.complex128), _energy(a))
+
+
+def _gain(a: np.ndarray, b: np.ndarray, a_energy: float) -> complex:
+    """`estimate_gain` over complex128 samples, given sum |a|^2."""
+    if a_energy == 0.0:
         raise DegenerateInputError("cannot estimate gain from an all-zero input")
-    return complex(np.vdot(a, b) / denom)
+    return complex(np.vdot(a, b) / a_energy)
 
 
 def normal_matrix_condition(normal: np.ndarray) -> float:
@@ -183,15 +199,29 @@ def _single_precision(h: np.ndarray) -> CoefficientVector | None:
 
 
 def _linearization_nmse_db(
-    chain: TxChain, cfg: AphConfig, coeffs: CoefficientVector, stimulus: IqBuffer
+    chain: TxChain,
+    cfg: AphConfig,
+    coeffs: CoefficientVector,
+    stimulus: IqBuffer,
+    reference: np.ndarray,
+    reference_energy: float,
 ) -> float:
     """NMSE (dB) between the gain-normalized chain output and the stimulus;
-    DivergenceError when the predistorter or the chain overflows."""
+    DivergenceError when the predistorter or the chain overflows.
+
+    `reference` is the stimulus in complex128 and `reference_energy` its
+    sum |x|^2, both made once per session. The output is cast to complex128
+    once, then divided by the gain and reduced to the error in place: the
+    value `nmse_db(s / gain, stimulus)` gives, to the bit.
+    """
     s = run_tx_chain(predistort_serial(stimulus, coeffs, cfg), chain)
-    gain = estimate_gain(stimulus, s)
+    err = s.samples.astype(np.complex128)
+    gain = _gain(reference, err, reference_energy)
     if gain == 0:
         return float("inf")
-    return nmse_db(s.samples.astype(np.complex128) / gain, stimulus.samples)
+    np.divide(err, gain, out=err)
+    np.subtract(err, reference, out=err)
+    return _error_db(err, reference_energy)
 
 
 def ila_train(
@@ -218,8 +248,16 @@ def ila_train(
             f"n_training_samples={m} is below 10x the coefficient count ({10 * n_coeff})"
         )
     validation = make_waveform(m, tcfg.seed)
+    reference = validation.samples.astype(np.complex128)
+    reference_energy = _energy(reference)
+
+    def gate(candidate: CoefficientVector) -> float:
+        return _linearization_nmse_db(
+            chain, cfg, candidate, validation, reference, reference_energy
+        )
+
     coeffs = identity_coefficients(cfg)
-    baseline_nmse = current_nmse = _linearization_nmse_db(chain, cfg, coeffs, validation)
+    baseline_nmse = current_nmse = gate(coeffs)
     if baseline_nmse >= 0.0:
         raise DivergenceError(
             f"baseline NMSE {baseline_nmse:+.2f} dB is no better than a zero output: "
@@ -231,12 +269,13 @@ def ila_train(
     for i in range(1, tcfg.iterations + 1):
         z = predistort_serial(make_waveform(m, tcfg.seed + i), coeffs, cfg)
         s = run_tx_chain(z, chain)
-        gain = estimate_gain(z, s)
+        target = z.samples.astype(np.complex128)
+        feedback = s.samples.astype(np.complex128)
+        gain = _gain(target, feedback, _energy(target))
+        np.divide(feedback, gain, out=feedback)
 
-        regressor = IqBuffer(
-            (s.samples.astype(np.complex128) / gain).astype(np.complex64), s.sample_rate_hz
-        )
-        normal = build_normal_equations(regressor, z.samples, cfg)
+        regressor = IqBuffer(feedback.astype(np.complex64), s.sample_rate_hz)
+        normal = build_normal_equations(regressor, target, cfg)
         # Proportional to the mean Gram diagonal: strong enough to absorb
         # degenerate regressor directions, far too weak to bias a
         # well-posed fit.
@@ -248,7 +287,7 @@ def ila_train(
         candidate_nmse = float("inf")
         if candidate is not None:
             try:
-                candidate_nmse = _linearization_nmse_db(chain, cfg, candidate, validation)
+                candidate_nmse = gate(candidate)
             except DivergenceError:
                 pass
         accepted = candidate_nmse <= current_nmse

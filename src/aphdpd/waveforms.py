@@ -2,10 +2,12 @@
 
 Carriers are OFDM-like random-QAM multitones: every FFT-grid bin inside the
 occupied bandwidth gets an independent 16-QAM symbol, the inverse FFT of the
-whole buffer is one cyclic-prefix-free symbol. Built that way the waveform is
-*exactly* band-limited on its own grid (no symbol-joint splatter) while
-keeping the ~10 dB PAPR of a Gaussian-like multitone, which is what drives a
-polynomial PA into visible spectral regrowth.
+whole buffer is one cyclic-prefix-free symbol. A bin is inside when its
+frequency f on numpy's `fftfreq` grid has |f| <= BW/2 (`_occupied_bins`).
+Built that way the waveform is *exactly* band-limited on its own grid (no
+symbol-joint splatter) while keeping the ~10 dB PAPR of a Gaussian-like
+multitone, which is what drives a polynomial PA into visible spectral
+regrowth.
 
 All generation is deterministic per (spec, seed, n): one Generator per call,
 no shared RNG state.
@@ -23,6 +25,26 @@ from .exceptions import ConfigurationError, DegenerateInputError
 
 # 16-QAM rail levels, normalized to unit mean symbol energy.
 _QAM16_LEVELS = np.array([-3.0, -1.0, 1.0, 3.0]) / np.sqrt(10.0)
+
+
+def _abs2(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """re^2 + im^2 of contiguous complex samples, flattened, in float64,
+    filled into `out` (a new array when None) one block of `BLOCK_LEN`
+    samples at a time.
+
+    Each value is the one z.astype(complex128) gives in
+    `z.real**2 + z.imag**2`, so a mean or a sum over the result has the
+    bits of that expression's, without its three whole-buffer temporaries.
+    """
+    if out is None:
+        out = np.empty(z.size)
+    parts = z.reshape(-1).view(z.real.dtype)
+    squares = np.empty(2 * min(BLOCK_LEN, z.size))
+    for start in range(0, z.size, BLOCK_LEN):
+        block = parts[2 * start : 2 * (start + BLOCK_LEN)]
+        sq = np.square(block, out=squares[: block.size], dtype=np.float64)
+        np.add(sq[0::2], sq[1::2], out=out[start : start + block.size // 2])
+    return out
 
 
 def _all_finite(samples: np.ndarray) -> bool:
@@ -94,8 +116,7 @@ class IqBuffer:
         """Root-mean-square amplitude, computed in double precision."""
         if not self.samples.size:
             return 0.0
-        s = self.samples.astype(np.complex128)
-        return float(np.sqrt(np.mean(s.real**2 + s.imag**2)))
+        return float(np.sqrt(np.mean(_abs2(self.samples))))
 
 
 @dataclass(frozen=True)
@@ -142,7 +163,7 @@ def generate_carrier(
     x = _qam_spectrum(spec.bandwidth_hz, n_samples, sample_rate_hz, rng)
     np.fft.ifft(x, out=x)
 
-    x /= np.sqrt(np.mean(x.real**2 + x.imag**2))  # unit mean power at baseband
+    x /= np.sqrt(np.mean(_abs2(x)))  # unit mean power at baseband
 
     # Frequency shift and gain in place, one block at a time, so they need
     # no whole-buffer temporaries. The in-place products are the ones the
@@ -168,14 +189,47 @@ def generate_carrier(
     return IqBuffer(out, sample_rate_hz)
 
 
+def _occupied_bins(n_samples: int, sample_rate_hz: float, bandwidth_hz: float) -> np.ndarray:
+    """Indices, ascending, of the FFT bins whose frequency f lies within
+    bandwidth_hz/2 of DC: the bins k where
+    np.flatnonzero(np.abs(np.fft.fftfreq(n_samples, 1/fs)) <= bandwidth_hz/2)
+    is true, found without building the frequency grid.
+
+    fftfreq gives bin k the frequency fl(k * (1 / (n * d))), d = 1/fs, with
+    k in 0..ceil(n/2)-1 at the front and -floor(n/2)..-1 at the back. That
+    product is odd in k and, rounded, never decreases as |k| grows, so the
+    bins that pass the same test on |f| are 0..K and n-K'..n-1. K and K'
+    are found by bisection on that test, evaluated in the same float64
+    arithmetic.
+    """
+    step = 1.0 / (n_samples * (1.0 / sample_rate_hz))
+    half = bandwidth_hz / 2.0
+
+    def passing(top: int) -> int:
+        """How many of k = 0..top pass: the test holds on a prefix."""
+        lo, hi = 0, top + 1  # the count lies in [lo, hi]
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if abs((mid - 1) * step) <= half:
+                lo = mid
+            else:
+                hi = mid - 1
+        return lo
+
+    positive = passing((n_samples - 1) // 2)
+    negative = max(passing(n_samples // 2) - 1, 0)  # |k| = 1..n//2
+    return np.concatenate(
+        [np.arange(positive), np.arange(n_samples - negative, n_samples)]
+    )
+
+
 def _qam_spectrum(
     bandwidth_hz: float, n_samples: int, sample_rate_hz: float, rng: np.random.Generator
 ) -> np.ndarray:
     """A complex128 spectrum holding an independent 16-QAM symbol on every
-    bin whose frequency lies within bandwidth_hz/2 of DC, zero elsewhere."""
-    freqs = np.fft.fftfreq(n_samples, d=1.0 / sample_rate_hz)
-    occupied = np.flatnonzero(np.abs(freqs) <= bandwidth_hz / 2.0)
-    del freqs
+    bin whose frequency lies within bandwidth_hz/2 of DC (`_occupied_bins`),
+    zero elsewhere."""
+    occupied = _occupied_bins(n_samples, sample_rate_hz, bandwidth_hz)
     # The DC bin always qualifies, so `occupied` is never empty.
     symbols = rng.choice(_QAM16_LEVELS, size=occupied.size) + 1j * rng.choice(
         _QAM16_LEVELS, size=occupied.size
@@ -188,22 +242,50 @@ def _qam_spectrum(
 def compose_multicarrier(
     specs: list[CarrierSpec], n_samples: int, sample_rate_hz: float, seed: int
 ) -> IqBuffer:
-    """Sum several carriers (seed+index each) and renormalize to unit mean power."""
+    """Sum several carriers (seed+index each) and renormalize to unit mean power.
+
+    The sum is 0 + carrier 0 + carrier 1 + ... in complex128, in that order;
+    the 0 + turns a -0.0 part into +0.0. Several carriers are summed into
+    one complex128 buffer. One carrier is summed block by block, twice:
+    once for the mean power and once to normalise into its own complex64
+    samples, so it needs no whole-buffer complex128 copy.
+    """
     if not specs:
         raise ConfigurationError("compose_multicarrier needs at least one CarrierSpec")
     for spec in specs:
         spec.check_fits(sample_rate_hz)
 
-    total = np.zeros(n_samples, dtype=np.complex128)
+    total = None
     for i, spec in enumerate(specs):
-        carrier = generate_carrier(spec, n_samples, sample_rate_hz, seed + i)
-        total += carrier.samples.astype(np.complex128)
+        out = generate_carrier(spec, n_samples, sample_rate_hz, seed + i).samples
+        if len(specs) > 1:
+            if total is None:
+                total = np.zeros(n_samples, dtype=np.complex128)
+            total += out
+    # The result overwrites `out`, the last carrier, each block once summed.
+    scratch = np.empty(min(BLOCK_LEN, n_samples), dtype=np.complex128)
 
-    power = np.mean(total.real**2 + total.imag**2)
+    def summed(start: int) -> np.ndarray:
+        if total is not None:
+            return total[start : start + BLOCK_LEN]
+        block = scratch[: min(BLOCK_LEN, n_samples - start)]
+        np.copyto(block, out[start : start + BLOCK_LEN])
+        return np.add(block, 0.0, out=block)
+
+    starts = range(0, n_samples, BLOCK_LEN)
+    r2 = np.empty(n_samples)
+    for start in starts:
+        _abs2(summed(start), out=r2[start : start + BLOCK_LEN])
+    power = np.mean(r2)
     if power == 0.0:
         raise DegenerateInputError("composed waveform is all-zero")
-    total /= np.sqrt(power)
-    return IqBuffer(total.astype(np.complex64), sample_rate_hz)
+    del r2
+    root = np.sqrt(power)
+    for start in starts:
+        block = summed(start)
+        np.divide(block, root, out=block)
+        out[start : start + BLOCK_LEN] = block
+    return IqBuffer(out, sample_rate_hz)
 
 
 def white_gaussian(n_samples: int, rms: float, seed: int, sample_rate_hz: float) -> IqBuffer:

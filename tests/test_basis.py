@@ -29,7 +29,7 @@ from aphdpd import (
     fit_orthogonal_basis,
     parse_experiment_config,
 )
-from aphdpd.basis import _lower_triangular_inverse
+from aphdpd.basis import ORTHOGONAL, _lower_triangular_inverse
 from aphdpd.config import _BASIS_FIT_SEED_OFFSET, _basis_from_json, _basis_to_json
 from conftest import gram_schmidt_basis_rows, reference_basis_matrix
 
@@ -125,6 +125,55 @@ class TestEvaluateBranch:
         assert got.shape == (3, 50)
         assert_allclose(got[1], 2.0 * want[1], rtol=1e-12)
         assert_allclose(got[[0, 2]], want[[0, 2]], rtol=0, atol=0)
+
+    @pytest.mark.parametrize(
+        "basis_name", ["plain", "from-order-3", "single_carrier", "ca_3mhz_x2"]
+    )
+    @pytest.mark.parametrize("n", ["0-d", 1, 200_000])
+    def test_equals_per_branch_expressions(self, basis_name, n):
+        """Each row has the bits of its branch written as whole-array numpy
+        expressions, one branch at a time: 0 + u[m] * |x|^(m-1) summed
+        over the members from low to high, |x|^(m-1) raised from 1 by
+        repeated products with |x|^2, times x or conj(x). Across the
+        evaluator's blocks, for the plain basis, both shipped configs'
+        fitted bases and a basis whose branches start at order 3 (where
+        the 0 + turns a first term of -0.0 at x = 0 into +0.0), on one
+        sample and on a scalar."""
+        if basis_name == "plain":
+            basis = PolyBasis.plain(TABLE_SETS)
+        elif basis_name == "from-order-3":
+            sets = BranchSets((3, 5), (3,))
+            basis = PolyBasis(ORTHOGONAL, sets, {3: [-0.5], 5: [0.25, -1.5]}, {3: [-2.0]})
+        else:
+            config = SHIPPED_CONFIG.with_name(f"{basis_name}.json")
+            basis = parse_experiment_config(json.loads(config.read_text())).aph_config().basis
+        rng = np.random.default_rng(17)
+        size = 1 if n == "0-d" else n
+        x = (0.2 * (rng.normal(size=size) + 1j * rng.normal(size=size))).astype(np.complex64)
+        x = x.reshape(()) if n == "0-d" else x
+        if n == 200_000:
+            x[:4] = [0.0, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
+
+        def oracle_rows(x):
+            x = np.asarray(x, dtype=np.complex128)
+            r2 = x.real**2 + x.imag**2
+            for orders, table, base in (
+                (basis.sets.main_orders, basis.u_main, x),
+                (basis.sets.conj_orders, basis.u_conj, np.conj(x)),
+            ):
+                for order in orders:
+                    envelope = np.zeros_like(r2)
+                    for coeff, m in zip(table[order], [m for m in orders if m <= order]):
+                        power = np.ones_like(r2)
+                        for _ in range((m - 1) // 2):
+                            power = power * r2
+                        envelope = envelope + coeff * power
+                    yield envelope * base
+
+        got = evaluate_branches(x, basis)
+        want = np.stack(list(oracle_rows(x)))
+        assert got.shape == want.shape == (basis.sets.n_branches, *np.shape(x))
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_orthogonal_matches_gram_schmidt_oracle(self):
         training = _training_buffer(seed=8)

@@ -28,7 +28,15 @@ from aphdpd import (
     run_tx_chain,
     waveforms,
 )
-from aphdpd.blocks import BLOCK_LEN, map_blocks, run_blocks, usable_cpus
+from aphdpd.blocks import (
+    BLOCK_LEN,
+    PARALLEL_CHUNK_LEN,
+    SERIAL_CHUNK_LEN,
+    default_chunk_len,
+    map_blocks,
+    run_blocks,
+    usable_cpus,
+)
 
 
 class TestRunBlocks:
@@ -253,6 +261,28 @@ class TestMapBlocks:
     def test_rejects_nonpositive_workers(self, n_workers):
         with pytest.raises(ConfigurationError, match="n_workers"):
             self._record(np.zeros(8, dtype=np.complex64), 4, n_workers)
+
+    def test_default_chunk_len_by_worker_count(self):
+        assert default_chunk_len(1) == SERIAL_CHUNK_LEN == 1 << 14
+        assert default_chunk_len(2) == default_chunk_len(8) == PARALLEL_CHUNK_LEN == 1 << 16
+
+    @pytest.mark.parametrize("n_workers", [1, 2, 8])
+    def test_every_stage_follows_the_block_length_rule(self, monkeypatch, n_workers):
+        """The engine and the TX chain, given no length, both run blocks
+        of `default_chunk_len(n_workers)` samples."""
+        lengths = []
+
+        def recording(stage, x, block_len, *args, **kwargs):
+            lengths.append(block_len)
+            return map_blocks(stage, x, block_len, *args, **kwargs)
+
+        monkeypatch.setattr("aphdpd.predistorter.map_blocks", recording)
+        monkeypatch.setattr("aphdpd.impairments.map_blocks", recording)
+        cfg = AphConfig.default()
+        x = IqBuffer(np.full(100, 0.1 + 0.1j, dtype=np.complex64), 1e6)
+        predistort_parallel(x, identity_coefficients(cfg), cfg, n_workers=n_workers)
+        run_tx_chain(x, TxChain(IqModulatorModel(), PaModel(1.0)), n_workers)
+        assert lengths == [default_chunk_len(n_workers)] * 2
 
 
 class TestPerThread:

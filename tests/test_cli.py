@@ -708,6 +708,31 @@ class TestOrderBound:
         line = _one_error_line(capsys)
         assert line.startswith(f"{bad}: main_orders ") and "order bound 127" in line
 
+    @pytest.mark.parametrize(
+        "key, orders, rule",
+        [
+            ("I_P", [1, 3, 6], "must contain odd positive orders"),
+            ("I_P", [1, 3, 10**30 + 1], "above the order bound 127"),
+            ("I_Q", [3, 1], "must be strictly ascending"),
+        ],
+        ids=["even-order", "huge-order", "descending"],
+    )
+    def test_basis_orders_name_their_key(self, config_path, tmp_path, capsys, key, orders, rule):
+        """A rule broken in the basis block's order lists is reported under
+        that list's key, not under the layout's valid `main_orders` or
+        `conj_orders`."""
+        wave = str(tmp_path / "wave.iq")
+        cli.main(["generate", config_path, wave])
+        bad = Path(_identity_coeffs(config_path, tmp_path))
+        doc = json.loads(bad.read_text())
+        doc["layout"]["basis"][key] = orders
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert cli.main(["predistort", config_path, str(bad), wave, wave + ".o"]) == 1
+        line = _one_error_line(capsys)
+        assert line.startswith(f"{bad}: 'layout.basis.{key}' ") and rule in line
+        assert "main_orders" not in line and "conj_orders" not in line
+
 
 @pytest.mark.parametrize("value", [10**30, 2**62], ids=["1e30", "2^62"])
 def test_train_sample_count_numpy_cannot_index(tmp_path, monkeypatch, capsys, value):

@@ -19,7 +19,7 @@ from aphdpd import (
     pa_evaluate,
     run_tx_chain,
 )
-from aphdpd.blocks import BLOCK_LEN
+from aphdpd.blocks import BLOCK_LEN, SERIAL_CHUNK_LEN
 
 REF_PA = PaModel(
     alpha1=0.9490 - 0.0197j,
@@ -156,16 +156,28 @@ class TestTxChain:
         [REF_PA, PaModel(alpha1=1.0), PaModel(2.0 - 1.0j, 0.25), PaModel(1.0, 0.3j, -0.2)],
         ids=["complex", "real", "mixed-alpha1", "mixed-alpha3"],
     )
-    @pytest.mark.parametrize("n", [1, BLOCK_LEN - 1, BLOCK_LEN + 1, 3 * BLOCK_LEN + 5])
+    @pytest.mark.parametrize(
+        "n",
+        [
+            1,
+            SERIAL_CHUNK_LEN - 1,
+            SERIAL_CHUNK_LEN + 1,
+            3 * SERIAL_CHUNK_LEN + 5,
+            BLOCK_LEN - 1,
+            BLOCK_LEN + 1,
+            3 * BLOCK_LEN + 5,
+        ],
+    )
     def test_equals_the_elementwise_functions(self, rng, pa, n):
         """Each block runs in its worker's workspace; the bits are those of
         pa_evaluate(iq_modulate(x)) cast to complex64, for real, complex
-        and mixed PA coefficients, on one worker and two."""
+        and mixed PA coefficients, on one, two and eight workers, around
+        the block lengths of one worker (16 Ki) and of more (64 Ki)."""
         assert all(type(a) is complex for a in (pa.alpha1, pa.alpha3, pa.alpha5))
         x = (0.4 * (rng.normal(size=n) + 1j * rng.normal(size=n))).astype(np.complex64)
         chain = TxChain(IqModulatorModel(1.0, 5.0, 0.0112 + 0.0112j), pa)
         want = pa_evaluate(iq_modulate(x, chain.modulator), pa).astype(np.complex64)
-        for n_workers in (1, 2):
+        for n_workers in (1, 2, 8):
             got = run_tx_chain(IqBuffer(x, 1e6), chain, n_workers).samples
             assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 

@@ -35,12 +35,7 @@ from aphdpd import (
     predistort_parallel,
     predistort_serial,
 )
-from aphdpd.predistorter import (
-    PARALLEL_CHUNK_LEN,
-    SERIAL_CHUNK_LEN,
-    _CompiledKernel,
-    default_chunk_len,
-)
+from aphdpd.predistorter import _CompiledKernel
 from conftest import reference_kernel, reference_predistort
 
 CFG = AphConfig.default()
@@ -269,10 +264,6 @@ class TestKernelBits:
             assert_array_equal(
                 got.samples.view(np.uint64), want.view(np.uint64), err_msg=f"workers={workers}"
             )
-
-    def test_default_chunk_len_by_worker_count(self):
-        assert default_chunk_len(1) == SERIAL_CHUNK_LEN == 1 << 14
-        assert default_chunk_len(2) == default_chunk_len(8) == PARALLEL_CHUNK_LEN == 1 << 16
 
     def test_memory_does_not_grow_with_length(self):
         """Each worker evaluates its chunks in one workspace, allocated on

@@ -10,7 +10,12 @@ equations that training builds.
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,10 +38,11 @@ from aphdpd import (
     estimate_gain,
     identity_coefficients,
     ila_train,
+    nmse_db,
     predistort_serial,
     run_tx_chain,
 )
-from aphdpd.training import _lstsq_ridge
+from aphdpd.training import _linearization_nmse_db, _lstsq_ridge
 from conftest import gaussian_waveform as WAVE
 from conftest import reference_basis_matrix
 
@@ -189,6 +195,59 @@ class TestIlaTrain:
         coeffs_b, report_b = ila_train(REF_CHAIN, CFG, tcfg, WAVE)
         assert_array_equal(coeffs_a.h, coeffs_b.h)
         assert report_a.to_json_list() == report_b.to_json_list()
+
+    def test_back_to_back_sessions_equal_sessions_run_alone(self):
+        """Sessions on different seeds, run one after the other in one
+        process, give the reports each gives in a process of its own: no
+        session's validation reference reaches the next."""
+        code = (
+            "import json\n"
+            "from aphdpd import AphConfig, IqModulatorModel, PaModel, TrainingConfig, TxChain\n"
+            "from aphdpd import ila_train\n"
+            "from aphdpd.waveforms import white_gaussian\n"
+            "chain = TxChain(IqModulatorModel(1.0, 5.0, 0.0112 + 0.0112j),\n"
+            "                PaModel(0.9490 - 0.0197j, 0.4885 + 0.1071j, -1.0156 - 0.0474j))\n"
+            "tcfg = TrainingConfig(n_training_samples=2000, iterations=2, seed=SEED)\n"
+            "_, report = ila_train(chain, AphConfig.default(), tcfg,\n"
+            "                      lambda n, seed: white_gaussian(n, 0.15, seed, 1.0))\n"
+            "print(json.dumps([report.baseline_nmse_db, report.to_json_list()]))\n"
+        )
+        root = Path(__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        in_turn = {}
+        for seed in (3, 11):
+            tcfg = TrainingConfig(n_training_samples=2000, iterations=2, seed=seed)
+            _, report = ila_train(REF_CHAIN, CFG, tcfg, WAVE)
+            in_turn[seed] = json.loads(
+                json.dumps([report.baseline_nmse_db, report.to_json_list()])
+            )
+        assert in_turn[3] != in_turn[11]
+        for seed, got in in_turn.items():
+            proc = subprocess.run(
+                [sys.executable, "-c", code.replace("SEED", str(seed))],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert json.loads(proc.stdout) == got, seed
+
+    @pytest.mark.parametrize("coefficients", ["identity", "trained"])
+    def test_gate_equals_nmse_of_the_normalized_output(self, coefficients):
+        """The gate's NMSE from the session's reference is the float
+        nmse_db gives for the output divided by the estimated gain, at the
+        baseline and near -69 dB, where a last-bit change in the
+        normalized output moves the result."""
+        stimulus = WAVE(3000, 8)
+        coeffs = identity_coefficients(CFG)
+        if coefficients == "trained":
+            tcfg = TrainingConfig(n_training_samples=2000, iterations=2, seed=8)
+            coeffs, _ = ila_train(REF_CHAIN, CFG, tcfg, WAVE)
+        s = run_tx_chain(predistort_serial(stimulus, coeffs, CFG), REF_CHAIN)
+        gain = estimate_gain(stimulus, s)
+        want = nmse_db(s.samples.astype(np.complex128) / gain, stimulus.samples)
+        reference = stimulus.samples.astype(np.complex128)
+        energy = float(np.sum(reference.real**2 + reference.imag**2))
+        got = _linearization_nmse_db(REF_CHAIN, CFG, coeffs, stimulus, reference, energy)
+        assert got == want
 
     def test_report_structure(self):
         _, report = ila_train(

@@ -20,6 +20,7 @@ from aphdpd import (
     normalize_power,
 )
 from aphdpd.blocks import BLOCK_LEN
+from aphdpd.waveforms import _occupied_bins
 from conftest import reference_generate_carrier
 
 FS = 61.44e6
@@ -140,6 +141,39 @@ class TestGenerateCarrier:
             return
         buf = generate_carrier(CarrierSpec(offset, bandwidth), 20_000, FS, seed)
         assert buf.rms() == pytest.approx(1.0, abs=1e-3)
+
+
+class TestOccupiedBins:
+    @staticmethod
+    def _bandwidths(n):
+        """The shipped carriers' bandwidths, one narrower than a bin, the
+        whole band, and a bandwidth whose half lands exactly on the
+        frequency fftfreq gives bin n // 3, with one ulp either side."""
+        on_bin = 2.0 * np.fft.fftfreq(n, 1.0 / FS)[n // 3]
+        return [
+            9e6,
+            2.7e6,
+            0.5 * FS / n,
+            FS,
+            on_bin,
+            np.nextafter(on_bin, 0.0),
+            np.nextafter(on_bin, np.inf),
+        ]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4096, 12345, 200000, 200001])
+    def test_equals_the_fftfreq_selection(self, n):
+        for bandwidth in self._bandwidths(n):
+            want = np.flatnonzero(np.abs(np.fft.fftfreq(n, 1.0 / FS)) <= bandwidth / 2.0)
+            got = _occupied_bins(n, FS, bandwidth)
+            assert_array_equal(got, want, err_msg=f"bandwidth {bandwidth!r}")
+
+    def test_a_bin_on_the_band_edge_counts(self):
+        """The test is <=: the bin whose frequency is exactly half the
+        bandwidth is occupied, and one ulp less bandwidth drops it."""
+        n = 4096
+        on_bin = 2.0 * np.fft.fftfreq(n, 1.0 / FS)[100]
+        assert _occupied_bins(n, FS, on_bin).size == 2 * 100 + 1
+        assert _occupied_bins(n, FS, np.nextafter(on_bin, 0.0)).size == 2 * 99 + 1
 
 
 class TestCompose:
