@@ -30,7 +30,7 @@ import numpy as np
 
 from .blocks import SERIAL_CHUNK_LEN
 from .exceptions import ConditioningError, ConfigurationError, InsufficientDataError
-from .waveforms import IqBuffer
+from .waveforms import IqBuffer, _abs2
 
 # Sample moment matrices with condition numbers beyond this are treated as
 # degenerate (constant-modulus inputs make them exactly rank one).
@@ -240,8 +240,7 @@ def fit_orthogonal_basis(training: IqBuffer, sets: BranchSets) -> PolyBasis:
             f"need at least {10 * sets.n_branches} training samples for "
             f"{sets.n_branches} basis functions, got {len(training)}"
         )
-    x = training.samples.astype(np.complex128)
-    r2 = x.real**2 + x.imag**2
+    r2 = _abs2(training.samples)
 
     def _rms() -> float:
         return float(np.sqrt(np.mean(r2)))

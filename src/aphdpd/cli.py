@@ -16,6 +16,7 @@ All failures print a single `error: ...` line to stderr and exit nonzero
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -45,7 +46,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _write_json(doc, path) -> None:
-    with open(path, "w") as fh:
+    """`doc` as indented JSON and a newline, to the file at `path` or, when
+    `path` is None, to stdout."""
+    with open(path, "w") if path is not None else contextlib.nullcontext(sys.stdout) as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
 
@@ -103,10 +106,7 @@ def _cmd_evaluate(args) -> int:
     buf_a = read_iq(args.in_iq)
     spec_a = welch_psd(buf_a, cfg.nfft, cfg.overlap, n_workers=workers)
     if args.in_iq_b is None:
-        if args.out is None:
-            write_spectrum_csv(spec_a, sys.stdout)
-        else:
-            write_spectrum_csv(spec_a, args.out)
+        write_spectrum_csv(spec_a, sys.stdout if args.out is None else args.out)
         return 0
     buf_b = read_iq(args.in_iq_b)
     spec_b = welch_psd(buf_b, cfg.nfft, cfg.overlap, n_workers=workers)
@@ -121,12 +121,7 @@ def _cmd_evaluate(args) -> int:
                 "suppression_db": suppression_db(spec_a, spec_b, lo, hi),
             }
         )
-    doc = {"reference": args.in_iq, "test": args.in_iq_b, "bands": bands}
-    if args.out is None:
-        json.dump(doc, sys.stdout, indent=2)
-        sys.stdout.write("\n")
-    else:
-        _write_json(doc, args.out)
+    _write_json({"reference": args.in_iq, "test": args.in_iq_b, "bands": bands}, args.out)
     return 0
 
 

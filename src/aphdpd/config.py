@@ -3,7 +3,7 @@
 Loading is strict in both directions — a missing required key and an
 unrecognized key are both errors that name the offending key — because a
 silently ignored typo ("tapsmain") would change experiment results without
-any visible failure.
+any visible failure. Each JSON object has one key table, read by `_fields`.
 
 The document aggregates everything a run needs: sampling, carriers, the
 predistorter structure, training knobs, the simulated chain impairments,
@@ -55,21 +55,37 @@ _BASIS_FIT_SEED_OFFSET = 500
 _INT64 = np.iinfo(np.int64)
 _MAX_SAMPLES = np.iinfo(np.intp).max // np.dtype(np.complex128).itemsize
 
-_REQUIRED = object()
+_REQUIRED = object()  # a key the object must give
+_OWN = object()  # an optional key that keeps the dataclass field's own default
 
 
-def _require(doc: dict, key: str, where: str, default=_REQUIRED):
-    if key in doc:
-        return doc[key]
-    if default is _REQUIRED:
-        raise ConfigurationError(f"missing required key '{where}{key}'")
-    return default
-
-
-def _reject_unknown(doc: dict, allowed, where: str) -> None:
-    unknown = sorted(set(doc) - set(allowed))
+def _fields(doc: dict, where: str, table: dict) -> dict:
+    """The keys of the JSON object `doc` read by `table`, which maps each key
+    to (parser of (value, dotted name), default). The default is _REQUIRED,
+    _OWN (the key is left out of the result) or a value."""
+    unknown = sorted(set(doc) - set(table))
     if unknown:
         raise ConfigurationError(f"unknown key '{where}{unknown[0]}'")
+    out = {}
+    for key, (parse, default) in table.items():
+        if key in doc:
+            out[key] = parse(doc[key], f"{where}{key}")
+        elif default is _REQUIRED:
+            raise ConfigurationError(f"missing required key '{where}{key}'")
+        elif default is not _OWN:
+            out[key] = default
+    return out
+
+
+def _json_object(value, name: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigurationError(f"'{name}' must be a JSON object, got {value!r}")
+    return value
+
+
+def _object(table: dict, into=dict):
+    """Parser of a JSON object read by `table`, giving `into(**fields)`."""
+    return lambda value, name: into(**_fields(_json_object(value, name), f"{name}.", table))
 
 
 # JSON booleans are Python ints; neither a count nor a quantity may be one.
@@ -82,19 +98,32 @@ def _is_number(value) -> bool:
     return (_is_int(value) or isinstance(value, float)) and math.isfinite(value)
 
 
-def _number(doc: dict, key: str, where: str, default=_REQUIRED) -> float:
-    value = _require(doc, key, where, default)
+def _number(value, name: str) -> float:
     if not _is_number(value):
-        raise ConfigurationError(f"'{where}{key}' must be a finite number, got {value!r}")
+        raise ConfigurationError(f"'{name}' must be a finite number, got {value!r}")
     return float(value)
 
 
-def _integer(doc: dict, key: str, where: str, default=_REQUIRED) -> int:
-    value = _require(doc, key, where, default)
+def _positive(value, name: str) -> float:
+    x = _number(value, name)
+    if x <= 0:
+        raise ConfigurationError(f"'{name}' must be positive, got {x}")
+    return x
+
+
+def _integer(value, name: str) -> int:
     if not _is_int(value):
-        raise ConfigurationError(f"'{where}{key}' must be an integer, got {value!r}")
+        raise ConfigurationError(f"'{name}' must be an integer, got {value!r}")
     if not _INT64.min <= value <= _INT64.max:
-        raise ConfigurationError(f"'{where}{key}' must be a 64-bit integer, got {value}")
+        raise ConfigurationError(f"'{name}' must be a 64-bit integer, got {value}")
+    return value
+
+
+def _seed(value, name: str) -> int:  # of any size: numpy seeds a generator with it
+    if not _is_int(value):
+        raise ConfigurationError(f"'{name}' must be an integer, got {value!r}")
+    if value < 0:
+        raise ConfigurationError(f"'{name}' must be >= 0, got {value}")
     return value
 
 
@@ -105,35 +134,47 @@ def _check_sample_count(n: int, key: str, limit: int) -> None:
         )
 
 
-def _integer_list(doc: dict, key: str, where: str) -> tuple[int, ...]:
-    value = _require(doc, key, where)
+def _integer_list(value, name: str) -> tuple[int, ...]:
     if not isinstance(value, list) or not all(map(_is_int, value)):
-        raise ConfigurationError(f"'{where}{key}' must be a list of integers, got {value!r}")
+        raise ConfigurationError(f"'{name}' must be a list of integers, got {value!r}")
     return tuple(value)
 
 
-def _section(doc: dict, key: str, where: str = "") -> dict:
-    value = _require(doc, key, where)
-    if not isinstance(value, dict):
-        raise ConfigurationError(f"'{where}{key}' must be a JSON object, got {value!r}")
+def _basis_mode(value, name: str) -> str:
+    if value not in (PLAIN, ORTHOGONAL):
+        raise ConfigurationError(f"'{name}' must be plain or orthogonal, got {value!r}")
     return value
 
 
-def _complex_pair(value, where: str) -> complex:
+def _complex_pair(value, name: str) -> complex:
     if not isinstance(value, (list, tuple)) or len(value) != 2 or not all(map(_is_number, value)):
-        raise ConfigurationError(f"'{where}' must be a [re, im] pair, got {value!r}")
+        raise ConfigurationError(f"'{name}' must be a [re, im] pair, got {value!r}")
     return complex(value[0], value[1])
 
 
-def _single_pair(value, where: str) -> complex:
+def _single_pair(value, name: str) -> complex:
     """A [re, im] pair whose parts stay finite in single precision, the
     precision the predistorter computes in."""
-    z = _complex_pair(value, where)
+    z = _complex_pair(value, name)
     with np.errstate(over="ignore"):
         fits = np.isfinite(np.complex64(z))
     if not fits:
-        raise ConfigurationError(f"'{where}' does not fit in single precision, got {value!r}")
+        raise ConfigurationError(f"'{name}' does not fit in single precision, got {value!r}")
     return z
+
+
+def _list_of(parse, what: str):
+    """Parser of a JSON list whose entries `parse` reads, giving a tuple."""
+
+    def parse_list(value, name: str) -> tuple:
+        if not isinstance(value, list):
+            raise ConfigurationError(f"'{name}' must be a list of {what}, got {value!r}")
+        return tuple(parse(entry, f"{name}[{i}]") for i, entry in enumerate(value))
+
+    return parse_list
+
+
+_single_pairs = _list_of(_single_pair, "[re, im] pairs")
 
 
 @dataclass(frozen=True)
@@ -187,155 +228,116 @@ class ExperimentConfig:
         return AphConfig(self.branch_sets, self.taps_main, self.taps_conj, basis)
 
 
-def _parse_taps(value, n_branches: int, where: str) -> tuple[int, ...]:
-    if _is_int(value):
-        return (value,) * n_branches
-    if isinstance(value, list) and all(map(_is_int, value)):
-        if len(value) != n_branches:
-            raise ConfigurationError(
-                f"'{where}' lists {len(value)} tap counts for {n_branches} branches"
-            )
-        return tuple(value)
-    raise ConfigurationError(f"'{where}' must be an int or list of ints, got {value!r}")
+def _taps(value, name: str) -> int | list[int]:
+    """One tap count for every branch (an int), or one per branch (a list)."""
+    if _is_int(value) or isinstance(value, list) and all(map(_is_int, value)):
+        return value
+    raise ConfigurationError(f"'{name}' must be an int or list of ints, got {value!r}")
+
+
+def _per_branch(taps, n_branches: int, name: str) -> tuple[int, ...]:
+    taps = (taps,) * n_branches if _is_int(taps) else tuple(taps)
+    if len(taps) != n_branches:
+        raise ConfigurationError(f"'{name}' lists {len(taps)} tap counts for {n_branches} branches")
+    return taps
+
+
+def _band(value, name: str) -> tuple[float, float]:
+    if not isinstance(value, list) or len(value) != 2 or not all(map(_is_number, value)):
+        raise ConfigurationError(f"'{name}' must be a [f_lo, f_hi] pair")
+    lo, hi = float(value[0]), float(value[1])
+    if not lo < hi:
+        raise ConfigurationError(f"'{name}' must have f_lo < f_hi")
+    return lo, hi
+
+
+# The key table of each object in the experiment document.
+_CARRIER = {
+    "center_offset_hz": (_number, _REQUIRED),
+    "bandwidth_hz": (_number, _REQUIRED),
+    "power_db": (_number, _OWN),
+}
+_DPD = {
+    "max_order_main": (_integer, _REQUIRED),
+    "max_order_conj": (_integer, _REQUIRED),
+    "taps_main": (_taps, _REQUIRED),
+    "taps_conj": (_taps, _REQUIRED),
+    "basis_mode": (_basis_mode, _REQUIRED),
+}
+_TRAINING = {
+    "n_training_samples": (_integer, _REQUIRED),
+    "iterations": (_integer, _OWN),
+}
+_PA = {
+    "alpha1": (_complex_pair, _REQUIRED),
+    "alpha3": (_complex_pair, _OWN),
+    "alpha5": (_complex_pair, _OWN),
+}
+_IQ_MODULATOR = {
+    "gain_imbalance_db": (_number, _OWN),
+    "phase_imbalance_deg": (_number, _OWN),
+    "lo_leakage": (_complex_pair, _OWN),
+}
+_ANALYSIS = {
+    "nfft": (_integer, 4096),
+    "overlap": (_number, 0.5),
+    "bands": (_list_of(_band, "[f_lo, f_hi] pairs"), _REQUIRED),
+}
+_CONFIG = {
+    "sample_rate_hz": (_positive, _REQUIRED),
+    "n_samples": (_integer, _REQUIRED),
+    "seed": (_seed, _REQUIRED),
+    "drive_rms": (_positive, _REQUIRED),
+    "carriers": (_list_of(_object(_CARRIER, CarrierSpec), "carrier objects"), _REQUIRED),
+    "dpd": (_object(_DPD), _REQUIRED),
+    "training": (_object(_TRAINING), _REQUIRED),
+    "pa": (_object(_PA, PaModel), _REQUIRED),
+    "iq_modulator": (_object(_IQ_MODULATOR, IqModulatorModel), _REQUIRED),
+    "analysis": (_object(_ANALYSIS), _REQUIRED),
+}
 
 
 def parse_experiment_config(doc: dict, seed_override: int | None = None) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ConfigurationError("config document must be a JSON object")
-    top_allowed = (
-        "sample_rate_hz",
-        "n_samples",
-        "seed",
-        "drive_rms",
-        "carriers",
-        "dpd",
-        "training",
-        "pa",
-        "iq_modulator",
-        "analysis",
-    )
-    _reject_unknown(doc, top_allowed, "")
-
-    fs = _number(doc, "sample_rate_hz", "")
-    n_samples = _integer(doc, "n_samples", "")
-    seed = _require(doc, "seed", "")  # of any size: numpy seeds a generator with it
-    if not _is_int(seed):
-        raise ConfigurationError(f"'seed' must be an integer, got {seed!r}")
-    drive_rms = _number(doc, "drive_rms", "")
+    top = _fields(doc, "", _CONFIG)
+    fs, n_samples, seed = top["sample_rate_hz"], top["n_samples"], top["seed"]
     if n_samples < 1:
         raise ConfigurationError(f"'n_samples' must be >= 1, got {n_samples}")
     _check_sample_count(n_samples, "n_samples", _MAX_SAMPLES)
-    if drive_rms <= 0:
-        raise ConfigurationError(f"'drive_rms' must be positive, got {drive_rms}")
-    if seed < 0:
-        raise ConfigurationError(f"'seed' must be >= 0, got {seed}")
     if seed_override is not None:
         seed = int(seed_override)
         if seed < 0:
             raise ConfigurationError(f"{SEED_ENV_VAR} must be >= 0, got {seed}")
-
-    raw_carriers = _require(doc, "carriers", "")
-    if not isinstance(raw_carriers, list) or not raw_carriers:
+    if not top["carriers"]:
         raise ConfigurationError("'carriers' must be a nonempty list")
-    carriers = []
-    for i, entry in enumerate(raw_carriers):
-        where = f"carriers[{i}]."
-        if not isinstance(entry, dict):
-            raise ConfigurationError(f"'carriers[{i}]' must be a JSON object, got {entry!r}")
-        _reject_unknown(entry, ("center_offset_hz", "bandwidth_hz", "power_db"), where)
-        spec = CarrierSpec(
-            _number(entry, "center_offset_hz", where),
-            _number(entry, "bandwidth_hz", where),
-            _number(entry, "power_db", where, 0.0),
-        )
+    for spec in top["carriers"]:
         spec.check_fits(fs)
-        carriers.append(spec)
 
-    dpd = _section(doc, "dpd")
-    _reject_unknown(
-        dpd, ("max_order_main", "max_order_conj", "taps_main", "taps_conj", "basis_mode"), "dpd."
-    )
-    sets = BranchSets.odd_orders_up_to(
-        _integer(dpd, "max_order_main", "dpd."),
-        _integer(dpd, "max_order_conj", "dpd."),
-    )
-    taps_main = _parse_taps(
-        _require(dpd, "taps_main", "dpd."), len(sets.main_orders), "dpd.taps_main"
-    )
-    taps_conj = _parse_taps(
-        _require(dpd, "taps_conj", "dpd."), len(sets.conj_orders), "dpd.taps_conj"
-    )
-    basis_mode = _require(dpd, "basis_mode", "dpd.")
-    if basis_mode not in (PLAIN, ORTHOGONAL):
-        raise ConfigurationError(f"'dpd.basis_mode' must be plain or orthogonal, got {basis_mode!r}")
+    dpd = top["dpd"]
+    sets = BranchSets.odd_orders_up_to(dpd["max_order_main"], dpd["max_order_conj"])
+    taps_main = _per_branch(dpd["taps_main"], len(sets.main_orders), "dpd.taps_main")
+    taps_conj = _per_branch(dpd["taps_conj"], len(sets.conj_orders), "dpd.taps_conj")
 
-    tr = _section(doc, "training")
-    _reject_unknown(tr, ("n_training_samples", "iterations"), "training.")
-    training = TrainingConfig(
-        n_training_samples=_integer(tr, "n_training_samples", "training."),
-        iterations=_integer(tr, "iterations", "training.", 3),
-        seed=seed,
-    )
+    training = TrainingConfig(**top["training"], seed=seed)
     # The orthogonal basis is fitted on twice as many samples (`aph_config`).
     _check_sample_count(
         training.n_training_samples, "training.n_training_samples", _MAX_SAMPLES // 2
     )
 
-    pa_doc = _section(doc, "pa")
-    _reject_unknown(pa_doc, ("alpha1", "alpha3", "alpha5"), "pa.")
-    pa = PaModel(
-        _complex_pair(_require(pa_doc, "alpha1", "pa."), "pa.alpha1"),
-        _complex_pair(pa_doc.get("alpha3", [0.0, 0.0]), "pa.alpha3"),
-        _complex_pair(pa_doc.get("alpha5", [0.0, 0.0]), "pa.alpha5"),
-    )
-
-    mod_doc = _section(doc, "iq_modulator")
-    _reject_unknown(
-        mod_doc, ("gain_imbalance_db", "phase_imbalance_deg", "lo_leakage"), "iq_modulator."
-    )
-    modulator = IqModulatorModel(
-        _number(mod_doc, "gain_imbalance_db", "iq_modulator.", 0.0),
-        _number(mod_doc, "phase_imbalance_deg", "iq_modulator.", 0.0),
-        _complex_pair(mod_doc.get("lo_leakage", [0.0, 0.0]), "iq_modulator.lo_leakage"),
-    )
-
-    an = _section(doc, "analysis")
-    _reject_unknown(an, ("nfft", "overlap", "bands"), "analysis.")
-    nfft = _integer(an, "nfft", "analysis.", 4096)
-    overlap = _number(an, "overlap", "analysis.", 0.5)
-    welch_step(nfft, overlap)
-    raw_bands = _require(an, "bands", "analysis.")
-    if not isinstance(raw_bands, list):
-        raise ConfigurationError("'analysis.bands' must be a list of [f_lo, f_hi] pairs")
-    bands = []
-    for i, band in enumerate(raw_bands):
-        if not isinstance(band, list) or len(band) != 2 or not all(map(_is_number, band)):
-            raise ConfigurationError(f"'analysis.bands[{i}]' must be a [f_lo, f_hi] pair")
-        lo, hi = float(band[0]), float(band[1])
-        if not lo < hi:
-            raise ConfigurationError(f"'analysis.bands[{i}]' must have f_lo < f_hi")
+    an = top["analysis"]
+    welch_step(an["nfft"], an["overlap"])
+    for i, (lo, hi) in enumerate(an["bands"]):
         if lo < -fs / 2 or hi > fs / 2:
             raise ConfigurationError(
                 f"'analysis.bands[{i}]' [{lo}, {hi}] extends beyond Nyquist (+-{fs / 2})"
             )
-        bands.append((lo, hi))
 
     return ExperimentConfig(
-        sample_rate_hz=fs,
-        n_samples=n_samples,
-        seed=seed,
-        drive_rms=drive_rms,
-        carriers=tuple(carriers),
-        branch_sets=sets,
-        taps_main=taps_main,
-        taps_conj=taps_conj,
-        basis_mode=basis_mode,
-        training=training,
-        pa=pa,
-        modulator=modulator,
-        nfft=nfft,
-        overlap=overlap,
-        bands=tuple(bands),
+        sample_rate_hz=fs, n_samples=n_samples, seed=seed, drive_rms=top["drive_rms"],
+        carriers=top["carriers"], branch_sets=sets, taps_main=taps_main, taps_conj=taps_conj,
+        basis_mode=dpd["basis_mode"], training=training, pa=top["pa"],
+        modulator=top["iq_modulator"], **an,
     )
 
 
@@ -388,46 +390,61 @@ def _basis_to_json(basis: PolyBasis) -> dict:
     }
 
 
+def _real_row(value, name: str) -> np.ndarray:
+    """[re, im] pairs with zero imaginary parts, as one float64 array."""
+    values = _single_pairs(value, name)
+    if any(v.imag != 0.0 for v in values):
+        raise ConfigurationError(f"'{name}': non-real coefficients unsupported")
+    return np.array([v.real for v in values], dtype=np.float64)
+
+
+# The key table of each object in the coefficient file.
+_BASIS = {
+    "mode": (_basis_mode, _REQUIRED),
+    "I_P": (_integer_list, _REQUIRED),
+    "I_Q": (_integer_list, _REQUIRED),
+    "u_main": (_list_of(_real_row, "rows"), _REQUIRED),
+    "u_conj": (_list_of(_real_row, "rows"), _REQUIRED),
+}
+_LAYOUT = {
+    "main_orders": (_integer_list, _REQUIRED),
+    "conj_orders": (_integer_list, _REQUIRED),
+    "taps_main": (_integer_list, _REQUIRED),
+    "taps_conj": (_integer_list, _REQUIRED),
+    # Read by _BASIS in _basis_from_json, after the layout's own orders
+    # pass, so a fault in those is reported under their keys first.
+    "basis": (_json_object, _REQUIRED),
+}
+_COEFFICIENTS = {
+    "h": (_single_pairs, _REQUIRED),
+    "c": (_single_pair, _REQUIRED),
+    "layout": (_object(_LAYOUT), _REQUIRED),
+}
+
+
 def _basis_from_json(doc: dict) -> PolyBasis:
     """Inverse of _basis_to_json. A malformed or unknown field, or a table entry
     that does not fit in single precision, raises ConfigurationError naming its key."""
     where = "layout.basis."
-    _reject_unknown(doc, ("mode", "I_P", "I_Q", "u_main", "u_conj"), where)
-    mode = _require(doc, "mode", where)
-    if mode not in (PLAIN, ORTHOGONAL):
-        raise ConfigurationError(f"'{where}mode' must be plain or orthogonal, got {mode!r}")
-    main, conj = (_integer_list(doc, key, where) for key in ("I_P", "I_Q"))
+    basis = _fields(doc, where, _BASIS)
     # BranchSets names its own fields; check each list under its key first.
-    _check_orders(f"'{where}I_P'", main)
-    _check_orders(f"'{where}I_Q'", conj)
+    _check_orders(f"'{where}I_P'", basis["I_P"])
+    _check_orders(f"'{where}I_Q'", basis["I_Q"])
     try:
-        sets = BranchSets(main, conj)
+        sets = BranchSets(basis["I_P"], basis["I_Q"])
     except ConfigurationError as err:
         raise ConfigurationError(f"'{where}I_P' and '{where}I_Q': {err}") from err
 
-    def tables(orders, name):
-        rows = _require(doc, name, where)
-        if not isinstance(rows, list) or len(rows) != len(orders):
+    def table(orders, key):
+        rows = basis[key]
+        if len(rows) != len(orders):
             raise ConfigurationError(
-                f"'{where}{name}' must list one row per branch ({len(orders)}), got {rows!r}"
+                f"'{where}{key}' lists {len(rows)} rows for {len(orders)} branches"
             )
-        out = {}
-        for i, (order, row) in enumerate(zip(orders, rows)):
-            if not isinstance(row, list):
-                raise ConfigurationError(
-                    f"'{where}{name}[{i}]' must be a list of [re, im] pairs, got {row!r}"
-                )
-            values = [_single_pair(v, f"{where}{name}[{i}][{j}]") for j, v in enumerate(row)]
-            if any(v.imag != 0.0 for v in values):
-                raise ConfigurationError(
-                    f"'{where}{name}[{i}]': non-real coefficients unsupported"
-                )
-            out[order] = np.array([v.real for v in values], dtype=np.float64)
-        return out
+        return dict(zip(orders, rows))
 
-    return PolyBasis(
-        mode, sets, tables(sets.main_orders, "u_main"), tables(sets.conj_orders, "u_conj")
-    )
+    main, conj = table(sets.main_orders, "u_main"), table(sets.conj_orders, "u_conj")
+    return PolyBasis(basis["mode"], sets, main, conj)
 
 
 def coefficients_to_json_dict(coeffs: CoefficientVector, cfg: AphConfig) -> dict:
@@ -449,37 +466,18 @@ def coefficients_to_json_dict(coeffs: CoefficientVector, cfg: AphConfig) -> dict
 
 
 def coefficients_from_json_dict(doc: dict) -> tuple[CoefficientVector, AphConfig]:
-    """Rebuild coefficients plus the AphConfig they were trained under.
-
-    Parsed as strictly as the experiment config: `h` must be a list of
-    [re, im] number pairs, `c` one such pair, `layout` an object of integer
-    lists plus the basis, and no key may be unknown. Every tap, the
-    constant and every basis entry must fit in single precision. A
-    malformed value raises ConfigurationError naming its key.
-    """
+    """Rebuild coefficients plus the AphConfig they were trained under, read
+    by the key tables above as strictly as the experiment config. Every tap,
+    the constant and every basis entry must fit in single precision; a
+    malformed value raises ConfigurationError naming its key."""
     if not isinstance(doc, dict):
         raise ConfigurationError("a coefficient file must hold a JSON object")
-    _reject_unknown(doc, ("h", "c", "layout"), "")
-    if not isinstance(doc.get("h"), list):
-        raise ConfigurationError(f"'h' must be a list of [re, im] pairs, got {doc.get('h')!r}")
-    filters = [_single_pair(pair, f"h[{i}]") for i, pair in enumerate(doc["h"])]
-    c = _single_pair(doc.get("c"), "c")
-    layout = _section(doc, "layout")
-    where = "layout."
-    _reject_unknown(
-        layout, ("main_orders", "conj_orders", "taps_main", "taps_conj", "basis"), where
-    )
-    cfg = AphConfig(
-        BranchSets(
-            _integer_list(layout, "main_orders", where),
-            _integer_list(layout, "conj_orders", where),
-        ),
-        _integer_list(layout, "taps_main", where),
-        _integer_list(layout, "taps_conj", where),
-        _basis_from_json(_section(layout, "basis", where)),
-    )
-    h = np.array(filters + [c], dtype=np.complex64)
-    coeffs = CoefficientVector(h)
+    top = _fields(doc, "", _COEFFICIENTS)
+    layout = top["layout"]
+    sets = BranchSets(layout["main_orders"], layout["conj_orders"])
+    basis = _basis_from_json(layout["basis"])
+    cfg = AphConfig(sets, layout["taps_main"], layout["taps_conj"], basis)
+    coeffs = CoefficientVector(np.array([*top["h"], top["c"]], dtype=np.complex64))
     cfg.check_length(coeffs)
     return coeffs, cfg
 

@@ -61,7 +61,7 @@ class PaModel:
 class IqModulatorModel:
     gain_imbalance_db: float = 0.0
     phase_imbalance_deg: float = 0.0
-    lo_leakage: complex = 0.0
+    lo_leakage: complex = 0j
 
     def __post_init__(self):
         for name in ("gain_imbalance_db", "phase_imbalance_deg", "lo_leakage"):

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import _is_int, _is_number, _read_json
+from .config import _integer, _number, _read_json
 from .exceptions import ConfigurationError
 from .waveforms import IqBuffer
 
@@ -68,15 +68,13 @@ def _read_sidecar(meta_file: Path, n_held: int) -> tuple[float, int]:
         raise ConfigurationError(f"{meta_file}: sidecar must be a JSON object")
     if "sample_rate_hz" not in meta:
         raise ConfigurationError(f"{meta_file}: sidecar missing 'sample_rate_hz'")
-    rate = meta["sample_rate_hz"]
-    if not _is_number(rate):
-        raise ConfigurationError(
-            f"{meta_file}: 'sample_rate_hz' must be a finite number, got {rate!r}"
+    try:
+        return (
+            _number(meta["sample_rate_hz"], "sample_rate_hz"),
+            _integer(meta.get("n_samples", n_held), "n_samples"),
         )
-    n = meta.get("n_samples", n_held)
-    if not _is_int(n):
-        raise ConfigurationError(f"{meta_file}: 'n_samples' must be an integer, got {n!r}")
-    return float(rate), n
+    except ConfigurationError as err:
+        raise ConfigurationError(f"{meta_file}: {err}") from err
 
 
 def read_iq(path: str | Path) -> IqBuffer:

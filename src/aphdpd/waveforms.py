@@ -292,7 +292,7 @@ def white_gaussian(n_samples: int, rms: float, seed: int, sample_rate_hz: float)
     """Complex white Gaussian noise scaled, in double precision, to an exact RMS."""
     rng = np.random.default_rng(seed)
     x = rng.normal(size=n_samples) + 1j * rng.normal(size=n_samples)
-    x *= rms / np.sqrt(np.mean(x.real**2 + x.imag**2))
+    x *= rms / np.sqrt(np.mean(_abs2(x)))
     return IqBuffer(x.astype(np.complex64), sample_rate_hz)
 
 

@@ -578,6 +578,30 @@ class TestConfigGainBounds:
         assert not out.exists()
 
 
+class TestSampleRate:
+    """A sample rate of zero or below is refused under its own key. A
+    positive rate too low for the carrier is refused by the carrier rule,
+    which names both."""
+
+    @pytest.mark.parametrize(
+        "rate, expected",
+        [
+            (0, "'sample_rate_hz' must be positive, got 0.0"),
+            (-61.44e6, "'sample_rate_hz' must be positive, got -61440000.0"),
+            (1e-300, "carrier at 0.0 Hz with bandwidth 9000000.0 Hz exceeds Nyquist "
+                     "for fs=1e-300 Hz"),
+        ],
+        ids=["zero", "negative", "tiny"],
+    )
+    def test_one_error_line(self, tmp_path, monkeypatch, capsys, rate, expected):
+        monkeypatch.delenv("DPD_SEED", raising=False)
+        config = _config_variant(tmp_path, "rate.json", sample_rate_hz=rate)
+        out = tmp_path / "out.iq"
+        assert cli.main(["generate", config, str(out)]) == 1
+        assert _one_error_line(capsys) == expected
+        assert not out.exists()
+
+
 def test_import_needs_no_scipy():
     """The package runs on numpy alone; importing it is most of the
     start-up of every `dpd` command."""

@@ -145,6 +145,35 @@ class TestParse:
         assert cfg.seed == 99
 
 
+# Each optional key: how to read it from the parsed config, and the
+# default the README's config section gives it.
+OPTIONAL_DEFAULTS = {
+    "carriers.0.power_db": (lambda cfg: cfg.carriers[0].power_db, 0.0),
+    "training.iterations": (lambda cfg: cfg.training.iterations, 3),
+    "pa.alpha3": (lambda cfg: cfg.pa.alpha3, 0j),
+    "pa.alpha5": (lambda cfg: cfg.pa.alpha5, 0j),
+    "iq_modulator.gain_imbalance_db": (lambda cfg: cfg.modulator.gain_imbalance_db, 0.0),
+    "iq_modulator.phase_imbalance_deg": (lambda cfg: cfg.modulator.phase_imbalance_deg, 0.0),
+    "iq_modulator.lo_leakage": (lambda cfg: cfg.modulator.lo_leakage, 0j),
+    "analysis.nfft": (lambda cfg: cfg.nfft, 4096),
+    "analysis.overlap": (lambda cfg: cfg.overlap, 0.5),
+}
+
+
+@pytest.mark.parametrize("key", list(OPTIONAL_DEFAULTS))
+def test_optional_key_takes_its_documented_default(key):
+    """An optional key left out parses to its default, of the default's type."""
+    read, default = OPTIONAL_DEFAULTS[key]
+    doc = _doc()
+    *parents, leaf = key.split(".")
+    node = doc
+    for step in parents:
+        node = node[int(step) if step.isdigit() else step]
+    del node[leaf]
+    value = read(parse_experiment_config(doc))
+    assert value == default and type(value) is type(default)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=-(2**64), max_value=2**128))
 def test_any_seed_draws_or_is_rejected(seed):
