@@ -1,5 +1,6 @@
 """The one block runner behind every long stage: the predistortion engine,
-the TX chain, the Welch PSD and a carrier's frequency shift and gain.
+the TX chain, the Welch PSD, the passes of a carrier's four-step inverse
+FFT, and a carrier's frequency shift and gain.
 
 A stage splits its stream into blocks, computes each block by a function of
 the block's start alone, and either writes disjoint output slices or returns

@@ -216,10 +216,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except DpdError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except OSError as err:
+    except (DpdError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except MemoryError as err:

@@ -119,6 +119,12 @@ def _integer(value, name: str) -> int:
     return value
 
 
+def _count(value, name: str) -> int:
+    if _integer(value, name) < 1:
+        raise ConfigurationError(f"'{name}' must be >= 1, got {value}")
+    return value
+
+
 def _seed(value, name: str) -> int:  # of any size: numpy seeds a generator with it
     if not _is_int(value):
         raise ConfigurationError(f"'{name}' must be an integer, got {value!r}")
@@ -254,7 +260,7 @@ def _band(value, name: str) -> tuple[float, float]:
 # The key table of each object in the experiment document.
 _CARRIER = {
     "center_offset_hz": (_number, _REQUIRED),
-    "bandwidth_hz": (_number, _REQUIRED),
+    "bandwidth_hz": (_positive, _REQUIRED),
     "power_db": (_number, _OWN),
 }
 _DPD = {
@@ -265,8 +271,8 @@ _DPD = {
     "basis_mode": (_basis_mode, _REQUIRED),
 }
 _TRAINING = {
-    "n_training_samples": (_integer, _REQUIRED),
-    "iterations": (_integer, _OWN),
+    "n_training_samples": (_count, _REQUIRED),
+    "iterations": (_count, _OWN),
 }
 _PA = {
     "alpha1": (_complex_pair, _REQUIRED),
@@ -285,7 +291,7 @@ _ANALYSIS = {
 }
 _CONFIG = {
     "sample_rate_hz": (_positive, _REQUIRED),
-    "n_samples": (_integer, _REQUIRED),
+    "n_samples": (_count, _REQUIRED),
     "seed": (_seed, _REQUIRED),
     "drive_rms": (_positive, _REQUIRED),
     "carriers": (_list_of(_object(_CARRIER, CarrierSpec), "carrier objects"), _REQUIRED),
@@ -302,8 +308,6 @@ def parse_experiment_config(doc: dict, seed_override: int | None = None) -> Expe
         raise ConfigurationError("config document must be a JSON object")
     top = _fields(doc, "", _CONFIG)
     fs, n_samples, seed = top["sample_rate_hz"], top["n_samples"], top["seed"]
-    if n_samples < 1:
-        raise ConfigurationError(f"'n_samples' must be >= 1, got {n_samples}")
     _check_sample_count(n_samples, "n_samples", _MAX_SAMPLES)
     if seed_override is not None:
         seed = int(seed_override)

@@ -9,6 +9,17 @@ symbol-joint splatter) while keeping the ~10 dB PAPR of a Gaussian-like
 multitone, which is what drives a polynomial PA into visible spectral
 regrowth.
 
+The inverse FFT of a carrier runs in place (`_ifft_in_place`). numpy's
+`np.fft.ifft(x, out=x)` of n samples allocates about two more n-sample
+complex128 buffers (scratch and twiddles) beside the spectrum, so from
+n = 2048² up a square length n = m·m takes a four-step (Bailey) IFFT
+instead: m-point transforms in batches of a few rows or columns, on up
+to 4 usable CPUs, and an in-place transpose of the m × m matrix. Only squares
+take it, because only a square matrix transposes in place; a rectangular
+one would need a second whole buffer. Every other length keeps numpy's
+bits. The four-step result agrees with numpy's to about 1e-15 of the RMS,
+and the worker count never changes its bits.
+
 All generation is deterministic per (spec, seed, n): one Generator per call,
 no shared RNG state.
 """
@@ -16,15 +27,32 @@ no shared RNG state.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blocks import BLOCK_LEN, run_blocks
+from .blocks import BLOCK_LEN, run_blocks, usable_cpus
 from .exceptions import ConfigurationError, DegenerateInputError
 
 # 16-QAM rail levels, normalized to unit mean symbol energy.
 _QAM16_LEVELS = np.array([-3.0, -1.0, 1.0, 3.0]) / np.sqrt(10.0)
+
+# The smallest side m of a square length m·m that takes the four-step IFFT
+# (2048² = 2^22 samples); the columns or rows per batch of its passes and
+# the side of its transpose tiles; and the length of its short twiddle
+# table (`_four_step_ifft`).
+_FOUR_STEP_MIN_SIDE = 2048
+_FOUR_STEP_BATCH = 64
+_TWIDDLE_SPLIT = 64
+
+# Most batches the four-step IFFT has in flight at once, whatever the CPU
+# count. Each worker holds an m × `_FOUR_STEP_BATCH` complex128 buffer
+# (4 MB at 4096²): `dpd generate` at 16 Mi samples (2 vCPUs, threads
+# oversubscribed) peaks at 426, 432, 440, 458, 492 and 528 MB RSS on 1, 2,
+# 4, 8, 16 and 32 workers without the cap. The cap keeps that growth
+# bounded on any core count.
+_FOUR_STEP_MAX_WORKERS = 4
 
 
 def _abs2(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -154,6 +182,12 @@ def generate_carrier(
     The carrier occupies [center − BW/2, center + BW/2] and has unit mean
     power before the spec's power_db scaling is applied. A power that
     overflows single precision raises ConfigurationError.
+
+    The inverse FFT runs in place in the complex128 spectrum
+    (`_ifft_in_place`): a square n_samples of 2048² or more takes the
+    four-step IFFT on up to 4 usable CPUs, since a square matrix transposes
+    in place and the transform then needs no second whole buffer; every
+    other length takes numpy's IFFT and keeps its bits.
     """
     if n_samples <= 0:
         raise ConfigurationError(f"n_samples must be positive, got {n_samples}")
@@ -161,7 +195,7 @@ def generate_carrier(
 
     rng = np.random.default_rng(seed)
     x = _qam_spectrum(spec.bandwidth_hz, n_samples, sample_rate_hz, rng)
-    np.fft.ifft(x, out=x)
+    _ifft_in_place(x)
 
     x /= np.sqrt(np.mean(_abs2(x)))  # unit mean power at baseband
 
@@ -187,6 +221,89 @@ def generate_carrier(
         msg = f"carrier power_db {spec.power_db} overflows single precision ({err})"
         raise ConfigurationError(msg) from err
     return IqBuffer(out, sample_rate_hz)
+
+
+def _ifft_in_place(x: np.ndarray) -> None:
+    """Overwrite the complex128 samples x with their inverse FFT.
+
+    A square length n = m·m with m >= `_FOUR_STEP_MIN_SIDE` takes
+    `_four_step_ifft` on `usable_cpus()` workers, at most
+    `_FOUR_STEP_MAX_WORKERS`; any other length `np.fft.ifft(x, out=x)`,
+    bit for bit.
+    """
+    m = math.isqrt(x.size)
+    if m >= _FOUR_STEP_MIN_SIDE and m * m == x.size:
+        _four_step_ifft(x.reshape(m, m), min(usable_cpus(), _FOUR_STEP_MAX_WORKERS))
+    else:
+        np.fft.ifft(x, out=x)
+
+
+def _four_step_ifft(a: np.ndarray, n_workers: int) -> None:
+    """Overwrite the m × m complex128 matrix a, the row-major view of an
+    n = m·m spectrum X, with the view of X's inverse FFT.
+
+    With A[k2, k1] = X[k1 + m·k2] and x[j2 + m·j1] the output:
+    1. each column k1 is inverse-transformed over k2, giving B[j2, k1];
+    2. B[j2, k1] is multiplied by the twiddle e^{+2πi·j2·k1/n};
+    3. each row j2 is inverse-transformed over k1, giving C[j2, j1],
+       which is x[j2 + m·j1], as the two 1/m scales make numpy's 1/n;
+    4. the matrix is transposed in place, swapping tiles, so
+       a[j1, j2] = C[j2, j1].
+    Steps 1 and 2 copy a batch of `_FOUR_STEP_BATCH` columns, as they lie,
+    into a contiguous per-worker buffer, transform it along its first
+    axis and copy it back (at 4096² on a 2-vCPU x86 host, one worker:
+    0.52 s, against 0.96 s transforming the strided columns in place).
+    With j2 = s·h + l and s = `_TWIDDLE_SPLIT`, the twiddle is
+    e^{+2πi·s·h·k1/n} · e^{+2πi·l·k1/n}; both phases are integers below
+    n, exact before they become float64, and each batch computes its own
+    two short tables, so no n-entry table is built. Every pass splits
+    into batches that `run_blocks` computes independently, so the worker
+    count changes no bit.
+    """
+    m = a.shape[0]
+    step, split = _FOUR_STEP_BATCH, _TWIDDLE_SPLIT
+    groups = -(-m // split)
+    scale = 2.0 * np.pi / (m * m)
+    local = threading.local()
+
+    def batch_buffer() -> np.ndarray:
+        """This worker's groups·split × step buffer; rows from m on stay 0."""
+        if not hasattr(local, "buf"):
+            local.buf = np.zeros((groups * split, step), np.complex128)
+        return local.buf
+
+    def columns(k0: int) -> None:
+        cols = a[:, k0 : k0 + step]
+        k1 = np.arange(k0, k0 + cols.shape[1])
+        buf = batch_buffer()[:, : k1.size]
+        np.copyto(buf[:m], cols)
+        np.fft.ifft(buf[:m], axis=0, out=buf[:m])
+        high = np.exp(1j * (scale * np.multiply.outer(split * np.arange(groups), k1)))
+        low = np.exp(1j * (scale * np.multiply.outer(np.arange(split), k1)))
+        by_group = buf.reshape(groups, split, k1.size)
+        by_group *= high[:, None]
+        by_group *= low
+        np.copyto(cols, buf[:m])
+
+    def transform_rows(j0: int) -> None:
+        block = a[j0 : j0 + step]
+        np.fft.ifft(block, out=block)
+
+    def swap_tiles(i0: int) -> None:
+        """Transpose the tiles on and right of the diagonal in tile row i0
+        with their mirror images below it."""
+        rows = slice(i0, i0 + step)
+        tile = batch_buffer()[:step]
+        for j0 in range(i0, m, step):
+            upper, lower = a[rows, j0 : j0 + step], a[j0 : j0 + step, rows]
+            saved = tile[: upper.shape[0], : upper.shape[1]]
+            np.copyto(saved, upper)
+            if j0 != i0:
+                np.copyto(upper, lower.T)
+            np.copyto(lower, saved.T)
+
+    for one_batch in (columns, transform_rows, swap_tiles):
+        run_blocks(one_batch, range(0, m, step), n_workers)
 
 
 def _occupied_bins(n_samples: int, sample_rate_hz: float, bandwidth_hz: float) -> np.ndarray:

@@ -602,6 +602,38 @@ class TestSampleRate:
         assert not out.exists()
 
 
+class TestRangeErrorsNameTheirPlace:
+    """A count below 1 or a bandwidth of zero is refused under its dotted
+    key, with the carrier's index, so a config with several carriers shows
+    which one is wrong."""
+
+    @pytest.mark.parametrize(
+        "overrides, expected",
+        [
+            (
+                {"training.n_training_samples": 0},
+                "'training.n_training_samples' must be >= 1, got 0",
+            ),
+            ({"training.iterations": 0}, "'training.iterations' must be >= 1, got 0"),
+            (
+                {"carriers": [
+                    FAST_DOC["carriers"][0],
+                    {"center_offset_hz": 10e6, "bandwidth_hz": 0, "power_db": 0.0},
+                ]},
+                "'carriers[1].bandwidth_hz' must be positive, got 0.0",
+            ),
+        ],
+        ids=["n_training_samples", "iterations", "bandwidth_hz"],
+    )
+    def test_one_error_line(self, tmp_path, monkeypatch, capsys, overrides, expected):
+        monkeypatch.delenv("DPD_SEED", raising=False)
+        config = _config_variant(tmp_path, "range.json", **overrides)
+        out = tmp_path / "out.iq"
+        assert cli.main(["generate", config, str(out)]) == 1
+        assert _one_error_line(capsys) == expected
+        assert not out.exists()
+
+
 def test_import_needs_no_scipy():
     """The package runs on numpy alone; importing it is most of the
     start-up of every `dpd` command."""

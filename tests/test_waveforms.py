@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,11 +24,13 @@ from aphdpd import (
     generate_carrier,
     normalize_power,
 )
+from aphdpd import waveforms
 from aphdpd.blocks import BLOCK_LEN
-from aphdpd.waveforms import _occupied_bins
+from aphdpd.waveforms import _four_step_ifft, _ifft_in_place, _occupied_bins, _qam_spectrum
 from conftest import reference_generate_carrier
 
 FS = 61.44e6
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestIqBuffer:
@@ -120,7 +127,11 @@ class TestGenerateCarrier:
     @pytest.mark.parametrize("offset", [0.0, 5e6])
     def test_synthesis_memory_is_bounded(self, offset):
         """One complex128 working buffer plus the temporaries of its mean
-        power: at 1 Mi samples the peak stays within 4.5x the output."""
+        power: at 1 Mi samples the peak stays within 4.5x the output.
+
+        tracemalloc sees numpy's arrays but not the C++ scratch of numpy's
+        pocketfft, which `np.fft.ifft` allocates beside them, so
+        `TestGenerateMemory` reads the peak RSS of a `dpd` process."""
         spec = CarrierSpec(offset, 9e6, power_db=-3.0)
         tracemalloc.start()
         try:
@@ -141,6 +152,97 @@ class TestGenerateCarrier:
             return
         buf = generate_carrier(CarrierSpec(offset, bandwidth), 20_000, FS, seed)
         assert buf.rms() == pytest.approx(1.0, abs=1e-3)
+
+
+class TestInverseFft:
+    """`_ifft_in_place`: a four-step IFFT for a square length from 2048²
+    samples up, numpy's `np.fft.ifft` for every other length."""
+
+    @staticmethod
+    def _spectrum(n: int) -> np.ndarray:
+        rng = np.random.default_rng(n)
+        return rng.normal(size=n) + 1j * rng.normal(size=n)
+
+    @pytest.mark.parametrize("side", [2048, 2100], ids=["2048sq", "2100sq"])
+    def test_four_step_agrees_with_numpy(self, side):
+        """Within 1e-13 of the RMS, at a power of two and at a side that is
+        not one, nor a multiple of the batch (a short last batch and edge
+        tiles); the bits differ, so the four-step ran."""
+        x = self._spectrum(side * side)
+        want = np.fft.ifft(x)
+        _ifft_in_place(x)
+        rms = np.sqrt(np.mean(np.abs(want) ** 2))
+        assert np.max(np.abs(x - want)) <= 1e-13 * rms
+        assert not np.array_equal(x, want)
+
+    @pytest.mark.parametrize("n", [200_000, 2040 * 2040, 4_200_000])
+    def test_other_lengths_keep_numpy_bits(self, n):
+        """A square below 2048² and a non-square above it."""
+        x = self._spectrum(n)
+        want = np.fft.ifft(x)
+        _ifft_in_place(x)
+        assert_array_equal(x.view(np.uint64), want.view(np.uint64))
+
+    def test_worker_count_changes_no_bit(self):
+        """1, 2 and 8 workers, called past `_ifft_in_place`'s cap of 4."""
+        spectrum = self._spectrum(2048 * 2048)
+        results = []
+        for workers in (1, 2, 8):
+            x = spectrum.copy()
+            _four_step_ifft(x.reshape(2048, 2048), workers)
+            results.append(x.view(np.uint64))
+        for got in results[1:]:
+            assert_array_equal(got, results[0])
+
+    def test_worker_count_is_capped(self, monkeypatch):
+        """Each worker holds its own batch buffer, so a many-core host runs
+        at most 4 and memory does not grow with the core count."""
+        seen = []
+        monkeypatch.setattr(waveforms, "usable_cpus", lambda: 32)
+        monkeypatch.setattr(waveforms, "_four_step_ifft", lambda a, workers: seen.append(workers))
+        _ifft_in_place(np.zeros(2048 * 2048, dtype=np.complex128))
+        assert seen == [4]
+
+    def test_band_limit_at_the_double_precision_floor(self):
+        """A carrier's inverse FFT keeps the energy outside its occupied
+        bins at the double-precision floor (numpy's is about 2e-31)."""
+        n = 2048 * 2048
+        x = _qam_spectrum(9e6, n, FS, np.random.default_rng(5))
+        _ifft_in_place(x)
+        power = np.abs(np.fft.fft(x)) ** 2
+        outside = np.ones(n, dtype=bool)
+        outside[_occupied_bins(n, FS, 9e6)] = False
+        assert power[outside].sum() <= 1e-29 * power.sum()
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+class TestGenerateMemory:
+    def test_peak_rss_is_bounded(self, tmp_path):
+        """`dpd generate` at 2048² samples peaks at most two 64 MB complex128
+        buffers above a 4096-sample run: the spectrum it transforms in place
+        and the float64 mean power. The peak is the process's ru_maxrss,
+        which counts pocketfft's C++ scratch that tracemalloc cannot see;
+        numpy's whole-length IFFT would add about two more buffers."""
+        n = 2048 * 2048
+        peaks = [self._peak_rss_bytes(tmp_path, size) for size in (4096, n)]
+        assert peaks[1] - peaks[0] <= 2 * n * np.dtype(np.complex128).itemsize
+
+    @staticmethod
+    def _peak_rss_bytes(tmp_path, n_samples: int) -> int:
+        doc = json.loads((ROOT / "configs" / "single_carrier.json").read_text())
+        doc["n_samples"] = n_samples
+        config = tmp_path / f"n{n_samples}.json"
+        config.write_text(json.dumps(doc))
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        env.pop("DPD_SEED", None)
+        argv = [sys.executable, "-m", "aphdpd.cli", "generate", str(config), str(tmp_path / "s.iq")]
+        with open(tmp_path / "stderr.txt", "w+") as err:
+            proc = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL, stderr=err)
+            _, status, usage = os.wait4(proc.pid, 0)
+            proc.returncode = os.waitstatus_to_exitcode(status)
+            err.seek(0)
+            assert proc.returncode == 0, err.read()
+        return usage.ru_maxrss * 1024
 
 
 class TestOccupiedBins:
