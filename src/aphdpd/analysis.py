@@ -29,7 +29,7 @@ import numpy as np
 
 from .blocks import run_blocks
 from .exceptions import ConfigurationError, DegenerateInputError, InsufficientDataError
-from .waveforms import IqBuffer, _abs2
+from .waveforms import IqBuffer, _power_sum
 
 NMSE_FLOOR_DB = -300.0
 _LOG_FLOOR = 1e-300
@@ -217,21 +217,16 @@ def nmse_db(test: np.ndarray, reference: np.ndarray) -> float:
         )
     ref = reference.astype(np.complex128)
     err = test.astype(np.complex128) - ref
-    denom = _energy(ref)
+    denom = _power_sum(ref)
     if denom == 0.0:
         raise DegenerateInputError("reference signal is identically zero")
     return _error_db(err, denom)
 
 
-def _energy(z: np.ndarray) -> float:
-    """sum |z|^2 of 1-D complex samples, in double precision."""
-    return float(np.sum(_abs2(z)))
-
-
 def _error_db(err: np.ndarray, reference_energy: float) -> float:
     """The NMSE in dB of an error `err` against a reference of nonzero
     energy `reference_energy`, floored at NMSE_FLOOR_DB."""
-    ratio = _energy(err) / reference_energy
+    ratio = _power_sum(err) / reference_energy
     if ratio <= 10.0 ** (NMSE_FLOOR_DB / 10.0):
         return NMSE_FLOOR_DB
     return 10.0 * float(np.log10(ratio))

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import _energy, _error_db
+from .analysis import _error_db
 from .basis import _MOMENT_COND_LIMIT, AphConfig, build_normal_equations
 from .exceptions import (
     ConditioningError,
@@ -60,7 +60,7 @@ from .exceptions import (
 )
 from .impairments import TxChain, run_tx_chain
 from .predistorter import CoefficientVector, identity_coefficients, predistort_serial
-from .waveforms import IqBuffer
+from .waveforms import IqBuffer, _power_sum
 
 
 @dataclass(frozen=True)
@@ -141,7 +141,7 @@ def estimate_gain(pa_in: IqBuffer, pa_out: IqBuffer) -> complex:
             f"buffers must be nonempty and equal length, got {len(pa_in)} vs {len(pa_out)}"
         )
     a = pa_in.samples.astype(np.complex128)
-    return _gain(a, pa_out.samples.astype(np.complex128), _energy(a))
+    return _gain(a, pa_out.samples.astype(np.complex128), _power_sum(a))
 
 
 def _gain(a: np.ndarray, b: np.ndarray, a_energy: float) -> complex:
@@ -249,7 +249,7 @@ def ila_train(
         )
     validation = make_waveform(m, tcfg.seed)
     reference = validation.samples.astype(np.complex128)
-    reference_energy = _energy(reference)
+    reference_energy = _power_sum(reference)
 
     def gate(candidate: CoefficientVector) -> float:
         return _linearization_nmse_db(
@@ -271,7 +271,7 @@ def ila_train(
         s = run_tx_chain(z, chain)
         target = z.samples.astype(np.complex128)
         feedback = s.samples.astype(np.complex128)
-        gain = _gain(target, feedback, _energy(target))
+        gain = _gain(target, feedback, _power_sum(target))
         np.divide(feedback, gain, out=feedback)
 
         regressor = IqBuffer(feedback.astype(np.complex64), s.sample_rate_hz)

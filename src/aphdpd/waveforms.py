@@ -20,6 +20,12 @@ one would need a second whole buffer. Every other length keeps numpy's
 bits. The four-step result agrees with numpy's to about 1e-15 of the RMS,
 and the worker count never changes its bits.
 
+A carrier needs no whole-length buffer beside its complex128 spectrum.
+Every power mean is summed block by block (`_power_sum`) in numpy's own
+pairwise order, so it has `np.mean`'s bits without a float64 |x|² array,
+and the complex64 samples are written over the first half of the
+spectrum's own memory, which then shrinks to them (`generate_carrier`).
+
 All generation is deterministic per (spec, seed, n): one Generator per call,
 no shared RNG state.
 """
@@ -55,17 +61,15 @@ _TWIDDLE_SPLIT = 64
 _FOUR_STEP_MAX_WORKERS = 4
 
 
-def _abs2(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _abs2(z: np.ndarray) -> np.ndarray:
     """re^2 + im^2 of contiguous complex samples, flattened, in float64,
-    filled into `out` (a new array when None) one block of `BLOCK_LEN`
-    samples at a time.
+    filled one block of `BLOCK_LEN` samples at a time.
 
     Each value is the one z.astype(complex128) gives in
     `z.real**2 + z.imag**2`, so a mean or a sum over the result has the
     bits of that expression's, without its three whole-buffer temporaries.
     """
-    if out is None:
-        out = np.empty(z.size)
+    out = np.empty(z.size)
     parts = z.reshape(-1).view(z.real.dtype)
     squares = np.empty(2 * min(BLOCK_LEN, z.size))
     for start in range(0, z.size, BLOCK_LEN):
@@ -73,6 +77,31 @@ def _abs2(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         sq = np.square(block, out=squares[: block.size], dtype=np.float64)
         np.add(sq[0::2], sq[1::2], out=out[start : start + block.size // 2])
     return out
+
+
+def _power_sum(z: np.ndarray) -> float:
+    """np.sum(_abs2(z)) of contiguous complex samples, to the bit, holding
+    the squares of at most `BLOCK_LEN` samples at a time rather than a
+    whole-buffer array.
+
+    numpy's add.reduce sums a contiguous float64 array in one pairwise
+    tree: a run of n > 128 values is the sum of its first
+    n//2 - (n//2) % 8 values and of the rest, each summed the same way, so
+    the tree of a run depends on its length alone. This recursion splits
+    the same way down to runs of at most `BLOCK_LEN` samples and hands
+    each to add.reduce, so it adds the same values in the same order.
+    numpy starts each reduction from 0.0, which leaves a sum of squares
+    unchanged. np.mean is that sum over the length, so
+    `_power_sum(z) / z.size` is np.mean(_abs2(z)). The recursion is on
+    slices, not through a closure: a closure that calls itself is a
+    reference cycle, which would keep z alive until a garbage collection.
+    """
+    flat = z.reshape(-1)
+    n = flat.size
+    if n <= BLOCK_LEN:
+        return float(np.add.reduce(_abs2(flat)))
+    half = n // 2 - (n // 2) % 8
+    return _power_sum(flat[:half]) + _power_sum(flat[half:])
 
 
 def _all_finite(samples: np.ndarray) -> bool:
@@ -144,7 +173,7 @@ class IqBuffer:
         """Root-mean-square amplitude, computed in double precision."""
         if not self.samples.size:
             return 0.0
-        return float(np.sqrt(np.mean(_abs2(self.samples))))
+        return float(np.sqrt(_power_sum(self.samples) / self.samples.size))
 
 
 @dataclass(frozen=True)
@@ -188,6 +217,10 @@ def generate_carrier(
     four-step IFFT on up to 4 usable CPUs, since a square matrix transposes
     in place and the transform then needs no second whole buffer; every
     other length takes numpy's IFFT and keeps its bits.
+
+    The spectrum is the one whole-length buffer: the mean power is summed
+    block by block (`_power_sum`), and the complex64 samples are written
+    over the spectrum's first half, which is then all the memory kept.
     """
     if n_samples <= 0:
         raise ConfigurationError(f"n_samples must be positive, got {n_samples}")
@@ -197,15 +230,20 @@ def generate_carrier(
     x = _qam_spectrum(spec.bandwidth_hz, n_samples, sample_rate_hz, rng)
     _ifft_in_place(x)
 
-    x /= np.sqrt(np.mean(_abs2(x)))  # unit mean power at baseband
+    x /= np.sqrt(_power_sum(x) / n_samples)  # unit mean power at baseband
 
     # Frequency shift and gain in place, one block at a time, so they need
     # no whole-buffer temporaries. The in-place products are the ones the
     # whole-buffer form computes; an out-of-place product can differ in the
-    # last bit.
+    # last bit. Each block is then cast to complex64 into `out`, the first
+    # half of the spectrum's bytes, in start order: block [s, s + B) writes
+    # bytes [8s, 8s + 8B), and from the second block on B <= s, so that
+    # lies before its own input at [16s, 16s + 16B) and overwrites only
+    # samples already cast. The first block overlaps itself, and numpy's
+    # assignment handles the overlap.
     w = 2.0 * np.pi * spec.center_offset_hz / sample_rate_hz
     g = spec._gain
-    out = np.empty(n_samples, dtype=np.complex64)
+    out = x.view(np.complex64)[:n_samples]
 
     def one_block(start: int) -> None:
         block = x[start : start + BLOCK_LEN]
@@ -220,7 +258,14 @@ def generate_carrier(
     except FloatingPointError as err:
         msg = f"carrier power_db {spec.power_db} overflows single precision ({err})"
         raise ConfigurationError(msg) from err
-    return IqBuffer(out, sample_rate_hz)
+    # Shrink the buffer to the complex64 samples: a realloc, which for a
+    # large buffer is an mremap that hands the cut pages back without
+    # copying the rest. refcheck=False is safe only because `x` is this
+    # call's own array from `_qam_spectrum`, and `out`, the one view of it,
+    # is dropped first and no other outlives the call.
+    del out
+    x.resize((n_samples + 1) // 2, refcheck=False)
+    return IqBuffer(x.view(np.complex64)[:n_samples], sample_rate_hz)
 
 
 def _ifft_in_place(x: np.ndarray) -> None:
@@ -363,9 +408,12 @@ def compose_multicarrier(
 
     The sum is 0 + carrier 0 + carrier 1 + ... in complex128, in that order;
     the 0 + turns a -0.0 part into +0.0. Several carriers are summed into
-    one complex128 buffer. One carrier is summed block by block, twice:
-    once for the mean power and once to normalise into its own complex64
-    samples, so it needs no whole-buffer complex128 copy.
+    one complex128 buffer. One carrier is normalised block by block into
+    its own complex64 samples, so it needs no whole-buffer complex128 copy
+    and, with `generate_carrier`, no whole-length buffer beside its
+    spectrum. The mean power is summed block by block (`_power_sum`), with
+    `np.mean`'s bits; the 0 + changes no |x|², so one carrier's mean is
+    taken over its own samples.
     """
     if not specs:
         raise ConfigurationError("compose_multicarrier needs at least one CarrierSpec")
@@ -389,16 +437,11 @@ def compose_multicarrier(
         np.copyto(block, out[start : start + BLOCK_LEN])
         return np.add(block, 0.0, out=block)
 
-    starts = range(0, n_samples, BLOCK_LEN)
-    r2 = np.empty(n_samples)
-    for start in starts:
-        _abs2(summed(start), out=r2[start : start + BLOCK_LEN])
-    power = np.mean(r2)
+    power = _power_sum(out if total is None else total) / n_samples
     if power == 0.0:
         raise DegenerateInputError("composed waveform is all-zero")
-    del r2
     root = np.sqrt(power)
-    for start in starts:
+    for start in range(0, n_samples, BLOCK_LEN):
         block = summed(start)
         np.divide(block, root, out=block)
         out[start : start + BLOCK_LEN] = block
@@ -409,7 +452,7 @@ def white_gaussian(n_samples: int, rms: float, seed: int, sample_rate_hz: float)
     """Complex white Gaussian noise scaled, in double precision, to an exact RMS."""
     rng = np.random.default_rng(seed)
     x = rng.normal(size=n_samples) + 1j * rng.normal(size=n_samples)
-    x *= rms / np.sqrt(np.mean(_abs2(x)))
+    x *= rms / np.sqrt(_power_sum(x) / n_samples)
     return IqBuffer(x.astype(np.complex64), sample_rate_hz)
 
 
