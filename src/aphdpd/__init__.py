@@ -68,7 +68,6 @@ from .waveforms import (
     IqBuffer,
     compose_multicarrier,
     generate_carrier,
-    normalize_power,
 )
 
 __version__ = "0.1.0"

@@ -39,7 +39,7 @@ from .exceptions import ConfigurationError
 from .impairments import IqModulatorModel, PaModel, TxChain
 from .predistorter import CoefficientVector
 from .training import TrainingConfig
-from .waveforms import CarrierSpec, IqBuffer, compose_multicarrier, normalize_power
+from .waveforms import CarrierSpec, IqBuffer, compose_multicarrier
 
 SEED_ENV_VAR = "DPD_SEED"
 
@@ -213,7 +213,7 @@ class ExperimentConfig:
         drive = self.drive_rms
 
         def make(n: int, seed: int) -> IqBuffer:
-            return normalize_power(compose_multicarrier(list(carriers), n, fs, seed), drive)
+            return compose_multicarrier(list(carriers), n, fs, seed, drive)
 
         return make
 

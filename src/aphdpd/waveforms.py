@@ -9,22 +9,15 @@ symbol-joint splatter) while keeping the ~10 dB PAPR of a Gaussian-like
 multitone, which is what drives a polynomial PA into visible spectral
 regrowth.
 
-The inverse FFT of a carrier runs in place (`_ifft_in_place`). numpy's
-`np.fft.ifft(x, out=x)` of n samples allocates about two more n-sample
-complex128 buffers (scratch and twiddles) beside the spectrum, so from
-n = 2048² up a square length n = m·m takes a four-step (Bailey) IFFT
-instead: m-point transforms in batches of a few rows or columns, on up
-to 4 usable CPUs, and an in-place transpose of the m × m matrix. Only squares
-take it, because only a square matrix transposes in place; a rectangular
-one would need a second whole buffer. Every other length keeps numpy's
-bits. The four-step result agrees with numpy's to about 1e-15 of the RMS,
-and the worker count never changes its bits.
+The inverse FFT of a carrier runs in place (`_ifft_in_place`). From
+n = 2048² up, a square length takes a four-step (Bailey) IFFT, which
+needs no buffer beside the spectrum where numpy's allocates about two;
+every other length keeps numpy's bits.
 
-A carrier needs no whole-length buffer beside its complex128 spectrum.
-Every power mean is summed block by block (`_power_sum`) in numpy's own
-pairwise order, so it has `np.mean`'s bits without a float64 |x|² array,
-and the complex64 samples are written over the first half of the
-spectrum's own memory, which then shrinks to them (`generate_carrier`).
+A carrier needs no whole-length buffer beside its complex128 spectrum,
+and gets one power sum and one scale factor (`_carrier`). Several are
+summed in complex64 and scaled once more, to the drive level
+(`compose_multicarrier`).
 
 All generation is deterministic per (spec, seed, n): one Generator per call,
 no shared RNG state.
@@ -34,7 +27,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -188,10 +181,14 @@ class CarrierSpec:
         if self.bandwidth_hz <= 0:
             raise ConfigurationError(f"bandwidth_hz must be positive, got {self.bandwidth_hz}")
         try:
-            object.__setattr__(self, "_gain", 10.0 ** (self.power_db / 20.0))
+            gain = 10.0 ** (self.power_db / 20.0)
         except OverflowError:
             msg = f"power_db {self.power_db} gives no finite linear gain"
             raise ConfigurationError(msg) from None
+        if not gain <= float(np.finfo(np.float32).max):  # also refuses NaN
+            msg = f"carrier power_db {self.power_db} overflows single precision (gain {gain:g})"
+            raise ConfigurationError(msg)
+        object.__setattr__(self, "_gain", gain)
 
     def check_fits(self, sample_rate_hz: float) -> None:
         """Raise unless the occupied band lies inside Nyquist."""
@@ -206,43 +203,41 @@ class CarrierSpec:
 def generate_carrier(
     spec: CarrierSpec, n_samples: int, sample_rate_hz: float, seed: int
 ) -> IqBuffer:
-    """Synthesize one random-QAM multitone carrier.
+    """One random-QAM multitone carrier over [center − BW/2, center + BW/2],
+    at the RMS of its power_db gain, applied as its one scale factor
+    (`_carrier`). An overflow of single precision raises ConfigurationError."""
+    what = f"carrier power_db {spec.power_db}"
+    samples = _carrier(spec, n_samples, sample_rate_hz, seed, spec._gain, what)
+    return IqBuffer(samples, sample_rate_hz)
 
-    The carrier occupies [center − BW/2, center + BW/2] and has unit mean
-    power before the spec's power_db scaling is applied. A power that
-    overflows single precision raises ConfigurationError.
 
-    The inverse FFT runs in place in the complex128 spectrum
-    (`_ifft_in_place`): a square n_samples of 2048² or more takes the
-    four-step IFFT on up to 4 usable CPUs, since a square matrix transposes
-    in place and the transform then needs no second whole buffer; every
-    other length takes numpy's IFFT and keeps its bits.
+def _carrier(
+    spec: CarrierSpec, n_samples: int, sample_rate_hz: float, seed: int, rms: float, what: str
+) -> np.ndarray:
+    """The complex64 samples of one carrier at RMS amplitude `rms`.
 
-    The spectrum is the one whole-length buffer: the mean power is summed
-    block by block (`_power_sum`), and the complex64 samples are written
-    over the spectrum's first half, which is then all the memory kept.
-    """
+    The complex128 spectrum, inverse-transformed in place (`_ifft_in_place`),
+    is the one whole-length buffer. Its mean power p is summed block by
+    block (`_power_sum`); one pass then applies the frequency shift and the
+    factor rms / √p and writes the complex64 samples over the spectrum's
+    first half, all the memory kept. An overflow raises ConfigurationError
+    starting with `what`."""
     if n_samples <= 0:
         raise ConfigurationError(f"n_samples must be positive, got {n_samples}")
     spec.check_fits(sample_rate_hz)
-
-    rng = np.random.default_rng(seed)
-    x = _qam_spectrum(spec.bandwidth_hz, n_samples, sample_rate_hz, rng)
+    x = _qam_spectrum(spec.bandwidth_hz, n_samples, sample_rate_hz, np.random.default_rng(seed))
     _ifft_in_place(x)
+    factor = rms / math.sqrt(_power_sum(x) / n_samples)
 
-    x /= np.sqrt(_power_sum(x) / n_samples)  # unit mean power at baseband
-
-    # Frequency shift and gain in place, one block at a time, so they need
-    # no whole-buffer temporaries. The in-place products are the ones the
-    # whole-buffer form computes; an out-of-place product can differ in the
-    # last bit. Each block is then cast to complex64 into `out`, the first
-    # half of the spectrum's bytes, in start order: block [s, s + B) writes
-    # bytes [8s, 8s + 8B), and from the second block on B <= s, so that
-    # lies before its own input at [16s, 16s + 16B) and overwrites only
-    # samples already cast. The first block overlaps itself, and numpy's
-    # assignment handles the overlap.
+    # Shift and scale in place, one block at a time: no whole-buffer
+    # temporaries, and the products of the whole-buffer form (an
+    # out-of-place product can differ in the last bit). Each block is then
+    # cast into `out`, the spectrum's first half, in start order: block
+    # [s, s + B) writes bytes [8s, 8s + 8B), and from the second block on
+    # B <= s, so that lies before its own input at [16s, 16s + 16B) and
+    # overwrites only samples already cast. The first block overlaps
+    # itself, and numpy's assignment handles the overlap.
     w = 2.0 * np.pi * spec.center_offset_hz / sample_rate_hz
-    g = spec._gain
     out = x.view(np.complex64)[:n_samples]
 
     def one_block(start: int) -> None:
@@ -250,22 +245,30 @@ def generate_carrier(
         if spec.center_offset_hz != 0.0:
             # Double-precision phase ramp keeps drift below an ulp over long buffers.
             block *= np.exp(1j * (w * np.arange(start, start + block.size)))
-        block *= g
+        block *= factor
         out[start : start + BLOCK_LEN] = block
 
+    _scale_blocks(one_block, n_samples, factor, what)
+    # Shrink the buffer to the complex64 samples: a realloc, for a large
+    # buffer an mremap that hands the cut pages back without copying.
+    # refcheck=False is safe only because `x` is this call's own array, and
+    # `out`, its one view, is dropped first; no other outlives the call.
+    del out
+    x.resize((n_samples + 1) // 2, refcheck=False)
+    return x.view(np.complex64)[:n_samples]
+
+
+def _scale_blocks(one_block, n_samples: int, factor: float, what: str) -> None:
+    """Run `one_block`, which scales a block by `factor`, over n_samples
+    (`blocks.run_blocks`); an overflow of single precision raises one
+    ConfigurationError starting with `what`. An infinite factor is refused
+    first: inf times a finite part raises no floating-point error."""
+    if math.isinf(factor):
+        raise ConfigurationError(f"{what} overflows single precision (scale factor {factor})")
     try:
         run_blocks(one_block, range(0, n_samples, BLOCK_LEN), 1)
     except FloatingPointError as err:
-        msg = f"carrier power_db {spec.power_db} overflows single precision ({err})"
-        raise ConfigurationError(msg) from err
-    # Shrink the buffer to the complex64 samples: a realloc, which for a
-    # large buffer is an mremap that hands the cut pages back without
-    # copying the rest. refcheck=False is safe only because `x` is this
-    # call's own array from `_qam_spectrum`, and `out`, the one view of it,
-    # is dropped first and no other outlives the call.
-    del out
-    x.resize((n_samples + 1) // 2, refcheck=False)
-    return IqBuffer(x.view(np.complex64)[:n_samples], sample_rate_hz)
+        raise ConfigurationError(f"{what} overflows single precision ({err})") from err
 
 
 def _ifft_in_place(x: np.ndarray) -> None:
@@ -274,7 +277,8 @@ def _ifft_in_place(x: np.ndarray) -> None:
     A square length n = m·m with m >= `_FOUR_STEP_MIN_SIDE` takes
     `_four_step_ifft` on `usable_cpus()` workers, at most
     `_FOUR_STEP_MAX_WORKERS`; any other length `np.fft.ifft(x, out=x)`,
-    bit for bit.
+    bit for bit. Only squares take the four-step: only a square matrix
+    transposes in place, and any other shape would need a second buffer.
     """
     m = math.isqrt(x.size)
     if m >= _FOUR_STEP_MIN_SIDE and m * m == x.size:
@@ -402,50 +406,39 @@ def _qam_spectrum(
 
 
 def compose_multicarrier(
-    specs: list[CarrierSpec], n_samples: int, sample_rate_hz: float, seed: int
+    specs: list[CarrierSpec], n_samples: int, sample_rate_hz: float, seed: int, rms: float = 1.0
 ) -> IqBuffer:
-    """Sum several carriers (seed+index each) and renormalize to unit mean power.
+    """Sum carriers (seed+index each) at RMS amplitude `rms`; a drive that
+    overflows single precision raises ConfigurationError.
 
-    The sum is 0 + carrier 0 + carrier 1 + ... in complex128, in that order;
-    the 0 + turns a -0.0 part into +0.0. Several carriers are summed into
-    one complex128 buffer. One carrier is normalised block by block into
-    its own complex64 samples, so it needs no whole-buffer complex128 copy
-    and, with `generate_carrier`, no whole-length buffer beside its
-    spectrum. The mean power is summed block by block (`_power_sum`), with
-    `np.mean`'s bits; the 0 + changes no |x|², so one carrier's mean is
-    taken over its own samples.
+    A lone carrier's one scale factor (`_carrier`) brings it straight to
+    `rms`, so its power_db has no effect. Several each get their gain
+    relative to the loudest, 10^((power_db − max power_db)/20) <= 1, are
+    summed into the first one's complex64 samples as each is cast, and the
+    sum is scaled to `rms` in place.
     """
     if not specs:
         raise ConfigurationError("compose_multicarrier needs at least one CarrierSpec")
-    for spec in specs:
-        spec.check_fits(sample_rate_hz)
-
-    total = None
-    for i, spec in enumerate(specs):
-        out = generate_carrier(spec, n_samples, sample_rate_hz, seed + i).samples
-        if len(specs) > 1:
-            if total is None:
-                total = np.zeros(n_samples, dtype=np.complex128)
-            total += out
-    # The result overwrites `out`, the last carrier, each block once summed.
-    scratch = np.empty(min(BLOCK_LEN, n_samples), dtype=np.complex128)
-
-    def summed(start: int) -> np.ndarray:
-        if total is not None:
-            return total[start : start + BLOCK_LEN]
-        block = scratch[: min(BLOCK_LEN, n_samples - start)]
-        np.copyto(block, out[start : start + BLOCK_LEN])
-        return np.add(block, 0.0, out=block)
-
-    power = _power_sum(out if total is None else total) / n_samples
+    what = f"drive RMS {rms:g}"
+    if len(specs) == 1:
+        samples = _carrier(specs[0], n_samples, sample_rate_hz, seed, rms, what)
+        return IqBuffer(samples, sample_rate_hz)
+    loudest = max(spec.power_db for spec in specs)
+    gains = [10.0 ** ((spec.power_db - loudest) / 20.0) for spec in specs]
+    total = _carrier(specs[0], n_samples, sample_rate_hz, seed, gains[0], what)
+    for i in range(1, len(specs)):
+        total += _carrier(specs[i], n_samples, sample_rate_hz, seed + i, gains[i], what)
+    power = _power_sum(total) / n_samples
     if power == 0.0:
         raise DegenerateInputError("composed waveform is all-zero")
-    root = np.sqrt(power)
-    for start in range(0, n_samples, BLOCK_LEN):
-        block = summed(start)
-        np.divide(block, root, out=block)
-        out[start : start + BLOCK_LEN] = block
-    return IqBuffer(out, sample_rate_hz)
+    factor = rms / math.sqrt(power)
+
+    def one_block(start: int) -> None:
+        block = total[start : start + BLOCK_LEN]
+        np.multiply(block, factor, out=block)  # a python float keeps complex64
+
+    _scale_blocks(one_block, n_samples, factor, what)
+    return IqBuffer(total, sample_rate_hz)
 
 
 def white_gaussian(n_samples: int, rms: float, seed: int, sample_rate_hz: float) -> IqBuffer:
@@ -454,33 +447,3 @@ def white_gaussian(n_samples: int, rms: float, seed: int, sample_rate_hz: float)
     x = rng.normal(size=n_samples) + 1j * rng.normal(size=n_samples)
     x *= rms / np.sqrt(_power_sum(x) / n_samples)
     return IqBuffer(x.astype(np.complex64), sample_rate_hz)
-
-
-def normalize_power(buf: IqBuffer, target_rms: float) -> IqBuffer:
-    """Scale a buffer to an exact RMS amplitude.
-
-    The scale factor is computed in double precision; a scale of exactly 1.0
-    leaves the samples bit-identical. The buffer is scaled block by block on
-    `blocks.run_blocks`, so a target that overflows single precision raises
-    ConfigurationError.
-    """
-    if target_rms <= 0:
-        raise ConfigurationError(f"target_rms must be positive, got {target_rms}")
-    if len(buf) == 0:
-        raise DegenerateInputError("cannot normalize an empty buffer")
-    current = buf.rms()
-    if current == 0.0:
-        raise DegenerateInputError("cannot normalize an all-zero buffer")
-    scale = target_rms / current  # python float: complex64 * weak scalar stays complex64
-    out = np.empty_like(buf.samples, subok=False)
-
-    def one_block(start: int) -> None:
-        block = slice(start, start + BLOCK_LEN)
-        np.multiply(buf.samples[block], scale, out=out[block])
-
-    try:
-        run_blocks(one_block, range(0, len(buf), BLOCK_LEN), 1)
-    except FloatingPointError as err:
-        msg = f"drive RMS {target_rms:g} overflows single precision ({err})"
-        raise ConfigurationError(msg) from err
-    return IqBuffer(out, buf.sample_rate_hz)

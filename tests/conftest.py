@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from aphdpd import AphConfig, CarrierSpec, CoefficientVector, IqBuffer
+from aphdpd import AphConfig, CoefficientVector, IqBuffer
 from aphdpd.waveforms import white_gaussian
 
 # Drive of the Gaussian training stimulus: well below the fold-over
@@ -171,32 +171,6 @@ def reference_welch(samples, fs: float, nfft: int, overlap: float):
     freq = np.where(freq > fs / 2, freq - fs, freq)
     order = np.argsort(freq)
     return freq[order], psd[order]
-
-
-_QAM16_LEVELS = np.array([-3.0, -1.0, 1.0, 3.0]) / np.sqrt(10.0)
-
-
-def reference_generate_carrier(
-    spec: CarrierSpec, n_samples: int, sample_rate_hz: float, seed: int
-) -> np.ndarray:
-    """generate_carrier as one whole-buffer computation: every step runs on
-    the full length, with out-of-place IFFT and an in-place phase ramp
-    over the whole buffer. Returns the complex64 samples."""
-    rng = np.random.default_rng(seed)
-    freqs = np.fft.fftfreq(n_samples, d=1.0 / sample_rate_hz)
-    occupied = np.flatnonzero(np.abs(freqs) <= spec.bandwidth_hz / 2.0)
-    symbols = rng.choice(_QAM16_LEVELS, size=occupied.size) + 1j * rng.choice(
-        _QAM16_LEVELS, size=occupied.size
-    )
-    spectrum = np.zeros(n_samples, dtype=np.complex128)
-    spectrum[occupied] = symbols
-    x = np.fft.ifft(spectrum)
-    x /= np.sqrt(np.mean(x.real**2 + x.imag**2))
-    if spec.center_offset_hz != 0.0:
-        phase = (2.0 * np.pi * spec.center_offset_hz / sample_rate_hz) * np.arange(n_samples)
-        x *= np.exp(1j * phase)
-    x *= 10.0 ** (spec.power_db / 20.0)
-    return x.astype(np.complex64)
 
 
 def gaussian_waveform(n: int, seed: int) -> IqBuffer:

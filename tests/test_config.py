@@ -203,6 +203,15 @@ class TestDerivedObjects:
         assert buf.rms() == pytest.approx(0.15, rel=1e-5)
         assert buf.sample_rate_hz == cfg.sample_rate_hz
 
+    @pytest.mark.parametrize("name", ["single_carrier.json", "ca_3mhz_x2.json"])
+    def test_waveform_factory_hits_the_drive(self, name):
+        """One carrier is scaled straight to the drive, and a sum of two
+        once more after it is summed in complex64: both within 1e-6."""
+        config = Path(__file__).resolve().parents[1] / "configs" / name
+        cfg = load_experiment_config(config, respect_env=False)
+        buf = cfg.waveform_factory()(cfg.n_samples, cfg.seed)
+        assert buf.rms() == pytest.approx(cfg.drive_rms, rel=1e-6)
+
     def test_plain_vs_orthogonal_basis_mode(self):
         plain_cfg = parse_experiment_config(_doc()).aph_config()
         assert plain_cfg.basis.mode == "plain"

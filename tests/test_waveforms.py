@@ -1,9 +1,10 @@
-"""Waveform synthesis: buffers, carriers, composition, normalization."""
+"""Waveform synthesis: buffers, carriers and their composition."""
 
 from __future__ import annotations
 
 import gc
 import json
+import math
 import os
 import subprocess
 import sys
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose, assert_array_equal
+from numpy.testing import assert_array_equal
 
 from aphdpd import (
     CarrierSpec,
@@ -24,7 +25,6 @@ from aphdpd import (
     IqBuffer,
     compose_multicarrier,
     generate_carrier,
-    normalize_power,
 )
 from aphdpd import waveforms
 from aphdpd.blocks import BLOCK_LEN
@@ -36,7 +36,6 @@ from aphdpd.waveforms import (
     _power_sum,
     _qam_spectrum,
 )
-from conftest import reference_generate_carrier
 
 FS = 61.44e6
 ROOT = Path(__file__).resolve().parents[1]
@@ -182,7 +181,7 @@ class TestGenerateCarrier:
         spec = CarrierSpec(offset, 9e6, power_db=-4.5)
         n = 3 * BLOCK_LEN + 1234
         buf = generate_carrier(spec, n, FS, seed=21)
-        want = reference_generate_carrier(spec, n, FS, 21)
+        want = _reference([spec], n, 21, 10.0 ** (spec.power_db / 20.0))
         assert_array_equal(buf.samples.view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("offset", [0.0, 5e6])
@@ -217,36 +216,51 @@ class TestGenerateCarrier:
         assert buf.rms() == pytest.approx(1.0, abs=1e-3)
 
 
-def _out_of_place_carrier(spec: CarrierSpec, n: int, seed: int) -> np.ndarray:
-    """generate_carrier with its complex64 samples in an array of their own
-    and its mean power over a whole float64 |x|² array: the same steps,
-    each block cast out of place."""
-    x = _qam_spectrum(spec.bandwidth_hz, n, FS, np.random.default_rng(seed))
-    _ifft_in_place(x)
-    x /= np.sqrt(np.mean(_abs2(x)))
-    w = 2.0 * np.pi * spec.center_offset_hz / FS
-    out = np.empty(n, dtype=np.complex64)
-    for start in range(0, n, BLOCK_LEN):
-        block = x[start : start + BLOCK_LEN]
-        block *= np.exp(1j * (w * np.arange(start, start + block.size)))
-        block *= 10.0 ** (spec.power_db / 20.0)
-        out[start : start + BLOCK_LEN] = block
-    return out
+_QAM16_LEVELS = np.array([-3.0, -1.0, 1.0, 3.0]) / np.sqrt(10.0)
 
 
-def _out_of_place_compose(specs: list[CarrierSpec], n: int, seed: int) -> np.ndarray:
-    """compose_multicarrier over `_out_of_place_carrier`: 0 + each carrier
-    in complex128, scaled by the root of np.mean over a whole |x|² array."""
-    total = np.zeros(n, dtype=np.complex128)
+def _reference(specs: list[CarrierSpec], n: int, seed: int, rms: float) -> np.ndarray:
+    """compose_multicarrier(specs, n, FS, seed, rms) as whole-buffer steps,
+    each carrier's complex64 samples in an array of their own.
+
+    A carrier's spectrum takes its occupied bins from `np.fft.fftfreq`, and
+    `_ifft_in_place` (checked against numpy by `TestInverseFft`) transforms
+    it. The phase ramp and then one factor, gain / √p, scale the whole
+    buffer in place, and it is cast to complex64. The gain is `rms` for a
+    lone carrier, else 10^((power_db − max power_db)/20). Several carriers
+    are summed in complex64, in order, and the sum is scaled by rms / √p.
+    Each mean power p is np.mean over a whole float64 |x|² array. For one
+    spec at gain 10^(power_db/20) this is `generate_carrier`.
+    """
+    freqs = np.fft.fftfreq(n, d=1.0 / FS)
+    loudest = max(spec.power_db for spec in specs)
+    carriers = []
     for i, spec in enumerate(specs):
-        total += _out_of_place_carrier(spec, n, seed + i)
-    total /= np.sqrt(np.mean(_abs2(total)))
-    return total.astype(np.complex64)
+        rng = np.random.default_rng(seed + i)
+        occupied = np.flatnonzero(np.abs(freqs) <= spec.bandwidth_hz / 2.0)
+        x = np.zeros(n, dtype=np.complex128)
+        x[occupied] = rng.choice(_QAM16_LEVELS, size=occupied.size) + 1j * rng.choice(
+            _QAM16_LEVELS, size=occupied.size
+        )
+        _ifft_in_place(x)
+        if spec.center_offset_hz != 0.0:
+            x *= np.exp(1j * ((2.0 * np.pi * spec.center_offset_hz / FS) * np.arange(n)))
+        gain = rms if len(specs) == 1 else 10.0 ** ((spec.power_db - loudest) / 20.0)
+        x *= gain / math.sqrt(np.mean(x.real**2 + x.imag**2))
+        carriers.append(x.astype(np.complex64))
+    total = carriers[0]
+    for samples in carriers[1:]:
+        total += samples
+    if len(carriers) > 1:
+        wide = total.astype(np.complex128)
+        total *= rms / math.sqrt(np.mean(wide.real**2 + wide.imag**2))
+    return total
 
 
 class TestInPlaceDowncast:
     """A carrier's complex64 samples, written over the first half of its
-    spectrum, keep the bits of a separate output array."""
+    spectrum, and a sum of carriers keep the bits of `_reference`, which
+    writes each into an array of its own."""
 
     SPECS = [
         CarrierSpec(5e6, 9e6, power_db=-3.5),
@@ -263,13 +277,14 @@ class TestInPlaceDowncast:
         than the samples; lengths around a block, where the first block
         overlaps itself and the second is the first to write below its
         own input; and 2048², the four-step IFFT's smallest length."""
-        got = generate_carrier(self.SPECS[0], n, FS, seed=21).samples
+        spec = self.SPECS[0]
+        got = generate_carrier(spec, n, FS, seed=21).samples
         assert got.shape == (n,)
-        want = _out_of_place_carrier(self.SPECS[0], n, 21)
+        want = _reference([spec], n, 21, 10.0 ** (spec.power_db / 20.0))
         assert_array_equal(got.view(np.uint64), want.view(np.uint64))
         for specs in (self.SPECS[:1], self.SPECS):
-            got = compose_multicarrier(specs, n, FS, seed=8).samples
-            want = _out_of_place_compose(specs, n, 8)
+            got = compose_multicarrier(specs, n, FS, seed=8, rms=0.15).samples
+            want = _reference(specs, n, 8, 0.15)
             assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
@@ -336,27 +351,40 @@ class TestInverseFft:
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
 class TestGenerateMemory:
-    def test_peak_rss_is_bounded(self, tmp_path):
-        """`dpd generate` at 2048² samples peaks at most 1.4 complex128
-        buffers above a process that only imports the CLI: the spectrum it
-        transforms in place, and not much more. The carrier then keeps only
-        the spectrum's first half, so normalising it into a complex64 array
-        of its own does not go past the spectrum's size.
+    """The peak RSS of `dpd generate` at 2048² samples, in complex128
+    buffers of that length above a process that only imports the CLI.
 
-        Each peak is the child's VmHWM, read as it exits. It counts
-        pocketfft's C++ scratch that tracemalloc cannot see. numpy's
-        whole-length IFFT would add about two more buffers, and a float64
-        |x|² array or a separate complex64 output half a buffer each.
-        ru_maxrss would not do: a child that subprocess starts by vfork and
-        exec reports at least this test process's own peak."""
-        doc = json.loads((ROOT / "configs" / "single_carrier.json").read_text())
+    Each peak is the child's VmHWM, read as it exits. It counts pocketfft's
+    C++ scratch that tracemalloc cannot see. numpy's whole-length IFFT
+    would add about two more buffers, and a float64 |x|² array or a
+    separate complex64 output half a buffer each. ru_maxrss would not do: a
+    child that subprocess starts by vfork and exec reports at least this
+    test process's own peak."""
+
+    def test_peak_rss_is_bounded(self, tmp_path):
+        """One carrier: at most 1.4 buffers, the spectrum it transforms in
+        place and not much more. The carrier is scaled as it is cast into
+        the spectrum's first half, which is then all it keeps."""
+        assert self._generate_peak(tmp_path, "single_carrier.json") <= 1.4
+
+    def test_two_carrier_peak_rss_is_bounded(self, tmp_path):
+        """Two carriers: at most 1.8 buffers. That is 1.5 for the second
+        carrier's spectrum beside the first carrier's complex64 samples,
+        which it is added into, and about 0.2 that one carrier also pays
+        (numpy.random's import, the four-step workers' malloc arenas): 1.71
+        on a 2-vCPU x86 host. A complex128 sum beside each spectrum took
+        2.71, and would take at least 2.5."""
+        assert self._generate_peak(tmp_path, "ca_3mhz_x2.json") <= 1.8
+
+    def _generate_peak(self, tmp_path, config_name: str) -> float:
+        doc = json.loads((ROOT / "configs" / config_name).read_text())
         n = doc["n_samples"] = 2048 * 2048
         config = tmp_path / "config.json"
         config.write_text(json.dumps(doc))
         argv = ["generate", str(config), str(tmp_path / "s.iq")]
         baseline = self._peak_bytes("")
         peak = self._peak_bytes(f"assert aphdpd.cli.main({argv!r}) == 0")
-        assert peak - baseline <= 1.4 * n * np.dtype(np.complex128).itemsize
+        return (peak - baseline) / (n * np.dtype(np.complex128).itemsize)
 
     @staticmethod
     def _peak_bytes(body: str) -> int:
@@ -419,10 +447,47 @@ class TestCompose:
         assert buf.rms() == pytest.approx(1.0, abs=1e-3)
 
     def test_single_spec_matches_generate(self):
-        spec = CarrierSpec(3e6, 4e6)
-        composed = compose_multicarrier([spec], 30_000, FS, seed=9)
+        """A lone carrier is generate_carrier's carrier, bit for bit, when
+        the drive equals the carrier's own gain."""
+        spec = CarrierSpec(3e6, 4e6, power_db=6.0)
+        composed = compose_multicarrier([spec], 30_000, FS, seed=9, rms=10.0 ** (6.0 / 20.0))
         direct = generate_carrier(spec, 30_000, FS, seed=9)
-        assert_allclose(composed.samples, direct.samples, rtol=1e-5, atol=1e-6)
+        assert_array_equal(composed.samples.view(np.uint64), direct.samples.view(np.uint64))
+
+    def test_lone_carrier_power_db_changes_no_bit(self):
+        """One carrier is scaled straight to the drive, so its power_db,
+        which is relative to the loudest carrier, has no effect."""
+        outputs = [
+            compose_multicarrier([CarrierSpec(3e6, 4e6, power_db=db)], 30_000, FS, 9, 0.15)
+            for db in (0.0, -6.0, 40.0)
+        ]
+        for out in outputs[1:]:
+            assert_array_equal(out.samples.view(np.uint64), outputs[0].samples.view(np.uint64))
+
+    def test_relative_carrier_power_is_kept(self):
+        """Carriers at power_db 0 and -6 keep a 6 dB in-band power ratio."""
+        specs = [CarrierSpec(-10e6, 5e6, power_db=0.0), CarrierSpec(10e6, 5e6, power_db=-6.0)]
+        buf = compose_multicarrier(specs, 1 << 16, FS, seed=3, rms=0.15)
+        power = np.abs(np.fft.fft(buf.samples.astype(np.complex128))) ** 2
+        freqs = np.fft.fftfreq(len(buf), d=1 / FS)
+        loud, quiet = (power[np.abs(freqs - s.center_offset_hz) <= 2.5e6].sum() for s in specs)
+        assert 10 * np.log10(loud / quiet) == pytest.approx(6.0, abs=0.1)
+
+    def test_cancelling_carriers_rejected(self):
+        """Two carriers of one bin each (DC) whose 16-QAM symbols are
+        opposite sum to zero, which cannot be scaled to a drive."""
+        specs = [CarrierSpec(0.0, 1.0), CarrierSpec(0.0, 1.0)]
+        seed = self._seed_of_opposite_dc_symbols()
+        with pytest.raises(DegenerateInputError, match="all-zero"):
+            compose_multicarrier(specs, 16, FS, seed)
+
+    @staticmethod
+    def _seed_of_opposite_dc_symbols() -> int:
+        """The first seed s whose DC symbol is minus that of seed s + 1."""
+        def dc(seed):
+            return _qam_spectrum(1.0, 16, FS, np.random.default_rng(seed))[0]
+
+        return next(s for s in range(1000) if dc(s) == -dc(s + 1))
 
     def test_carrier_seeds_are_independent(self):
         """Swapping the carrier order changes which seed each carrier gets."""
@@ -435,21 +500,3 @@ class TestCompose:
     def test_empty_list_rejected(self):
         with pytest.raises(ConfigurationError):
             compose_multicarrier([], 1000, FS, seed=1)
-
-
-class TestNormalizePower:
-    def test_hits_target(self, rng):
-        x = (rng.normal(size=5000) + 1j * rng.normal(size=5000)).astype(np.complex64)
-        out = normalize_power(IqBuffer(x, FS), 0.15)
-        assert out.rms() == pytest.approx(0.15, rel=1e-6)
-
-    def test_idempotent_to_the_bit(self, rng):
-        """Re-normalizing an already-normalized buffer is a unit scale."""
-        x = (rng.normal(size=5000) + 1j * rng.normal(size=5000)).astype(np.complex64)
-        once = normalize_power(IqBuffer(x, FS), 0.15)
-        twice = normalize_power(once, once.rms())
-        assert_array_equal(once.samples, twice.samples)
-
-    def test_zero_buffer_rejected(self):
-        with pytest.raises(DegenerateInputError):
-            normalize_power(IqBuffer(np.zeros(16, np.complex64), FS), 1.0)
