@@ -115,7 +115,7 @@ class PolyBasis:
 
     ``u_main[p]`` holds the coefficients over the member orders of branch p
     (ascending), i.e. a row of a lower-triangular table. Tables are real by
-    construction; the coefficient file still writes [re, im] pairs.
+    construction, and the coefficient file writes each entry as one number.
     """
 
     mode: str

@@ -10,10 +10,11 @@ predistorter structure, training knobs, the simulated chain impairments,
 and the analysis bands. Complex values are written as [re, im] pairs.
 
 The coefficient file, the one artifact that crosses from training to run
-time, is written and read here under the same rules. Every JSON document
-(config, coefficient file, I/Q sidecar) is read by `_read_json`, which
-also refuses a key given twice in one object and nesting deeper than the
-decoder recurses.
+time, is written and read here under the same rules. It states each fact
+once: the branch orders only in its layout, and each real basis entry as
+one number. Every JSON document (config, coefficient file, I/Q sidecar) is
+read by `_read_json`, which also refuses a key given twice in one object
+and nesting deeper than the decoder recurses, and then by its key tables.
 """
 
 from __future__ import annotations
@@ -158,15 +159,22 @@ def _complex_pair(value, name: str) -> complex:
     return complex(value[0], value[1])
 
 
-def _single_pair(value, name: str) -> complex:
-    """A [re, im] pair whose parts stay finite in single precision, the
-    precision the predistorter computes in."""
-    z = _complex_pair(value, name)
-    with np.errstate(over="ignore"):
-        fits = np.isfinite(np.complex64(z))
-    if not fits:
-        raise ConfigurationError(f"'{name}' does not fit in single precision, got {value!r}")
-    return z
+def _single(parse):
+    """Parser of a value read by `parse` that stays finite in single
+    precision, the precision the predistorter computes in."""
+
+    def parse_single(value, name: str):
+        z = parse(value, name)
+        with np.errstate(over="ignore"):
+            fits = np.isfinite(np.complex64(z))
+        if not fits:
+            raise ConfigurationError(f"'{name}' does not fit in single precision, got {value!r}")
+        return z
+
+    return parse_single
+
+
+_single_pair = _single(_complex_pair)
 
 
 def _list_of(parse, what: str):
@@ -181,6 +189,13 @@ def _list_of(parse, what: str):
 
 
 _single_pairs = _list_of(_single_pair, "[re, im] pairs")
+
+
+def _orders(value, name: str) -> tuple[int, ...]:
+    """A branch order list, its rules checked under its own key."""
+    orders = _integer_list(value, name)
+    _check_orders(f"'{name}'", orders)
+    return orders
 
 
 @dataclass(frozen=True)
@@ -381,43 +396,21 @@ def load_experiment_config(path, respect_env: bool = True) -> ExperimentConfig:
 
 # --- coefficient file format -------------------------------------------------
 
-def _basis_to_json(basis: PolyBasis) -> dict:
-    def rows(orders, table):
-        return [[[float(v), 0.0] for v in table[p]] for p in orders]
-
-    return {
-        "mode": basis.mode,
-        "I_P": list(basis.sets.main_orders),
-        "I_Q": list(basis.sets.conj_orders),
-        "u_main": rows(basis.sets.main_orders, basis.u_main),
-        "u_conj": rows(basis.sets.conj_orders, basis.u_conj),
-    }
-
-
-def _real_row(value, name: str) -> np.ndarray:
-    """[re, im] pairs with zero imaginary parts, as one float64 array."""
-    values = _single_pairs(value, name)
-    if any(v.imag != 0.0 for v in values):
-        raise ConfigurationError(f"'{name}': non-real coefficients unsupported")
-    return np.array([v.real for v in values], dtype=np.float64)
-
-
-# The key table of each object in the coefficient file.
+# The key table of each object in the coefficient file. The layout's orders
+# are read before its basis, so a fault in them is reported under their keys.
+# A basis table is one row of real numbers per branch, over its member orders.
+_rows = _list_of(_list_of(_single(_number), "numbers"), "rows")
 _BASIS = {
     "mode": (_basis_mode, _REQUIRED),
-    "I_P": (_integer_list, _REQUIRED),
-    "I_Q": (_integer_list, _REQUIRED),
-    "u_main": (_list_of(_real_row, "rows"), _REQUIRED),
-    "u_conj": (_list_of(_real_row, "rows"), _REQUIRED),
+    "u_main": (_rows, _REQUIRED),
+    "u_conj": (_rows, _REQUIRED),
 }
 _LAYOUT = {
-    "main_orders": (_integer_list, _REQUIRED),
-    "conj_orders": (_integer_list, _REQUIRED),
+    "main_orders": (_orders, _REQUIRED),
+    "conj_orders": (_orders, _REQUIRED),
     "taps_main": (_integer_list, _REQUIRED),
     "taps_conj": (_integer_list, _REQUIRED),
-    # Read by _BASIS in _basis_from_json, after the layout's own orders
-    # pass, so a fault in those is reported under their keys first.
-    "basis": (_json_object, _REQUIRED),
+    "basis": (_object(_BASIS), _REQUIRED),
 }
 _COEFFICIENTS = {
     "h": (_single_pairs, _REQUIRED),
@@ -426,36 +419,11 @@ _COEFFICIENTS = {
 }
 
 
-def _basis_from_json(doc: dict) -> PolyBasis:
-    """Inverse of _basis_to_json. A malformed or unknown field, or a table entry
-    that does not fit in single precision, raises ConfigurationError naming its key."""
-    where = "layout.basis."
-    basis = _fields(doc, where, _BASIS)
-    # BranchSets names its own fields; check each list under its key first.
-    _check_orders(f"'{where}I_P'", basis["I_P"])
-    _check_orders(f"'{where}I_Q'", basis["I_Q"])
-    try:
-        sets = BranchSets(basis["I_P"], basis["I_Q"])
-    except ConfigurationError as err:
-        raise ConfigurationError(f"'{where}I_P' and '{where}I_Q': {err}") from err
-
-    def table(orders, key):
-        rows = basis[key]
-        if len(rows) != len(orders):
-            raise ConfigurationError(
-                f"'{where}{key}' lists {len(rows)} rows for {len(orders)} branches"
-            )
-        return dict(zip(orders, rows))
-
-    main, conj = table(sets.main_orders, "u_main"), table(sets.conj_orders, "u_conj")
-    return PolyBasis(basis["mode"], sets, main, conj)
-
-
 def coefficients_to_json_dict(coeffs: CoefficientVector, cfg: AphConfig) -> dict:
     """Self-contained JSON form: taps, constant, and the layout + basis
     needed to apply them anywhere."""
     cfg.check_length(coeffs)
-    filters = coeffs.h[:-1]
+    filters, basis = coeffs.h[:-1], cfg.basis
     return {
         "h": [[float(v.real), float(v.imag)] for v in filters],
         "c": [float(coeffs.h[-1].real), float(coeffs.h[-1].imag)],
@@ -464,7 +432,11 @@ def coefficients_to_json_dict(coeffs: CoefficientVector, cfg: AphConfig) -> dict
             "conj_orders": list(cfg.sets.conj_orders),
             "taps_main": list(cfg.taps_main),
             "taps_conj": list(cfg.taps_conj),
-            "basis": _basis_to_json(cfg.basis),
+            "basis": {
+                "mode": basis.mode,
+                "u_main": [basis.u_main[p].tolist() for p in cfg.sets.main_orders],
+                "u_conj": [basis.u_conj[p].tolist() for p in cfg.sets.conj_orders],
+            },
         },
     }
 
@@ -479,8 +451,19 @@ def coefficients_from_json_dict(doc: dict) -> tuple[CoefficientVector, AphConfig
     top = _fields(doc, "", _COEFFICIENTS)
     layout = top["layout"]
     sets = BranchSets(layout["main_orders"], layout["conj_orders"])
-    basis = _basis_from_json(layout["basis"])
-    cfg = AphConfig(sets, layout["taps_main"], layout["taps_conj"], basis)
+    basis = layout["basis"]
+
+    def table(orders, key):
+        rows = basis[key]
+        if len(rows) != len(orders):
+            raise ConfigurationError(
+                f"'layout.basis.{key}' lists {len(rows)} rows for {len(orders)} branches"
+            )
+        return dict(zip(orders, rows))
+
+    main, conj = table(sets.main_orders, "u_main"), table(sets.conj_orders, "u_conj")
+    poly = PolyBasis(basis["mode"], sets, main, conj)
+    cfg = AphConfig(sets, layout["taps_main"], layout["taps_conj"], poly)
     coeffs = CoefficientVector(np.array([*top["h"], top["c"]], dtype=np.complex64))
     cfg.check_length(coeffs)
     return coeffs, cfg

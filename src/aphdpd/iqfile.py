@@ -2,7 +2,10 @@
 
 Repo-wide format: little-endian 32-bit floats, interleaved I,Q,I,Q,...
 with a required sidecar JSON (`<path>.json`) carrying
-{"sample_rate_hz": <number>, "n_samples": <number>}.
+{"sample_rate_hz": <number>, "n_samples": <number>}. The sidecar is read
+by a key table as strictly as the config: the rate is required and
+positive, the count is optional (the file's length), and any other key
+is an error that names it.
 
 The sample layout is byte for byte little-endian complex64. A file is
 read by mapping it read-only: the samples are a view of the file's pages,
@@ -25,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import _integer, _number, _read_json
+from .config import _OWN, _REQUIRED, _fields, _integer, _json_object, _positive, _read_json
 from .exceptions import ConfigurationError
 from .waveforms import IqBuffer
 
@@ -60,21 +63,11 @@ def _maps(samples: np.ndarray, path: Path) -> bool:
     return False
 
 
-def _read_sidecar(meta_file: Path, n_held: int) -> tuple[float, int]:
-    """(sample rate, declared sample count) from a sidecar document; the
-    count defaults to the n_held samples the data file holds."""
-    meta = _read_json(meta_file)
-    if not isinstance(meta, dict):
-        raise ConfigurationError(f"{meta_file}: sidecar must be a JSON object")
-    if "sample_rate_hz" not in meta:
-        raise ConfigurationError(f"{meta_file}: sidecar missing 'sample_rate_hz'")
-    try:
-        return (
-            _number(meta["sample_rate_hz"], "sample_rate_hz"),
-            _integer(meta.get("n_samples", n_held), "n_samples"),
-        )
-    except ConfigurationError as err:
-        raise ConfigurationError(f"{meta_file}: {err}") from err
+# The sidecar's key table: any other key is refused, naming it.
+_SIDECAR = {
+    "sample_rate_hz": (_positive, _REQUIRED),
+    "n_samples": (_integer, _OWN),  # defaults to the count the data file holds
+}
 
 
 def read_iq(path: str | Path) -> IqBuffer:
@@ -96,7 +89,12 @@ def read_iq(path: str | Path) -> IqBuffer:
     meta_file = sidecar_path(path)
     if not meta_file.exists():
         raise ConfigurationError(f"{path}: no sidecar JSON")
-    rate, n_declared = _read_sidecar(meta_file, n_held)
+    meta = _read_json(meta_file)
+    try:
+        meta = _fields(_json_object(meta, "sidecar"), "", _SIDECAR)
+    except ConfigurationError as err:
+        raise ConfigurationError(f"{meta_file}: {err}") from err
+    n_declared = meta.get("n_samples", n_held)
     if n_declared != n_held:
         raise ConfigurationError(
             f"{path}: sidecar declares {n_declared} samples, file holds {n_held}"
@@ -104,6 +102,6 @@ def read_iq(path: str | Path) -> IqBuffer:
 
     samples = np.memmap(path, dtype="<c8", mode="r") if n_held else np.empty(0, dtype="<c8")
     try:
-        return IqBuffer(samples, rate)
-    except ConfigurationError as err:  # a non-finite sample or rate
+        return IqBuffer(samples, meta["sample_rate_hz"])
+    except ConfigurationError as err:  # a non-finite sample
         raise ConfigurationError(f"{path}: {err}") from err

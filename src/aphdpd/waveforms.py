@@ -409,7 +409,8 @@ def compose_multicarrier(
     specs: list[CarrierSpec], n_samples: int, sample_rate_hz: float, seed: int, rms: float = 1.0
 ) -> IqBuffer:
     """Sum carriers (seed+index each) at RMS amplitude `rms`; a drive that
-    overflows single precision raises ConfigurationError.
+    overflows single precision, or an `rms` below its smallest normal,
+    raises ConfigurationError.
 
     A lone carrier's one scale factor (`_carrier`) brings it straight to
     `rms`, so its power_db has no effect. Several each get their gain
@@ -420,6 +421,9 @@ def compose_multicarrier(
     if not specs:
         raise ConfigurationError("compose_multicarrier needs at least one CarrierSpec")
     what = f"drive RMS {rms:g}"
+    tiny = float(np.finfo(np.float32).tiny)
+    if rms < tiny:
+        raise ConfigurationError(f"{what} underflows single precision (smallest normal {tiny:g})")
     if len(specs) == 1:
         samples = _carrier(specs[0], n_samples, sample_rate_hz, seed, rms, what)
         return IqBuffer(samples, sample_rate_hz)

@@ -10,6 +10,7 @@ regression matrix that tests/conftest.py builds column by column.
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -25,12 +26,15 @@ from aphdpd import (
     IqBuffer,
     PolyBasis,
     build_normal_equations,
+    coefficients_from_json_dict,
+    coefficients_to_json_dict,
     evaluate_branches,
     fit_orthogonal_basis,
+    identity_coefficients,
     parse_experiment_config,
 )
 from aphdpd.basis import ORTHOGONAL, _lower_triangular_inverse
-from aphdpd.config import _BASIS_FIT_SEED_OFFSET, _basis_from_json, _basis_to_json
+from aphdpd.config import _BASIS_FIT_SEED_OFFSET
 from conftest import gram_schmidt_basis_rows, reference_basis_matrix
 
 TABLE_SETS = BranchSets.odd_orders_up_to(5, 3)
@@ -87,20 +91,15 @@ class TestPolyBasis:
         with pytest.raises(ConfigurationError):
             PolyBasis("plain", sets, {1: [1.0], 3: [0.5, 0.0]}, {1: [1.0]})
 
-    def test_json_round_trip(self):
-        basis = fit_orthogonal_basis(_training_buffer(), TABLE_SETS)
-        doc = json.loads(json.dumps(_basis_to_json(basis)))
-        back = _basis_from_json(doc)
-        assert back.mode == basis.mode
-        assert back.sets == basis.sets
-        for order in TABLE_SETS.main_orders:
-            assert_allclose(back.u_main[order], basis.u_main[order], rtol=0, atol=0)
-
     def test_json_rejects_complex_coefficients(self):
-        doc = _basis_to_json(PolyBasis.plain(TABLE_SETS))
-        doc["u_main"][0][0] = [1.0, 0.5]
-        with pytest.raises(ConfigurationError):
-            _basis_from_json(doc)
+        """A basis entry is one real number; an [re, im] pair where a number
+        belongs is refused, naming its key."""
+        cfg = AphConfig.default()
+        doc = coefficients_to_json_dict(identity_coefficients(cfg), cfg)
+        doc["layout"]["basis"]["u_main"][0][0] = [1.0, 0.5]
+        key = re.escape("'layout.basis.u_main[0][0]' must be a finite number")
+        with pytest.raises(ConfigurationError, match=f"^{key}"):
+            coefficients_from_json_dict(doc)
 
 
 class TestEvaluateBranch:

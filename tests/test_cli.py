@@ -578,6 +578,23 @@ class TestConfigGainBounds:
         assert not out.exists()
 
 
+class TestDriveUnderflow:
+    """A drive RMS below single precision's smallest normal would give a
+    stimulus of zero or subnormal samples: the commands that synthesize it
+    refuse it with one error line and write no file."""
+
+    @pytest.mark.parametrize("drive_rms", [1e-300, 1e-40])
+    @pytest.mark.parametrize("command, outputs", [("generate", 1), ("train", 2)])
+    def test_one_error_line(self, tmp_path, monkeypatch, capsys, command, outputs, drive_rms):
+        monkeypatch.delenv("DPD_SEED", raising=False)
+        config = _config_variant(tmp_path, "quiet.json", drive_rms=drive_rms)
+        argv = [command, config, *(str(tmp_path / f"out{i}") for i in range(outputs))]
+        assert cli.main(argv) == 1
+        expected = f"drive RMS {drive_rms:g} underflows single precision"
+        assert _one_error_line(capsys).startswith(expected)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["quiet.json"]
+
+
 class TestSampleRate:
     """A sample rate of zero or below is refused under its own key. A
     positive rate too low for the carrier is refused by the carrier rule,
@@ -690,6 +707,31 @@ class TestRemovedSettings:
         assert cli.main(["evaluate", config_path, str(wave)]) == 1
         assert _one_error_line(capsys) == f"{wave}: no sidecar JSON"
 
+    def test_coefficient_file_with_basis_orders(self, config_path, tmp_path, capsys):
+        """A coefficient file in the earlier format, which also gave the
+        branch orders as `layout.basis.I_P` and `I_Q` and each basis entry
+        as an [re, 0.0] pair, is refused: retrain to get the current one."""
+        wave = str(tmp_path / "wave.iq")
+        assert cli.main(["generate", config_path, wave]) == 0
+        old = Path(_identity_coeffs(config_path, tmp_path))
+        doc = json.loads(old.read_text())
+        layout = doc["layout"]
+        basis = layout["basis"]
+        pairs = {
+            key: [[[v, 0.0] for v in row] for row in basis[key]] for key in ("u_main", "u_conj")
+        }
+        layout["basis"] = {
+            "mode": basis["mode"],
+            "I_P": layout["main_orders"],
+            "I_Q": layout["conj_orders"],
+            **pairs,
+        }
+        old.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert cli.main(["predistort", config_path, str(old), wave, wave + ".o"]) == 1
+        assert _one_error_line(capsys) == f"{old}: unknown key 'layout.basis.I_P'"
+        assert not Path(wave + ".o").exists()
+
 
 class TestJsonBoundary:
     """Every JSON document a command reads (the config, a coefficient file,
@@ -728,6 +770,17 @@ class TestJsonBoundary:
         assert cli.main(argv) == 1
         assert _one_error_line(capsys) == f"{path}: duplicate key '{key}'"
 
+    def test_sidecar_unknown_key(self, documents, capsys):
+        """The sidecar is read by a key table as strict as the config's:
+        a misspelt key is not taken for a missing optional one."""
+        path, argv = documents["sidecar"]
+        doc = json.loads(Path(path).read_text())
+        doc["n_sample"] = doc.pop("n_samples")
+        Path(path).write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert cli.main(argv) == 1
+        assert _one_error_line(capsys) == f"{path}: unknown key 'n_sample'"
+
     @pytest.mark.parametrize("document", ["config", "coefficients", "sidecar"])
     def test_deep_nesting(self, documents, capsys, document):
         path, argv = documents[document]
@@ -756,38 +809,35 @@ class TestOrderBound:
         cli.main(["generate", config_path, wave])
         bad = Path(_identity_coeffs(config_path, tmp_path))
         doc = json.loads(bad.read_text())
-        huge = [1, 3, 10**30 + 1]
-        doc["layout"]["main_orders"] = doc["layout"]["basis"]["I_P"] = huge
+        doc["layout"]["main_orders"] = [1, 3, 10**30 + 1]
         bad.write_text(json.dumps(doc))
         capsys.readouterr()
         assert cli.main(["predistort", config_path, str(bad), wave, wave + ".o"]) == 1
         line = _one_error_line(capsys)
-        assert line.startswith(f"{bad}: main_orders ") and "order bound 127" in line
+        assert line.startswith(f"{bad}: 'layout.main_orders' ") and "order bound 127" in line
 
     @pytest.mark.parametrize(
         "key, orders, rule",
         [
-            ("I_P", [1, 3, 6], "must contain odd positive orders"),
-            ("I_P", [1, 3, 10**30 + 1], "above the order bound 127"),
-            ("I_Q", [3, 1], "must be strictly ascending"),
+            ("main_orders", [1, 3, 6], "must contain odd positive orders"),
+            ("conj_orders", [1, 10**30 + 1], "above the order bound 127"),
+            ("conj_orders", [3, 1], "must be strictly ascending"),
         ],
         ids=["even-order", "huge-order", "descending"],
     )
     def test_basis_orders_name_their_key(self, config_path, tmp_path, capsys, key, orders, rule):
-        """A rule broken in the basis block's order lists is reported under
-        that list's key, not under the layout's valid `main_orders` or
-        `conj_orders`."""
+        """A rule broken in the layout's branch order lists, which the basis
+        is built on, is reported under that list's dotted key."""
         wave = str(tmp_path / "wave.iq")
         cli.main(["generate", config_path, wave])
         bad = Path(_identity_coeffs(config_path, tmp_path))
         doc = json.loads(bad.read_text())
-        doc["layout"]["basis"][key] = orders
+        doc["layout"][key] = orders
         bad.write_text(json.dumps(doc))
         capsys.readouterr()
         assert cli.main(["predistort", config_path, str(bad), wave, wave + ".o"]) == 1
         line = _one_error_line(capsys)
-        assert line.startswith(f"{bad}: 'layout.basis.{key}' ") and rule in line
-        assert "main_orders" not in line and "conj_orders" not in line
+        assert line.startswith(f"{bad}: 'layout.{key}' ") and rule in line
 
 
 @pytest.mark.parametrize("value", [10**30, 2**62], ids=["1e30", "2^62"])

@@ -119,9 +119,10 @@ def test_missing_sidecar_rejected(tmp_path):
         '{"sample_rate_hz": NaN, "n_samples": 10}',
         '{"sample_rate_hz": 5e6, "n_samples": 10.5}',
         '{"sample_rate_hz": 5e6, "n_samples": "10"}',
+        '{"sample_rate_hz": 0, "n_samples": 10}',
     ],
     ids=["malformed", "not-object", "no-rate", "rate-text", "rate-nan", "count-fraction",
-         "count-text"],
+         "count-text", "rate-zero"],
 )
 def test_malformed_sidecar_is_configuration_error(tmp_path, sidecar):
     path = tmp_path / "a.iq"

@@ -310,18 +310,24 @@ class TestCoefficientJson:
         )
 
     @pytest.mark.parametrize(
-        "key", ["h[1]", "c", "layout.basis.u_main[2][2]", "layout.basis.u_conj[1][1]"]
+        "part, key",
+        [(part, key) for part in ("re", "im") for key in ("h[1]", "c")]
+        + [("re", "layout.basis.u_main[2][2]"), ("re", "layout.basis.u_conj[1][1]")],
     )
-    @pytest.mark.parametrize("part", [0, 1], ids=["re", "im"])
-    def test_entries_must_fit_single_precision(self, key, part):
-        """A tap, the constant or a basis entry with a part that overflows
-        single precision is refused at parse time, naming its key, with no
-        warning."""
+    def test_entries_must_fit_single_precision(self, part, key):
+        """A part of a tap or of the constant, or a basis entry (one real
+        number), that overflows single precision is refused at parse time,
+        naming its key, with no warning."""
         doc = coefficients_to_json_dict(identity_coefficients(CFG), CFG)
-        pair = doc
-        for step in key.replace("]", "").replace("[", ".").split("."):
-            pair = pair[int(step) if step.isdigit() else step]
-        pair[part] = -1e39
+        names = key.replace("]", "").replace("[", ".").split(".")
+        steps = [int(name) if name.isdigit() else name for name in names]
+        if not key.startswith("layout."):  # an [re, im] pair
+            steps.append(("re", "im").index(part))
+        *parents, leaf = steps
+        node = doc
+        for step in parents:
+            node = node[step]
+        node[leaf] = -1e39
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ConfigurationError, match=re.escape(f"'{key}' does not fit")):
@@ -334,7 +340,7 @@ class TestCoefficientJson:
         infinite samples without any overflow."""
         doc = coefficients_to_json_dict(identity_coefficients(CFG), CFG)
         doc["h"][0] = [1e30, 0.0]
-        doc["layout"]["basis"]["u_main"][0][0] = [1e30, 0.0]
+        doc["layout"]["basis"]["u_main"][0][0] = 1e30
         coeffs, cfg = coefficients_from_json_dict(doc)
         x = IqBuffer(np.full(100, 0.5 + 0.5j, dtype=np.complex64), 1e6)
         with warnings.catch_warnings():
