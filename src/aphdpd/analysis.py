@@ -135,20 +135,18 @@ def welch_psd(
     batch = max(1, _WELCH_BATCH_SAMPLES // nfft)
     group = _WELCH_GROUP_BATCHES
     sums = np.empty((group, nfft))
-    # The complex128 window, repeated on as many rows as fit in 8192 values.
-    # Each batch is windowed in row groups of that shape: with a broadcast
-    # window, numpy would allocate an iteration buffer in every multiply.
-    window_rows = np.tile(window.astype(np.complex128), (max(1, 8192 // nfft), 1))
+    # The window on each real and each imaginary part of a float64 view.
+    # This gives complex multiplication by w + 0i the same bits, apart from
+    # the sign of a zero, which |X|^2 erases.
+    part_window = np.repeat(window, 2)
 
     def batch_power(start: int) -> None:
         spectra = segments[start : start + batch].astype(np.complex128)
-        for row in range(0, len(spectra), len(window_rows)):
-            rows = spectra[row : row + len(window_rows)]
-            np.multiply(rows, window_rows[: len(rows)], out=rows)
+        parts = spectra.view(np.float64)
+        np.multiply(parts, part_window, out=parts)
         np.fft.fft(spectra, axis=-1, out=spectra)
         # |X|^2 in place: square the real and imaginary parts, add them
         # into the real part, and sum that over the batch into its row.
-        parts = spectra.view(np.float64)
         np.square(parts, out=parts)
         power = spectra.real
         np.add(power, spectra.imag, out=power)

@@ -408,14 +408,49 @@ _BASIS = {
 _LAYOUT = {
     "main_orders": (_orders, _REQUIRED),
     "conj_orders": (_orders, _REQUIRED),
-    "taps_main": (_integer_list, _REQUIRED),
-    "taps_conj": (_integer_list, _REQUIRED),
+    "taps_main": (_list_of(_count, "tap counts"), _REQUIRED),
+    "taps_conj": (_list_of(_count, "tap counts"), _REQUIRED),
     "basis": (_object(_BASIS), _REQUIRED),
 }
+
+
+def _layout(value, name: str) -> AphConfig:
+    """The coefficient file's layout, with the rules that join its keys
+    checked under the key at fault (the dataclasses check them again, by
+    field name, for callers that build them in code)."""
+    layout = _fields(_json_object(value, name), f"{name}.", _LAYOUT)
+    main, conj = layout["main_orders"], layout["conj_orders"]
+    if conj[-1] > main[-1]:
+        raise ConfigurationError(
+            f"'{name}.conj_orders' reaches order {conj[-1]}, "
+            f"above the main family's top order {main[-1]}"
+        )
+    taps_main = _per_branch(layout["taps_main"], len(main), f"{name}.taps_main")
+    taps_conj = _per_branch(layout["taps_conj"], len(conj), f"{name}.taps_conj")
+    basis = layout["basis"]
+    tables = []
+    for key, orders in (("u_main", main), ("u_conj", conj)):
+        rows, where = basis[key], f"{name}.basis.{key}"
+        if len(rows) != len(orders):
+            raise ConfigurationError(
+                f"'{where}' lists {len(rows)} rows for {len(orders)} branches"
+            )
+        for i, row in enumerate(rows):  # branch i has the i + 1 lowest orders as members
+            if len(row) != i + 1:
+                raise ConfigurationError(
+                    f"'{where}[{i}]' has {len(row)} entries, order {orders[i]} needs {i + 1}"
+                )
+            if row[-1] == 0.0:
+                raise ConfigurationError(f"'{where}[{i}]' has a zero diagonal (last) entry")
+        tables.append(dict(zip(orders, rows)))
+    sets = BranchSets(main, conj)
+    return AphConfig(sets, taps_main, taps_conj, PolyBasis(basis["mode"], sets, *tables))
+
+
 _COEFFICIENTS = {
     "h": (_single_pairs, _REQUIRED),
     "c": (_single_pair, _REQUIRED),
-    "layout": (_object(_LAYOUT), _REQUIRED),
+    "layout": (_layout, _REQUIRED),
 }
 
 
@@ -449,24 +484,12 @@ def coefficients_from_json_dict(doc: dict) -> tuple[CoefficientVector, AphConfig
     if not isinstance(doc, dict):
         raise ConfigurationError("a coefficient file must hold a JSON object")
     top = _fields(doc, "", _COEFFICIENTS)
-    layout = top["layout"]
-    sets = BranchSets(layout["main_orders"], layout["conj_orders"])
-    basis = layout["basis"]
-
-    def table(orders, key):
-        rows = basis[key]
-        if len(rows) != len(orders):
-            raise ConfigurationError(
-                f"'layout.basis.{key}' lists {len(rows)} rows for {len(orders)} branches"
-            )
-        return dict(zip(orders, rows))
-
-    main, conj = table(sets.main_orders, "u_main"), table(sets.conj_orders, "u_conj")
-    poly = PolyBasis(basis["mode"], sets, main, conj)
-    cfg = AphConfig(sets, layout["taps_main"], layout["taps_conj"], poly)
-    coeffs = CoefficientVector(np.array([*top["h"], top["c"]], dtype=np.complex64))
-    cfg.check_length(coeffs)
-    return coeffs, cfg
+    cfg, h = top["layout"], top["h"]
+    if len(h) != cfg.n_coefficients - 1:
+        raise ConfigurationError(
+            f"'h' lists {len(h)} taps, the layout needs {cfg.n_coefficients - 1}"
+        )
+    return CoefficientVector(np.array([*h, top["c"]], dtype=np.complex64)), cfg
 
 
 def load_coefficients(path) -> tuple[CoefficientVector, AphConfig]:

@@ -12,12 +12,14 @@ read by mapping it read-only: the samples are a view of the file's pages,
 with no copy, and pages are read as they are first touched. Output is
 written straight from the sample array, with no interleaving copy.
 
-A mapping stays valid only while its file keeps its length. If another
-process truncates the file while a buffer still maps it, touching the
-lost pages raises SIGBUS, which kills the process. Writing a file
-truncates it, so `write_iq` copies a buffer that maps the very file it
-writes before it starts, and the `dpd` commands compute their whole
-output before they write it: in and out may be the same path.
+An output lands by rename: `write_iq` writes the samples to a part file
+in the output's directory, `.<name>.<pid>.part`, and `os.replace`s it
+over the path, so a failed write leaves the old file as it was and no
+half-written output. The sidecar is written after the rename. A live map
+of the old file keeps its pages after the rename, so a command may write
+over its own input without copying it first. A mapping is lost only if
+another process truncates the file it maps: touching the lost pages then
+raises SIGBUS, which kills the process.
 """
 
 from __future__ import annotations
@@ -41,26 +43,19 @@ def write_iq(buf: IqBuffer, path: str | Path) -> None:
     """Write a buffer as interleaved little-endian float32 I/Q pairs, plus
     its sidecar.
 
-    The file is truncated first, so samples that `read_iq` mapped from
-    this same file are copied before the write starts.
+    The samples go to a part file beside `path`, which is renamed over it
+    (see the module docstring); samples that `read_iq` mapped from this
+    same path keep their bytes.
     """
     path = Path(path)
-    samples = np.ascontiguousarray(buf.samples, dtype="<c8")
-    if _maps(samples, path):
-        samples = samples.copy()
-    samples.tofile(path)
+    part = path.parent / f".{path.name}.{os.getpid()}.part"
+    try:
+        np.ascontiguousarray(buf.samples, dtype="<c8").tofile(part)
+        os.replace(part, path)
+    finally:
+        part.unlink(missing_ok=True)  # gone after a rename; left by a failure
     meta = {"sample_rate_hz": buf.sample_rate_hz, "n_samples": len(buf)}
     sidecar_path(path).write_text(json.dumps(meta) + "\n")
-
-
-def _maps(samples: np.ndarray, path: Path) -> bool:
-    """Whether `samples` are a view of a `read_iq` map of the file at `path`."""
-    base = samples
-    while base is not None:
-        if isinstance(base, np.memmap) and path.exists():
-            return os.path.samefile(base.filename, path)
-        base = base.base
-    return False
 
 
 # The sidecar's key table: any other key is refused, naming it.
@@ -75,8 +70,9 @@ def read_iq(path: str | Path) -> IqBuffer:
     sidecar JSON.
 
     The returned samples are a read-only view of the file mapped into
-    memory (see the module docstring for the SIGBUS risk if the file is
-    truncated while mapped); a zero-sample file gives an empty writable
+    memory. They keep their bytes when `write_iq` replaces the file (see
+    the module docstring for the SIGBUS risk if another process truncates
+    it while mapped); a zero-sample file gives an empty writable
     array, since an empty file cannot be mapped. The buffer's finiteness
     check reads every page once.
     """

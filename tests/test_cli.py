@@ -339,11 +339,10 @@ class TestPredistortSimulate:
         np.testing.assert_allclose(read_iq(out).samples, read_iq(wave).samples, rtol=1e-6)
 
     def test_same_path_in_and_out(self, config_path, tmp_path):
-        """The input is a read-only map of its file, and writing the output
-        truncates that file. Every command reads its input completely
-        first, so in and out may be one path: simulate (with and without
-        DPD) and predistort then write the bytes they write to a fresh
-        path."""
+        """The input is a read-only map of its file, and the output is
+        renamed over that path, so the map keeps the old file's pages and
+        in and out may be one path: simulate (with and without DPD) and
+        predistort then write the bytes they write to a fresh path."""
         wave = tmp_path / "wave.iq"
         cli.main(["generate", config_path, str(wave)])
         coeffs = str(tmp_path / "coeffs.json")

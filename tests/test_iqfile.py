@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import re
 
 import numpy as np
@@ -152,14 +153,43 @@ class TestMappedRead:
         assert_array_equal(back.samples[:700], buf.samples[:700])
 
     def test_writing_a_mapped_buffer_over_its_own_file(self, tmp_path):
-        """Writing truncates the file first; a buffer mapped from that very
-        file is copied before, so the file keeps its bytes."""
+        """A buffer mapped from a file can be written back over that very
+        path: the new file is renamed over the old one, whose pages the
+        map keeps, so the file keeps its bytes."""
         buf = _buf(n=300_000)
         path = tmp_path / "a.iq"
         write_iq(buf, path)
         original = path.read_bytes()
         write_iq(read_iq(path), path)
         assert path.read_bytes() == original
+
+    def test_a_map_keeps_its_samples_when_its_path_is_rewritten(self, tmp_path):
+        """Writing different samples of the same length to a mapped path
+        replaces the file; the live map still shows the old samples."""
+        old, new = _buf(n=5000, seed=1), _buf(n=5000, seed=2)
+        path = tmp_path / "a.iq"
+        write_iq(old, path)
+        mapped = read_iq(path)
+        write_iq(new, path)
+        assert_array_equal(mapped.samples.view(np.uint32), old.samples.view(np.uint32))
+        assert_array_equal(read_iq(path).samples.view(np.uint32), new.samples.view(np.uint32))
+
+    def test_failed_rename_leaves_the_old_file(self, tmp_path, monkeypatch):
+        """If the rename fails, the error propagates, the old file and its
+        sidecar keep their bytes, and no part file is left behind."""
+        path = tmp_path / "a.iq"
+        write_iq(_buf(n=1000, fs=5e6, seed=1), path)
+        data, side = path.read_bytes(), sidecar_path(path).read_bytes()
+
+        def no_rename(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", no_rename)
+        with pytest.raises(OSError, match="rename refused"):
+            write_iq(_buf(n=1000, fs=10e6, seed=2), path)
+        assert path.read_bytes() == data
+        assert sidecar_path(path).read_bytes() == side
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.iq", "a.iq.json"]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_sample_in_a_mapped_file_is_rejected(self, tmp_path, bad):

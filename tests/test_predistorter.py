@@ -333,6 +333,29 @@ class TestCoefficientJson:
             with pytest.raises(ConfigurationError, match=re.escape(f"'{key}' does not fit")):
                 coefficients_from_json_dict(doc)
 
+    @pytest.mark.parametrize(
+        "fault, key",
+        [
+            (lambda doc: doc["layout"].update(conj_orders=[1, 3, 5, 7]), "layout.conj_orders"),
+            (lambda doc: doc["layout"]["basis"]["u_main"].__setitem__(1, [1.0]),
+             "layout.basis.u_main[1]"),
+            (lambda doc: doc["layout"].update(taps_main=[5, 5]), "layout.taps_main"),
+            (lambda doc: doc["layout"].update(taps_main=[5, 0, 5]), "layout.taps_main[1]"),
+            (lambda doc: doc["layout"]["basis"]["u_main"].__setitem__(0, [0.0]),
+             "layout.basis.u_main[0]"),
+            (lambda doc: doc["h"].pop(), "h"),
+        ],
+        ids=["conj-above-main", "basis-row-length", "taps-per-branch", "zero-taps",
+             "zero-diagonal", "h-short"],
+    )
+    def test_rules_across_keys_name_the_key(self, fault, key):
+        """A fault that only the layout as a whole shows (orders, taps, basis
+        rows and `h` that do not agree) is reported under the key at fault."""
+        doc = coefficients_to_json_dict(identity_coefficients(CFG), CFG)
+        fault(doc)
+        with pytest.raises(ConfigurationError, match=re.escape(f"'{key}'")):
+            coefficients_from_json_dict(doc)
+
     def test_taps_times_basis_must_fit_single_precision(self):
         """A tap and a basis entry that each fit in single precision, but
         whose product folded into the linear taps does not: the engine
