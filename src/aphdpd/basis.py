@@ -2,8 +2,8 @@
 statistically orthogonalized variants, the predistorter structure built
 from them (`AphConfig`, which owns the coefficient column layout), and the
 normal equations of the convolution-structured regression matrix that
-least-squares training solves, built from lagged branch correlations over
-one evaluation of the whole branch set (`evaluate_branches`).
+least-squares training solves, summed over blocks of samples from real
+lagged products of the branches' real and imaginary parts.
 
 A main branch of order p evaluates
 
@@ -31,6 +31,10 @@ import numpy as np
 from .blocks import SERIAL_CHUNK_LEN
 from .exceptions import ConditioningError, ConfigurationError, InsufficientDataError
 from .waveforms import IqBuffer, _abs2
+
+# Samples per block of `build_normal_equations`: its real array of
+# 2 (branches + 1) rows stays in cache through all the lag products.
+_NORMAL_BLOCK_LEN = 1 << 12
 
 # Sample moment matrices with condition numbers beyond this are treated as
 # degenerate (constant-modulus inputs make them exactly rank one).
@@ -364,14 +368,21 @@ class NormalEquations:
 
 def build_normal_equations(y: IqBuffer, target: np.ndarray, cfg: AphConfig) -> NormalEquations:
     """A^H A and A^H b of the regression matrix over the buffer y, from
-    lagged branch correlations.
+    lagged branch correlations summed block by block.
 
     Column (a, k) is psi_a delayed by k, so every Gram entry is a lagged
     correlation c_ab[d] = sum_m conj(psi_a[m]) psi_b[m + d] at d = k - l,
-    and c_ab[-d] = conj(c_ba[d]). One branch-by-branch product per lag
-    d = 0..l_max-1 gives them all. The all-ones column contributes the
+    and c_ab[-d] = conj(c_ba[d]). The all-ones column contributes the
     branch sums and the row count; A^H b is the same correlation against
-    the target, which is zero-padded to the row count.
+    the target, read as zero past its end.
+
+    m runs over ascending blocks of `_NORMAL_BLOCK_LEN` samples. A block
+    evaluates the branches over its samples and the l_max - 1 after them,
+    and stacks the real parts of the branches and the target, then their
+    imaginary parts, as the rows of one real array x. One real product
+    x[:, :m] @ x[:, d:d+m].T per lag d gives every sum of Re*Re, Im*Im,
+    Re*Im and Im*Re, and conj(u) v = (Re u Re v + Im u Im v) +
+    i (Re u Im v - Im u Re v). Nothing held grows with the buffer.
     """
     n = len(y)
     l_max = cfg.l_max
@@ -381,23 +392,40 @@ def build_normal_equations(y: IqBuffer, target: np.ndarray, cfg: AphConfig) -> N
     b = np.asarray(target, dtype=np.complex128)
     if b.ndim != 1 or len(b) > rows:
         raise ConfigurationError(f"target of shape {b.shape} exceeds the {rows} matrix rows")
-    b = np.concatenate([b, np.zeros(rows - len(b), dtype=np.complex128)])
 
     slices = cfg.branch_slices()
-    psi = evaluate_branches(y.samples, cfg.basis)
-    psi_h = psi.conj()
+    nb = len(slices)
+    width = min(_NORMAL_BLOCK_LEN, n) + l_max - 1
+    x = np.empty((2 * (nb + 1), width))
+    parts = x.reshape(2, nb + 1, width)  # [Re, Im] x [branches..., target]
+    lagged = np.zeros((l_max, len(x), len(x)))
+    sums = np.zeros(nb, dtype=np.complex128)
+    for s in range(0, n, _NORMAL_BLOCK_LEN):
+        m = min(_NORMAL_BLOCK_LEN, n - s)
+        psi = evaluate_branches(y.samples[s : s + m + l_max - 1], cfg.basis)
+        t = b[s : s + m + l_max - 1]
+        parts[0, :nb, : psi.shape[1]], parts[1, :nb, : psi.shape[1]] = psi.real, psi.imag
+        parts[:, :nb, psi.shape[1] :] = 0.0
+        parts[0, nb, : len(t)], parts[1, nb, : len(t)] = t.real, t.imag
+        parts[:, nb, len(t) :] = 0.0
+        sums += psi[:, :m].sum(axis=1)
+        for d in range(l_max):
+            lagged[d] += x[:, :m] @ x[:, d : d + m].T
+    quad = lagged.reshape(l_max, 2, nb + 1, 2, nb + 1)
+    # full[d, p, q] = sum_m conj(v_p[m]) v_q[m + d] over the rows v of x as complex.
+    full = np.empty((l_max, nb + 1, nb + 1), dtype=np.complex128)
+    full.real = quad[:, 0, :, 0] + quad[:, 1, :, 1]
+    full.imag = quad[:, 0, :, 1] - quad[:, 1, :, 0]
     # corr[l_max - 1 + d, a, c] = c_ac[d] for d in -(l_max-1)..(l_max-1).
-    corr = np.empty((2 * l_max - 1, len(slices), len(slices)), dtype=np.complex128)
-    for d in range(l_max):
-        corr[l_max - 1 + d] = psi_h[:, : n - d] @ psi[:, d:].T
+    corr = np.empty((2 * l_max - 1, nb, nb), dtype=np.complex128)
+    corr[l_max - 1 :] = full[:, :nb, :nb]
     corr[: l_max - 1] = corr[: l_max - 1 : -1].conj().transpose(0, 2, 1)
     # proj[k, a] = sum_m conj(psi_a[m]) b[m + k]
-    proj = np.stack([psi_h @ b[k : k + n] for k in range(l_max)])
+    proj = full[:, :nb, nb]
 
     cols = cfg.n_coefficients
     gram = np.empty((cols, cols), dtype=np.complex128)
     rhs = np.empty(cols, dtype=np.complex128)
-    sums = psi.sum(axis=1)
     for a, (_, _, rows_a) in enumerate(slices):
         ta = rows_a.stop - rows_a.start
         for c, (_, _, cols_c) in enumerate(slices):

@@ -28,6 +28,7 @@ import numpy as np
 
 from .analysis import welch_step
 from .basis import (
+    MAX_ORDER,
     ORTHOGONAL,
     PLAIN,
     AphConfig,
@@ -189,6 +190,7 @@ def _list_of(parse, what: str):
 
 
 _single_pairs = _list_of(_single_pair, "[re, im] pairs")
+_tap_counts = _list_of(_count, "tap counts")
 
 
 def _orders(value, name: str) -> tuple[int, ...]:
@@ -249,11 +251,23 @@ class ExperimentConfig:
         return AphConfig(self.branch_sets, self.taps_main, self.taps_conj, basis)
 
 
-def _taps(value, name: str) -> int | list[int]:
+def _max_order(value, name: str) -> int:
+    """The top order of a branch family, which holds every odd order up to it."""
+    top = _integer(value, name)
+    if top < 1 or top % 2 == 0 or top > MAX_ORDER:
+        raise ConfigurationError(
+            f"'{name}' must be an odd order from 1 to the order bound {MAX_ORDER}, got {top}"
+        )
+    return top
+
+
+def _taps(value, name: str) -> int | tuple[int, ...]:
     """One tap count for every branch (an int), or one per branch (a list)."""
-    if _is_int(value) or isinstance(value, list) and all(map(_is_int, value)):
-        return value
-    raise ConfigurationError(f"'{name}' must be an int or list of ints, got {value!r}")
+    if isinstance(value, list):
+        return _tap_counts(value, name)
+    if not _is_int(value):
+        raise ConfigurationError(f"'{name}' must be an int or list of ints, got {value!r}")
+    return _count(value, name)
 
 
 def _per_branch(taps, n_branches: int, name: str) -> tuple[int, ...]:
@@ -279,8 +293,8 @@ _CARRIER = {
     "power_db": (_number, _OWN),
 }
 _DPD = {
-    "max_order_main": (_integer, _REQUIRED),
-    "max_order_conj": (_integer, _REQUIRED),
+    "max_order_main": (_max_order, _REQUIRED),
+    "max_order_conj": (_max_order, _REQUIRED),
     "taps_main": (_taps, _REQUIRED),
     "taps_conj": (_taps, _REQUIRED),
     "basis_mode": (_basis_mode, _REQUIRED),
@@ -334,6 +348,11 @@ def parse_experiment_config(doc: dict, seed_override: int | None = None) -> Expe
         spec.check_fits(fs)
 
     dpd = top["dpd"]
+    if dpd["max_order_conj"] > dpd["max_order_main"]:
+        raise ConfigurationError(
+            f"'dpd.max_order_conj' of {dpd['max_order_conj']} is above the main "
+            f"family's top order {dpd['max_order_main']}"
+        )
     sets = BranchSets.odd_orders_up_to(dpd["max_order_main"], dpd["max_order_conj"])
     taps_main = _per_branch(dpd["taps_main"], len(sets.main_orders), "dpd.taps_main")
     taps_conj = _per_branch(dpd["taps_conj"], len(sets.conj_orders), "dpd.taps_conj")
@@ -408,8 +427,8 @@ _BASIS = {
 _LAYOUT = {
     "main_orders": (_orders, _REQUIRED),
     "conj_orders": (_orders, _REQUIRED),
-    "taps_main": (_list_of(_count, "tap counts"), _REQUIRED),
-    "taps_conj": (_list_of(_count, "tap counts"), _REQUIRED),
+    "taps_main": (_tap_counts, _REQUIRED),
+    "taps_conj": (_tap_counts, _REQUIRED),
     "basis": (_object(_BASIS), _REQUIRED),
 }
 

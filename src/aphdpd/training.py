@@ -24,8 +24,9 @@ Each piece of work is done once where it can be:
   energy sum |x|^2, which every gate's gain and NMSE share;
 * once per iteration: the stimulus, its predistortion z and chain output
   s, one complex128 copy of each (z serves both the gain and the target
-  of the normal equations; s is divided by the gain in place), one
-  evaluation of the branch set, the normal equations and their solve;
+  of the normal equations; s is divided by the gain in place), the normal
+  equations, which evaluate the branch set one block at a time and hold
+  nothing as long as the stimulus, and their solve;
 * once per gate: the candidate's predistortion and chain output, cast to
   complex128 once, then divided by the gain and reduced to the error in
   place.

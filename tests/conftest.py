@@ -12,6 +12,11 @@ bits.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -178,6 +183,28 @@ def gaussian_waveform(n: int, seed: int) -> IqBuffer:
     white Gaussian samples at `TRAINING_RMS`, `ila_train`'s
     make_waveform(n, seed) signature."""
     return white_gaussian(n, TRAINING_RMS, seed, 1.0)
+
+
+def child_peak_rss(body: str) -> int:
+    """The VmHWM in bytes of a fresh Python that imports `aphdpd.cli` and
+    runs `body`, printed as its last line. ru_maxrss would not do: a child
+    that subprocess starts by vfork and exec reports at least the test
+    process's own peak."""
+    code = "\n".join(
+        [
+            "import aphdpd.cli",
+            body,
+            "status = open('/proc/self/status').read().split('VmHWM:')[1]",
+            "print(int(status.split()[0]) * 1024)",
+        ]
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    env.pop("DPD_SEED", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=False
+    )
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout.split()[-1])
 
 
 @pytest.fixture

@@ -33,7 +33,7 @@ from aphdpd import (
     identity_coefficients,
     parse_experiment_config,
 )
-from aphdpd.basis import ORTHOGONAL, _lower_triangular_inverse
+from aphdpd.basis import _NORMAL_BLOCK_LEN, ORTHOGONAL, _lower_triangular_inverse
 from aphdpd.config import _BASIS_FIT_SEED_OFFSET
 from conftest import gram_schmidt_basis_rows, reference_basis_matrix
 
@@ -341,6 +341,40 @@ class TestBuildNormalEquations:
         ne = build_normal_equations(buf, exact, cfg)
         residual = ne.residual_norm(np.linalg.solve(ne.gram, ne.rhs))
         assert np.isfinite(residual) and 0.0 <= residual <= 1e-6 * np.linalg.norm(exact)
+
+    @pytest.mark.parametrize("mode", ["plain", "orthogonal"])
+    @pytest.mark.parametrize(
+        "n",
+        [
+            _NORMAL_BLOCK_LEN - 1,
+            _NORMAL_BLOCK_LEN,
+            _NORMAL_BLOCK_LEN + 1,
+            2 * _NORMAL_BLOCK_LEN + 3,
+            3 * _NORMAL_BLOCK_LEN - 2,
+        ],
+    )
+    def test_matches_dense_across_block_edges(self, mode, n):
+        """Buffers on either side of one, two and three blocks of
+        `_NORMAL_BLOCK_LEN`, against targets that end before the buffer,
+        with it, and at the last matrix row."""
+        buf = _training_buffer(n=n, seed=33)
+        basis = (
+            PolyBasis.plain(TABLE_SETS)
+            if mode == "plain"
+            else fit_orthogonal_basis(buf, TABLE_SETS)
+        )
+        cfg = AphConfig(TABLE_SETS, (3, 1, 4), (2, 5), basis)
+        a = reference_basis_matrix(buf.samples, cfg)
+        gram = a.conj().T @ a
+        rng = np.random.default_rng(34)
+        for length in (n - 7, n, a.shape[0]):
+            z = rng.normal(size=length) + 1j * rng.normal(size=length)
+            b = np.concatenate([z, np.zeros(a.shape[0] - length)])
+            ne = build_normal_equations(buf, z, cfg)
+            rhs = a.conj().T @ b
+            assert np.linalg.norm(ne.gram - gram) <= 1e-12 * np.linalg.norm(gram), length
+            assert np.linalg.norm(ne.rhs - rhs) <= 1e-12 * np.linalg.norm(rhs), length
+            assert ne.target_power == pytest.approx(np.vdot(b, b).real, rel=1e-12)
 
     def test_short_buffer_rejected(self):
         cfg = AphConfig(TABLE_SETS, (5, 5, 5), (5, 5), PolyBasis.plain(TABLE_SETS))

@@ -620,8 +620,10 @@ class TestSampleRate:
 
 class TestRangeErrorsNameTheirPlace:
     """A count below 1 or a bandwidth of zero is refused under its dotted
-    key, with the carrier's index, so a config with several carriers shows
-    which one is wrong."""
+    key, with the carrier's or tap list's index, so a config with several
+    carriers or branches shows which one is wrong. So is a branch family's
+    top order that is even, below 1, or (for the conjugate family) above the
+    main family's."""
 
     @pytest.mark.parametrize(
         "overrides, expected",
@@ -638,8 +640,29 @@ class TestRangeErrorsNameTheirPlace:
                 ]},
                 "'carriers[1].bandwidth_hz' must be positive, got 0.0",
             ),
+            ({"dpd.taps_main": [5, 0, 5]}, "'dpd.taps_main[1]' must be >= 1, got 0"),
+            ({"dpd.taps_conj": 0}, "'dpd.taps_conj' must be >= 1, got 0"),
+            ({"dpd.taps_main": -1}, "'dpd.taps_main' must be >= 1, got -1"),
+            (
+                {"dpd.max_order_conj": 7},
+                "'dpd.max_order_conj' of 7 is above the main family's top order 5",
+            ),
+            *(
+                (
+                    {f"dpd.{key}": top},
+                    f"'dpd.{key}' must be an odd order from 1 to the order bound 127, got {top}",
+                )
+                for key, top in [
+                    ("max_order_main", 4), ("max_order_conj", 2),
+                    ("max_order_main", 0), ("max_order_main", -3),
+                ]
+            ),
         ],
-        ids=["n_training_samples", "iterations", "bandwidth_hz"],
+        ids=[
+            "n_training_samples", "iterations", "bandwidth_hz",
+            "tap-entry", "taps-zero", "taps-negative", "conj-above-main",
+            "main-even", "conj-even", "main-zero", "main-negative",
+        ],
     )
     def test_one_error_line(self, tmp_path, monkeypatch, capsys, overrides, expected):
         monkeypatch.delenv("DPD_SEED", raising=False)

@@ -44,7 +44,7 @@ from aphdpd import (
 )
 from aphdpd.training import _linearization_nmse_db, _lstsq_ridge
 from conftest import gaussian_waveform as WAVE
-from conftest import reference_basis_matrix
+from conftest import child_peak_rss, reference_basis_matrix
 
 CFG = AphConfig.default()
 REF_CHAIN = TxChain(
@@ -346,3 +346,23 @@ class TestIlaTrain:
             REF_CHAIN, cfg, TrainingConfig(n_training_samples=3000, iterations=2, seed=77), WAVE
         )
         assert report.nmse_db[-1] < report.baseline_nmse_db - 15.0
+
+
+class TestTrainMemory:
+    def test_peak_rss_per_training_sample(self, tmp_path):
+        """`dpd train` peaks at most 150 B higher per added training sample,
+        between 250k and 500k samples and one iteration (the children's
+        VmHWM). About 120 B are left: the basis fit's stimulus of twice the
+        training length, and each iteration's complex128 target and
+        feedback. Whole-buffer branch rows, their conjugate and a padded
+        target in the normal equations took about 280 B."""
+        root = Path(__file__).resolve().parents[1]
+        doc = json.loads((root / "configs" / "single_carrier.json").read_text())
+        peaks = []
+        for n in (250_000, 500_000):
+            doc["training"] = {"n_training_samples": n, "iterations": 1}
+            config = tmp_path / f"config_{n}.json"
+            config.write_text(json.dumps(doc))
+            argv = ["train", str(config), str(tmp_path / "h.json"), str(tmp_path / "r.json")]
+            peaks.append(child_peak_rss(f"assert aphdpd.cli.main({argv!r}) == 0"))
+        assert (peaks[1] - peaks[0]) / 250_000 <= 150

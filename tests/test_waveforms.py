@@ -5,9 +5,6 @@ from __future__ import annotations
 import gc
 import json
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -36,6 +33,7 @@ from aphdpd.waveforms import (
     _power_sum,
     _qam_spectrum,
 )
+from conftest import child_peak_rss
 
 FS = 61.44e6
 ROOT = Path(__file__).resolve().parents[1]
@@ -357,9 +355,7 @@ class TestGenerateMemory:
     Each peak is the child's VmHWM, read as it exits. It counts pocketfft's
     C++ scratch that tracemalloc cannot see. numpy's whole-length IFFT
     would add about two more buffers, and a float64 |x|² array or a
-    separate complex64 output half a buffer each. ru_maxrss would not do: a
-    child that subprocess starts by vfork and exec reports at least this
-    test process's own peak."""
+    separate complex64 output half a buffer each."""
 
     def test_peak_rss_is_bounded(self, tmp_path):
         """One carrier: at most 1.4 buffers, the spectrum it transforms in
@@ -382,29 +378,9 @@ class TestGenerateMemory:
         config = tmp_path / "config.json"
         config.write_text(json.dumps(doc))
         argv = ["generate", str(config), str(tmp_path / "s.iq")]
-        baseline = self._peak_bytes("")
-        peak = self._peak_bytes(f"assert aphdpd.cli.main({argv!r}) == 0")
+        baseline = child_peak_rss("")
+        peak = child_peak_rss(f"assert aphdpd.cli.main({argv!r}) == 0")
         return (peak - baseline) / (n * np.dtype(np.complex128).itemsize)
-
-    @staticmethod
-    def _peak_bytes(body: str) -> int:
-        """The VmHWM of a fresh Python that imports `aphdpd.cli` and runs
-        `body`, printed as its last line."""
-        code = "\n".join(
-            [
-                "import aphdpd.cli",
-                body,
-                "status = open('/proc/self/status').read().split('VmHWM:')[1]",
-                "print(int(status.split()[0]) * 1024)",
-            ]
-        )
-        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-        env.pop("DPD_SEED", None)
-        proc = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=False
-        )
-        assert proc.returncode == 0, proc.stderr
-        return int(proc.stdout.split()[-1])
 
 
 class TestOccupiedBins:
