@@ -16,6 +16,10 @@ over a training sample set: since E[phi_m phi_m'*] = E[|x|^(m+m'-2) |x|^2]
 depends only on the magnitude distribution, the sample moment matrix is real
 and its Cholesky factor orthogonalizes both families.
 
+Each structure rule (orders, tap counts, basis rows) is stated once, in a
+`_check_*` function that names a fault under the caller's keys: the field
+names here, and the dotted keys of `config`'s two documents.
+
 Everything here evaluates in double precision — this is the training /
 reference side of the toolkit. The single-precision streaming engine lives
 in `predistorter`, and the coefficient file's basis block in `config`.
@@ -49,26 +53,69 @@ PLAIN = "plain"
 ORTHOGONAL = "orthogonal"
 
 
+# Booleans are Python ints; no order, count or quantity may be one.
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _int_tuple(name: str, values) -> tuple[int, ...]:
     """values as a tuple of Python ints. Python and numpy integers pass; a
     float or a bool is a ConfigurationError rather than a silent truncation."""
     values = tuple(values)
-    if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in values):
-        raise ConfigurationError(f"{name} must hold integers, got {values}")
+    if not all(map(_is_int, values)):
+        raise ConfigurationError(f"'{name}' must hold integers, got {values}")
     return tuple(int(v) for v in values)
 
 
-def _check_orders(name: str, orders: tuple[int, ...]) -> None:
+def _check_orders(key: str, orders: tuple[int, ...]) -> None:
     if not orders:
-        raise ConfigurationError(f"{name} must not be empty")
+        raise ConfigurationError(f"'{key}' must not be empty")
     if any(m % 2 == 0 or m < 1 for m in orders):
-        raise ConfigurationError(f"{name} must contain odd positive orders, got {orders}")
+        raise ConfigurationError(f"'{key}' must contain odd positive orders, got {orders}")
     if list(orders) != sorted(set(orders)):
-        raise ConfigurationError(f"{name} must be strictly ascending, got {orders}")
+        raise ConfigurationError(f"'{key}' must be strictly ascending, got {orders}")
     if orders[-1] > MAX_ORDER:
         raise ConfigurationError(
-            f"{name} holds order {orders[-1]}, above the order bound {MAX_ORDER}"
+            f"'{key}' holds order {orders[-1]}, above the order bound {MAX_ORDER}"
         )
+
+
+def _check_sets(main, conj, keys=("main_orders", "conj_orders")) -> None:
+    """The families' orders, and the conjugate top no higher than the main."""
+    _check_orders(keys[0], main)
+    _check_orders(keys[1], conj)
+    if conj[-1] > main[-1]:
+        raise ConfigurationError(
+            f"'{keys[1]}' reaches order {conj[-1]}, above the main family's top order {main[-1]}"
+        )
+
+
+def _check_structure(
+    main, conj, taps_main, taps_conj, keys=("main_orders", "conj_orders", "taps_main", "taps_conj")
+) -> None:
+    """The sets rules, then one tap count of at least 1 per branch."""
+    _check_sets(main, conj, keys[:2])
+    for orders, taps, key in ((main, taps_main, keys[2]), (conj, taps_conj, keys[3])):
+        if len(taps) != len(orders):
+            raise ConfigurationError(
+                f"'{key}' lists {len(taps)} tap counts for {len(orders)} branches"
+            )
+        for i, n_taps in enumerate(taps):
+            if n_taps < 1:
+                raise ConfigurationError(f"'{key}[{i}]' must be >= 1, got {n_taps}")
+
+
+def _check_basis_rows(orders, rows, key: str) -> None:
+    """One row per branch, over its member orders, with a nonzero last entry."""
+    if len(rows) != len(orders):
+        raise ConfigurationError(f"'{key}' lists {len(rows)} rows for {len(orders)} branches")
+    for i, row in enumerate(rows):  # branch i has the i + 1 lowest orders as members
+        if len(row) != i + 1:
+            raise ConfigurationError(
+                f"'{key}[{i}]' has {len(row)} entries, order {orders[i]} needs {i + 1}"
+            )
+        if row[-1] == 0.0:
+            raise ConfigurationError(f"'{key}[{i}]' has a zero diagonal (last) entry")
 
 
 @dataclass(frozen=True)
@@ -81,27 +128,23 @@ class BranchSets:
     def __post_init__(self):
         object.__setattr__(self, "main_orders", _int_tuple("main_orders", self.main_orders))
         object.__setattr__(self, "conj_orders", _int_tuple("conj_orders", self.conj_orders))
-        _check_orders("main_orders", self.main_orders)
-        _check_orders("conj_orders", self.conj_orders)
-        if max(self.main_orders) < max(self.conj_orders):
-            raise ConfigurationError(
-                f"main family must reach at least the conjugate family's top order "
-                f"(got {self.main_orders} vs {self.conj_orders})"
-            )
+        _check_sets(self.main_orders, self.conj_orders)
 
     @classmethod
-    def odd_orders_up_to(cls, max_order_main: int, max_order_conj: int) -> "BranchSets":
-        """All odd orders 1..max_order_main (main) and 1..max_order_conj
-        (conjugate)."""
-        for name, top in (("max_order_main", max_order_main), ("max_order_conj", max_order_conj)):
-            if top > MAX_ORDER:
+    def odd_orders_up_to(
+        cls, max_order_main: int, max_order_conj: int, keys=("max_order_main", "max_order_conj")
+    ) -> "BranchSets":
+        """All odd orders up to each top (main, conjugate). A top is an odd
+        integer from 1 to MAX_ORDER, and a fault is named by its `keys` entry."""
+        tops = (max_order_main, max_order_conj)
+        for key, top in zip(keys, tops):
+            if not _is_int(top) or top < 1 or top % 2 == 0 or top > MAX_ORDER:
                 raise ConfigurationError(
-                    f"'{name}' of {top} is above the order bound {MAX_ORDER}"
+                    f"'{key}' must be an odd order from 1 to the order bound {MAX_ORDER}, got {top}"
                 )
-        return cls(
-            tuple(range(1, max_order_main + 1, 2)),
-            tuple(range(1, max_order_conj + 1, 2)),
-        )
+        main, conj = (tuple(range(1, top + 1, 2)) for top in tops)
+        _check_sets(main, conj, keys)
+        return cls(main, conj)
 
     @property
     def n_branches(self) -> int:
@@ -135,17 +178,12 @@ class PolyBasis:
             (self.sets.conj_orders, self.u_conj, "u_conj"),
         ):
             if set(table) != set(orders):
-                raise ConfigurationError(f"{name} keys {sorted(table)} != branch orders {orders}")
-            for order in orders:
-                row = np.asarray(table[order], dtype=np.float64)
-                if row.shape != (len(_members(order, orders)),):
-                    raise ConfigurationError(
-                        f"{name}[{order}] has {row.shape} coefficients, "
-                        f"expected {len(_members(order, orders))}"
-                    )
-                if row[-1] == 0.0:
-                    raise ConfigurationError(f"{name}[{order}] diagonal entry is zero")
-                table[order] = row
+                raise ConfigurationError(f"'{name}' keys {sorted(table)} != branch orders {orders}")
+            for i, order in enumerate(orders):
+                table[order] = row = np.asarray(table[order], dtype=np.float64)
+                if row.ndim != 1:
+                    raise ConfigurationError(f"'{name}[{i}]' is not a row: shape {row.shape}")
+            _check_basis_rows(orders, [table[order] for order in orders], name)
 
     @classmethod
     def plain(cls, sets: BranchSets) -> "PolyBasis":
@@ -297,12 +335,8 @@ class AphConfig:
     def __post_init__(self):
         object.__setattr__(self, "taps_main", _int_tuple("taps_main", self.taps_main))
         object.__setattr__(self, "taps_conj", _int_tuple("taps_conj", self.taps_conj))
-        if len(self.taps_main) != len(self.sets.main_orders):
-            raise ConfigurationError("taps_main must align with sets.main_orders")
-        if len(self.taps_conj) != len(self.sets.conj_orders):
-            raise ConfigurationError("taps_conj must align with sets.conj_orders")
-        if any(t < 1 for t in (*self.taps_main, *self.taps_conj)):
-            raise ConfigurationError("every branch needs at least one tap")
+        sets = self.sets
+        _check_structure(sets.main_orders, sets.conj_orders, self.taps_main, self.taps_conj)
         if self.basis.sets != self.sets:
             raise ConfigurationError("basis was built for different branch sets")
 

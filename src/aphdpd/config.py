@@ -15,6 +15,8 @@ once: the branch orders only in its layout, and each real basis entry as
 one number. Every JSON document (config, coefficient file, I/Q sidecar) is
 read by `_read_json`, which also refuses a key given twice in one object
 and nesting deeper than the decoder recurses, and then by its key tables.
+The predistorter's structure rules are stated once, in `basis`; both
+documents run them under their own dotted keys.
 """
 
 from __future__ import annotations
@@ -28,13 +30,14 @@ import numpy as np
 
 from .analysis import welch_step
 from .basis import (
-    MAX_ORDER,
     ORTHOGONAL,
     PLAIN,
     AphConfig,
     BranchSets,
     PolyBasis,
-    _check_orders,
+    _check_basis_rows,
+    _check_structure,
+    _is_int,
     fit_orthogonal_basis,
 )
 from .exceptions import ConfigurationError
@@ -88,11 +91,6 @@ def _json_object(value, name: str) -> dict:
 def _object(table: dict, into=dict):
     """Parser of a JSON object read by `table`, giving `into(**fields)`."""
     return lambda value, name: into(**_fields(_json_object(value, name), f"{name}.", table))
-
-
-# JSON booleans are Python ints; neither a count nor a quantity may be one.
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 # Python's json module reads NaN and Infinity; no quantity here may be either.
@@ -190,14 +188,7 @@ def _list_of(parse, what: str):
 
 
 _single_pairs = _list_of(_single_pair, "[re, im] pairs")
-_tap_counts = _list_of(_count, "tap counts")
-
-
-def _orders(value, name: str) -> tuple[int, ...]:
-    """A branch order list, its rules checked under its own key."""
-    orders = _integer_list(value, name)
-    _check_orders(f"'{name}'", orders)
-    return orders
+_tap_counts = _list_of(_integer, "tap counts")
 
 
 @dataclass(frozen=True)
@@ -251,16 +242,6 @@ class ExperimentConfig:
         return AphConfig(self.branch_sets, self.taps_main, self.taps_conj, basis)
 
 
-def _max_order(value, name: str) -> int:
-    """The top order of a branch family, which holds every odd order up to it."""
-    top = _integer(value, name)
-    if top < 1 or top % 2 == 0 or top > MAX_ORDER:
-        raise ConfigurationError(
-            f"'{name}' must be an odd order from 1 to the order bound {MAX_ORDER}, got {top}"
-        )
-    return top
-
-
 def _taps(value, name: str) -> int | tuple[int, ...]:
     """One tap count for every branch (an int), or one per branch (a list)."""
     if isinstance(value, list):
@@ -268,13 +249,6 @@ def _taps(value, name: str) -> int | tuple[int, ...]:
     if not _is_int(value):
         raise ConfigurationError(f"'{name}' must be an int or list of ints, got {value!r}")
     return _count(value, name)
-
-
-def _per_branch(taps, n_branches: int, name: str) -> tuple[int, ...]:
-    taps = (taps,) * n_branches if _is_int(taps) else tuple(taps)
-    if len(taps) != n_branches:
-        raise ConfigurationError(f"'{name}' lists {len(taps)} tap counts for {n_branches} branches")
-    return taps
 
 
 def _band(value, name: str) -> tuple[float, float]:
@@ -293,8 +267,8 @@ _CARRIER = {
     "power_db": (_number, _OWN),
 }
 _DPD = {
-    "max_order_main": (_max_order, _REQUIRED),
-    "max_order_conj": (_max_order, _REQUIRED),
+    "max_order_main": (_integer, _REQUIRED),
+    "max_order_conj": (_integer, _REQUIRED),
     "taps_main": (_taps, _REQUIRED),
     "taps_conj": (_taps, _REQUIRED),
     "basis_mode": (_basis_mode, _REQUIRED),
@@ -348,14 +322,15 @@ def parse_experiment_config(doc: dict, seed_override: int | None = None) -> Expe
         spec.check_fits(fs)
 
     dpd = top["dpd"]
-    if dpd["max_order_conj"] > dpd["max_order_main"]:
-        raise ConfigurationError(
-            f"'dpd.max_order_conj' of {dpd['max_order_conj']} is above the main "
-            f"family's top order {dpd['max_order_main']}"
-        )
-    sets = BranchSets.odd_orders_up_to(dpd["max_order_main"], dpd["max_order_conj"])
-    taps_main = _per_branch(dpd["taps_main"], len(sets.main_orders), "dpd.taps_main")
-    taps_conj = _per_branch(dpd["taps_conj"], len(sets.conj_orders), "dpd.taps_conj")
+    keys = [f"dpd.{key}" for key in ("max_order_main", "max_order_conj", "taps_main", "taps_conj")]
+    sets = BranchSets.odd_orders_up_to(dpd["max_order_main"], dpd["max_order_conj"], keys[:2])
+    main, conj = sets.main_orders, sets.conj_orders
+    # One tap count (an int) is every branch's.
+    taps_main, taps_conj = (
+        (taps,) * len(orders) if _is_int(taps) else taps
+        for taps, orders in ((dpd["taps_main"], main), (dpd["taps_conj"], conj))
+    )
+    _check_structure(main, conj, taps_main, taps_conj, keys)
 
     training = TrainingConfig(**top["training"], seed=seed)
     # The orthogonal basis is fitted on twice as many samples (`aph_config`).
@@ -415,9 +390,10 @@ def load_experiment_config(path, respect_env: bool = True) -> ExperimentConfig:
 
 # --- coefficient file format -------------------------------------------------
 
-# The key table of each object in the coefficient file. The layout's orders
-# are read before its basis, so a fault in them is reported under their keys.
-# A basis table is one row of real numbers per branch, over its member orders.
+# The key table of each object in the coefficient file. Every key is read
+# before `_layout` runs the structure rules, so a fault in a basis entry's
+# type is reported before one in the orders. A basis table is rows of real
+# numbers; the rules give one row per branch, over its member orders.
 _rows = _list_of(_list_of(_single(_number), "numbers"), "rows")
 _BASIS = {
     "mode": (_basis_mode, _REQUIRED),
@@ -425,8 +401,8 @@ _BASIS = {
     "u_conj": (_rows, _REQUIRED),
 }
 _LAYOUT = {
-    "main_orders": (_orders, _REQUIRED),
-    "conj_orders": (_orders, _REQUIRED),
+    "main_orders": (_integer_list, _REQUIRED),
+    "conj_orders": (_integer_list, _REQUIRED),
     "taps_main": (_tap_counts, _REQUIRED),
     "taps_conj": (_tap_counts, _REQUIRED),
     "basis": (_object(_BASIS), _REQUIRED),
@@ -434,36 +410,19 @@ _LAYOUT = {
 
 
 def _layout(value, name: str) -> AphConfig:
-    """The coefficient file's layout, with the rules that join its keys
-    checked under the key at fault (the dataclasses check them again, by
-    field name, for callers that build them in code)."""
+    """The coefficient file's layout. The structure rules of `basis` run
+    under the layout's dotted keys, so a fault that only the keys together
+    show is named by the key at fault."""
     layout = _fields(_json_object(value, name), f"{name}.", _LAYOUT)
-    main, conj = layout["main_orders"], layout["conj_orders"]
-    if conj[-1] > main[-1]:
-        raise ConfigurationError(
-            f"'{name}.conj_orders' reaches order {conj[-1]}, "
-            f"above the main family's top order {main[-1]}"
-        )
-    taps_main = _per_branch(layout["taps_main"], len(main), f"{name}.taps_main")
-    taps_conj = _per_branch(layout["taps_conj"], len(conj), f"{name}.taps_conj")
-    basis = layout["basis"]
-    tables = []
-    for key, orders in (("u_main", main), ("u_conj", conj)):
-        rows, where = basis[key], f"{name}.basis.{key}"
-        if len(rows) != len(orders):
-            raise ConfigurationError(
-                f"'{where}' lists {len(rows)} rows for {len(orders)} branches"
-            )
-        for i, row in enumerate(rows):  # branch i has the i + 1 lowest orders as members
-            if len(row) != i + 1:
-                raise ConfigurationError(
-                    f"'{where}[{i}]' has {len(row)} entries, order {orders[i]} needs {i + 1}"
-                )
-            if row[-1] == 0.0:
-                raise ConfigurationError(f"'{where}[{i}]' has a zero diagonal (last) entry")
-        tables.append(dict(zip(orders, rows)))
+    main, conj, basis = layout["main_orders"], layout["conj_orders"], layout["basis"]
+    keys = [f"{name}.{key}" for key in ("main_orders", "conj_orders", "taps_main", "taps_conj")]
+    _check_structure(main, conj, layout["taps_main"], layout["taps_conj"], keys)
+    _check_basis_rows(main, basis["u_main"], f"{name}.basis.u_main")
+    _check_basis_rows(conj, basis["u_conj"], f"{name}.basis.u_conj")
     sets = BranchSets(main, conj)
-    return AphConfig(sets, taps_main, taps_conj, PolyBasis(basis["mode"], sets, *tables))
+    tables = dict(zip(main, basis["u_main"])), dict(zip(conj, basis["u_conj"]))
+    basis = PolyBasis(basis["mode"], sets, *tables)
+    return AphConfig(sets, layout["taps_main"], layout["taps_conj"], basis)
 
 
 _COEFFICIENTS = {

@@ -77,6 +77,126 @@ class TestBranchSets:
         assert sets == TABLE_SETS
         assert all(type(m) is int for m in (*sets.main_orders, *sets.conj_orders))
 
+    @pytest.mark.parametrize(
+        "main, conj, key, top",
+        [
+            (4, 1, "max_order_main", 4),
+            (0, 1, "max_order_main", 0),
+            (-3, 1, "max_order_main", -3),
+            (129, 1, "max_order_main", 129),
+            (5.0, 3, "max_order_main", 5.0),
+            (5, True, "max_order_conj", True),
+        ],
+        ids=["even", "zero", "negative", "above-bound", "float", "bool"],
+    )
+    def test_odd_orders_up_to_refuses_a_bad_top(self, main, conj, key, top):
+        """A top order is an odd integer from 1 to MAX_ORDER: an even one is
+        not rounded down, nor a float or a bool read as an integer."""
+        text = f"'{key}' must be an odd order from 1 to the order bound 127, got {top}"
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(text)}$"):
+            BranchSets.odd_orders_up_to(main, conj)
+
+
+_CFG = AphConfig.default()  # orders (1, 3, 5) / (1, 3), five taps per branch
+
+
+def _config_fault(**dpd):
+    doc = json.loads(SHIPPED_CONFIG.read_text())
+    doc["dpd"].update(dpd)
+    return lambda: parse_experiment_config(doc)
+
+
+def _file_fault(edit):
+    doc = coefficients_to_json_dict(identity_coefficients(_CFG), _CFG)
+    edit(doc["layout"])
+    return lambda: coefficients_from_json_dict(doc)
+
+
+def _basis_fault(u_main=(), u_conj=()):
+    plain = PolyBasis.plain(_CFG.sets)
+    tables = {**plain.u_main, **dict(u_main)}, {**plain.u_conj, **dict(u_conj)}
+    return lambda: PolyBasis("plain", _CFG.sets, *tables)
+
+
+class TestStructureRules:
+    """Each structure rule is stated once in `basis` and run under the
+    caller's keys, so the experiment config's `dpd` section, the coefficient
+    file's `layout` and the dataclasses in code give one text per rule."""
+
+    @pytest.mark.parametrize(
+        "faults",
+        [
+            {
+                "dpd.max_order_main": _config_fault(max_order_main=4),
+                "max_order_main": lambda: BranchSets.odd_orders_up_to(4, 3),
+            },
+            {
+                "layout.main_orders": _file_fault(lambda lay: lay.update(main_orders=[1, 3, 6])),
+                "main_orders": lambda: BranchSets((1, 3, 6), (1, 3)),
+            },
+            {
+                "layout.conj_orders": _file_fault(lambda lay: lay.update(conj_orders=[3, 1])),
+                "conj_orders": lambda: BranchSets((1, 3, 5), (3, 1)),
+            },
+            {
+                "layout.main_orders": _file_fault(
+                    lambda lay: lay.update(main_orders=[1, 3, 129])
+                ),
+                "main_orders": lambda: BranchSets((1, 3, 129), (1, 3)),
+            },
+            {
+                "layout.conj_orders": _file_fault(lambda lay: lay.update(conj_orders=[])),
+                "conj_orders": lambda: BranchSets((1, 3, 5), ()),
+            },
+            {
+                "dpd.max_order_conj": _config_fault(max_order_conj=7),
+                "layout.conj_orders": _file_fault(
+                    lambda lay: lay.update(conj_orders=[1, 3, 5, 7])
+                ),
+                "conj_orders": lambda: BranchSets((1, 3, 5), (1, 3, 5, 7)),
+                "max_order_conj": lambda: BranchSets.odd_orders_up_to(5, 7),
+            },
+            {
+                "dpd.taps_main": _config_fault(taps_main=[5, 5]),
+                "layout.taps_main": _file_fault(lambda lay: lay.update(taps_main=[5, 5])),
+                "taps_main": lambda: AphConfig(_CFG.sets, (5, 5), (5, 5), _CFG.basis),
+            },
+            {
+                "dpd.taps_conj[1]": _config_fault(taps_conj=[5, 0]),
+                "layout.taps_conj[1]": _file_fault(lambda lay: lay.update(taps_conj=[5, 0])),
+                "taps_conj[1]": lambda: AphConfig(_CFG.sets, (5, 5, 5), (5, 0), _CFG.basis),
+            },
+            {
+                "layout.basis.u_main[1]": _file_fault(
+                    lambda lay: lay["basis"]["u_main"].__setitem__(1, [1.0])
+                ),
+                "u_main[1]": _basis_fault(u_main={3: [1.0]}),
+            },
+            {
+                "layout.basis.u_conj[0]": _file_fault(
+                    lambda lay: lay["basis"]["u_conj"].__setitem__(0, [0.0])
+                ),
+                "u_conj[0]": _basis_fault(u_conj={1: [0.0]}),
+            },
+        ],
+        ids=[
+            "top-order", "orders-odd", "orders-ascending", "orders-bound", "orders-empty",
+            "conj-above-main", "taps-per-branch", "taps-at-least-1", "row-members",
+            "row-diagonal",
+        ],
+    )
+    def test_entry_points_agree(self, faults):
+        """The message of each entry point is its key, quoted, then one text
+        that is the same for all of them."""
+        texts = set()
+        for key, make in faults.items():
+            with pytest.raises(ConfigurationError) as err:
+                make()
+            message = str(err.value)
+            assert message.startswith(f"'{key}' ")
+            texts.add(message.removeprefix(f"'{key}' "))
+        assert len(texts) == 1, texts
+
 
 class TestPolyBasis:
     def test_plain_is_identity_table(self):

@@ -645,7 +645,7 @@ class TestRangeErrorsNameTheirPlace:
             ({"dpd.taps_main": -1}, "'dpd.taps_main' must be >= 1, got -1"),
             (
                 {"dpd.max_order_conj": 7},
-                "'dpd.max_order_conj' of 7 is above the main family's top order 5",
+                "'dpd.max_order_conj' reaches order 7, above the main family's top order 5",
             ),
             *(
                 (
