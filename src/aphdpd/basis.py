@@ -5,16 +5,19 @@ normal equations of the convolution-structured regression matrix that
 least-squares training solves, summed over blocks of samples from real
 lagged products of the branches' real and imaginary parts.
 
-A main branch of order p evaluates
+A family's branches follow its ascending orders p_0 < p_1 < ..., and
+main branch i evaluates
 
-    psi_p(x) = sum over m in {1,3,...,p} of u[m,p] * |x|^(m-1) * x
+    psi_i(x) = sum over j in 0..i of u[i][j] * |x|^(p_j - 1) * x
 
-and a conjugate branch uses x* in place of the trailing x. In plain mode the
-coefficient table u is the identity (pure monomials). In orthogonal mode the
-rows of u are chosen so the branch outputs are uncorrelated with unit power
-over a training sample set: since E[phi_m phi_m'*] = E[|x|^(m+m'-2) |x|^2]
-depends only on the magnitude distribution, the sample moment matrix is real
-and its Cholesky factor orthogonalizes both families.
+while a conjugate branch uses x* in place of the trailing x. The table u is
+lower triangular and is held as one row per branch, in the family's order,
+as the coefficient file lists it. In plain mode u is the identity (pure
+monomials). In orthogonal mode the rows of u are chosen so the branch
+outputs are uncorrelated with unit power over a training sample set: since
+E[phi_m phi_m'*] = E[|x|^(m+m'-2) |x|^2] depends only on the magnitude
+distribution, the sample moment matrix is real and its Cholesky factor
+orthogonalizes both families.
 
 Each structure rule (orders, tap counts, basis rows) is stated once, in a
 `_check_*` function that names a fault under the caller's keys: the field
@@ -34,7 +37,7 @@ import numpy as np
 
 from .blocks import SERIAL_CHUNK_LEN
 from .exceptions import ConditioningError, ConfigurationError, InsufficientDataError
-from .waveforms import IqBuffer, _abs2
+from .waveforms import IqBuffer, _abs2, _power_sum
 
 # Samples per block of `build_normal_equations`: its real array of
 # 2 (branches + 1) rows stays in cache through all the lag products.
@@ -151,48 +154,42 @@ class BranchSets:
         return len(self.main_orders) + len(self.conj_orders)
 
 
-def _members(order: int, orders: tuple[int, ...]) -> tuple[int, ...]:
-    """Orders participating in the branch polynomial of `order`."""
-    return tuple(m for m in orders if m <= order)
-
-
 @dataclass(frozen=True)
 class PolyBasis:
-    """Per-branch polynomial coefficient tables u, keyed by branch order.
+    """Per-branch polynomial coefficient tables u, one row per branch in
+    the family's order, as the coefficient file lists them.
 
-    ``u_main[p]`` holds the coefficients over the member orders of branch p
-    (ascending), i.e. a row of a lower-triangular table. Tables are real by
-    construction, and the coefficient file writes each entry as one number.
+    Branch i of a family has the i + 1 lowest orders of the family as its
+    members, and ``u_main[i]`` holds its coefficients over them (ascending),
+    i.e. a row of a lower-triangular table. Each row is a read-only float64
+    copy of the caller's, so nothing the caller holds can change a
+    validated basis. Tables are real by construction, and the coefficient
+    file writes each entry as one number.
     """
 
     mode: str
     sets: BranchSets
-    u_main: dict[int, np.ndarray]
-    u_conj: dict[int, np.ndarray]
+    u_main: tuple[np.ndarray, ...]
+    u_conj: tuple[np.ndarray, ...]
 
     def __post_init__(self):
         if self.mode not in (PLAIN, ORTHOGONAL):
             raise ConfigurationError(f"unknown basis mode {self.mode!r}")
-        for orders, table, name in (
-            (self.sets.main_orders, self.u_main, "u_main"),
-            (self.sets.conj_orders, self.u_conj, "u_conj"),
-        ):
-            if set(table) != set(orders):
-                raise ConfigurationError(f"'{name}' keys {sorted(table)} != branch orders {orders}")
-            for i, order in enumerate(orders):
-                table[order] = row = np.asarray(table[order], dtype=np.float64)
+        for name, orders in (("u_main", self.sets.main_orders), ("u_conj", self.sets.conj_orders)):
+            rows = tuple(np.array(row, dtype=np.float64) for row in getattr(self, name))
+            for i, row in enumerate(rows):
                 if row.ndim != 1:
                     raise ConfigurationError(f"'{name}[{i}]' is not a row: shape {row.shape}")
-            _check_basis_rows(orders, [table[order] for order in orders], name)
+                row.flags.writeable = False
+            _check_basis_rows(orders, rows, name)
+            object.__setattr__(self, name, rows)
 
     @classmethod
     def plain(cls, sets: BranchSets) -> "PolyBasis":
         """Identity coefficient table: branches are pure monomials."""
 
         def identity(orders):
-            return {
-                p: np.eye(len(_members(p, orders)))[-1].copy() for p in orders
-            }
+            return [np.eye(i + 1)[-1] for i in range(len(orders))]
 
         return cls(PLAIN, sets, identity(sets.main_orders), identity(sets.conj_orders))
 
@@ -237,8 +234,8 @@ def evaluate_branches(x, basis: PolyBasis) -> np.ndarray:
             (basis.sets.main_orders, basis.u_main, block),
             (basis.sets.conj_orders, basis.u_conj, conj),
         ):
-            for order in orders:
-                for k, (coeff, member) in enumerate(zip(table[order], _members(order, orders))):
+            for u in table:
+                for k, (coeff, member) in enumerate(zip(u, orders)):
                     if member == 1:
                         term.fill(coeff)  # coeff * |x|^0
                     else:
@@ -287,7 +284,7 @@ def fit_orthogonal_basis(training: IqBuffer, sets: BranchSets) -> PolyBasis:
     def _rms() -> float:
         return float(np.sqrt(np.mean(r2)))
 
-    def family(orders: tuple[int, ...]) -> dict[int, np.ndarray]:
+    def family(orders: tuple[int, ...]) -> list[np.ndarray]:
         k = len(orders)
         moments = np.empty((k, k))
         for i, mi in enumerate(orders):
@@ -314,7 +311,7 @@ def fit_orthogonal_basis(training: IqBuffer, sets: BranchSets) -> PolyBasis:
             ) from err
         # Rows of inv(L): coefficients of each orthonormal branch over the monomials.
         inv_chol = _lower_triangular_inverse(chol)
-        return {order: inv_chol[i, : i + 1].copy() for i, order in enumerate(orders)}
+        return [inv_chol[i, : i + 1] for i in range(len(orders))]
 
     return PolyBasis(ORTHOGONAL, sets, family(sets.main_orders), family(sets.conj_orders))
 
@@ -417,13 +414,15 @@ def build_normal_equations(y: IqBuffer, target: np.ndarray, cfg: AphConfig) -> N
     x[:, :m] @ x[:, d:d+m].T per lag d gives every sum of Re*Re, Im*Im,
     Re*Im and Im*Re, and conj(u) v = (Re u Re v + Im u Im v) +
     i (Re u Im v - Im u Re v). Nothing held grows with the buffer.
+    ||b||^2 is `_power_sum(b)`, a numpy sum in a fixed order: a BLAS dot
+    product would split it over as many threads as the CPU mask allows.
     """
     n = len(y)
     l_max = cfg.l_max
     if n < l_max:
         raise InsufficientDataError(f"buffer of {n} samples is shorter than {l_max} taps")
     rows = n + l_max - 1
-    b = np.asarray(target, dtype=np.complex128)
+    b = np.ascontiguousarray(target, dtype=np.complex128)
     if b.ndim != 1 or len(b) > rows:
         raise ConfigurationError(f"target of shape {b.shape} exceeds the {rows} matrix rows")
 
@@ -471,4 +470,4 @@ def build_normal_equations(y: IqBuffer, target: np.ndarray, cfg: AphConfig) -> N
         rhs[rows_a] = proj[:ta, a]
     gram[-1, -1] = rows
     rhs[-1] = b.sum()
-    return NormalEquations(gram, rhs, float(np.vdot(b, b).real))
+    return NormalEquations(gram, rhs, _power_sum(b))

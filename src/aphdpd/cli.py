@@ -7,7 +7,8 @@ without editing the file.
 
 The streaming commands run their long stages on every CPU in the
 process's affinity mask (`predistort --workers` overrides it for the
-engine); the worker count never changes an output bit.
+engine); neither the worker count nor the CPU mask changes an output
+bit.
 
 All failures print a single `error: ...` line to stderr and exit nonzero
 (2 for usage errors, 1 for everything else).

@@ -111,10 +111,14 @@ def _positive(value, name: str) -> float:
     return x
 
 
-def _integer(value, name: str) -> int:
+def _any_integer(value, name: str) -> int:  # of any size: the caller bounds it
     if not _is_int(value):
         raise ConfigurationError(f"'{name}' must be an integer, got {value!r}")
-    if not _INT64.min <= value <= _INT64.max:
+    return value
+
+
+def _integer(value, name: str) -> int:
+    if not _INT64.min <= _any_integer(value, name) <= _INT64.max:
         raise ConfigurationError(f"'{name}' must be a 64-bit integer, got {value}")
     return value
 
@@ -126,9 +130,7 @@ def _count(value, name: str) -> int:
 
 
 def _seed(value, name: str) -> int:  # of any size: numpy seeds a generator with it
-    if not _is_int(value):
-        raise ConfigurationError(f"'{name}' must be an integer, got {value!r}")
-    if value < 0:
+    if _any_integer(value, name) < 0:
         raise ConfigurationError(f"'{name}' must be >= 0, got {value}")
     return value
 
@@ -138,12 +140,6 @@ def _check_sample_count(n: int, key: str, limit: int) -> None:
         raise ConfigurationError(
             f"'{key}' of {n} samples is more than numpy can index (at most {limit})"
         )
-
-
-def _integer_list(value, name: str) -> tuple[int, ...]:
-    if not isinstance(value, list) or not all(map(_is_int, value)):
-        raise ConfigurationError(f"'{name}' must be a list of integers, got {value!r}")
-    return tuple(value)
 
 
 def _basis_mode(value, name: str) -> str:
@@ -189,6 +185,7 @@ def _list_of(parse, what: str):
 
 _single_pairs = _list_of(_single_pair, "[re, im] pairs")
 _tap_counts = _list_of(_integer, "tap counts")
+_orders = _list_of(_any_integer, "orders")  # `basis` bounds each order under the list's key
 
 
 @dataclass(frozen=True)
@@ -401,8 +398,8 @@ _BASIS = {
     "u_conj": (_rows, _REQUIRED),
 }
 _LAYOUT = {
-    "main_orders": (_integer_list, _REQUIRED),
-    "conj_orders": (_integer_list, _REQUIRED),
+    "main_orders": (_orders, _REQUIRED),
+    "conj_orders": (_orders, _REQUIRED),
     "taps_main": (_tap_counts, _REQUIRED),
     "taps_conj": (_tap_counts, _REQUIRED),
     "basis": (_object(_BASIS), _REQUIRED),
@@ -420,8 +417,7 @@ def _layout(value, name: str) -> AphConfig:
     _check_basis_rows(main, basis["u_main"], f"{name}.basis.u_main")
     _check_basis_rows(conj, basis["u_conj"], f"{name}.basis.u_conj")
     sets = BranchSets(main, conj)
-    tables = dict(zip(main, basis["u_main"])), dict(zip(conj, basis["u_conj"]))
-    basis = PolyBasis(basis["mode"], sets, *tables)
+    basis = PolyBasis(basis["mode"], sets, basis["u_main"], basis["u_conj"])
     return AphConfig(sets, layout["taps_main"], layout["taps_conj"], basis)
 
 
@@ -447,8 +443,8 @@ def coefficients_to_json_dict(coeffs: CoefficientVector, cfg: AphConfig) -> dict
             "taps_conj": list(cfg.taps_conj),
             "basis": {
                 "mode": basis.mode,
-                "u_main": [basis.u_main[p].tolist() for p in cfg.sets.main_orders],
-                "u_conj": [basis.u_conj[p].tolist() for p in cfg.sets.conj_orders],
+                "u_main": [row.tolist() for row in basis.u_main],
+                "u_conj": [row.tolist() for row in basis.u_conj],
             },
         },
     }

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import AphConfig, _members
+from .basis import AphConfig
 from .blocks import default_chunk_len, map_blocks
 from .exceptions import ConfigurationError, DivergenceError
 from .waveforms import IqBuffer
@@ -63,13 +63,15 @@ class CoefficientVector:
     """Stacked filter taps plus the constant: [h_main..., h_conj..., c].
 
     Stored single precision (complex64), the processing precision; the
-    training solver works in double and casts on output.
+    training solver works in double and casts on output. `h` is a
+    read-only copy of the caller's array, so the checked taps cannot change.
     """
 
     h: np.ndarray
 
     def __post_init__(self):
-        h = np.ascontiguousarray(np.asarray(self.h, dtype=np.complex64))
+        h = np.array(self.h, dtype=np.complex64)
+        h.flags.writeable = False
         if h.ndim != 1 or h.size < 1:
             raise ConfigurationError("coefficient vector must be a nonempty 1-D array")
         if not np.all(np.isfinite(h)):
@@ -88,13 +90,13 @@ def identity_coefficients(cfg: AphConfig) -> CoefficientVector:
     """Coefficients that make the predistorter the identity map.
 
     Exact (bit-for-bit passthrough) for a plain basis; for an orthogonal
-    basis the first branch is x scaled by u[1,1], so the inverse scale is
-    identity only to single-precision rounding.
+    basis the first branch is x scaled by u_main[0][0], so the inverse
+    scale is identity only to single-precision rounding.
     """
     if cfg.sets.main_orders[0] != 1:
         raise ConfigurationError("identity needs a linear main branch (order 1)")
     h = np.zeros(cfg.n_coefficients, dtype=np.complex128)
-    h[0] = 1.0 / cfg.basis.u_main[1][0]
+    h[0] = 1.0 / cfg.basis.u_main[0][0]
     return CoefficientVector(h.astype(np.complex64))
 
 
@@ -125,19 +127,17 @@ def _compile_branches(coeffs: CoefficientVector, cfg: AphConfig) -> tuple[list, 
     """
     branches = []
     max_power = 0
-    tables = {"main": cfg.basis.u_main, "conj": cfg.basis.u_conj}
     orders = {"main": cfg.sets.main_orders, "conj": cfg.sets.conj_orders}
-    for family, order, sl in cfg.branch_slices():
-        u = tables[family][order]
-        members = _members(order, orders[family])
+    rows = (*cfg.basis.u_main, *cfg.basis.u_conj)
+    for (family, order, sl), u in zip(cfg.branch_slices(), rows):
         taps = coeffs.h[sl]
-        if tuple(members) == (1,):
+        if order == 1:
             # Pure linear branch: psi(x) = u*x, so fold u into the taps
             # (in double, before the single-precision cast).
             folded = (taps.astype(np.complex128) * float(u[0])).astype(np.complex64)
             branches.append((family == "conj", folded, None))
         else:
-            terms = [((m - 1) // 2, np.float32(coeff)) for coeff, m in zip(u, members)]
+            terms = [((m - 1) // 2, np.float32(coeff)) for coeff, m in zip(u, orders[family])]
             max_power = max(max_power, terms[-1][0])
             branches.append((family == "conj", taps.copy(), terms))
     return branches, max_power

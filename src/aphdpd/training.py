@@ -41,7 +41,7 @@ single precision, scores +inf and is rejected.
 
 Everything is deterministic given the caller's waveform factory and the
 seed: the stimuli and the solver, so two runs produce bit-identical
-reports.
+reports, on any CPU mask.
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ import numpy as np
 
 from .analysis import _error_db
 from .basis import _MOMENT_COND_LIMIT, AphConfig, build_normal_equations
+from .blocks import BLOCK_LEN
 from .exceptions import (
     ConditioningError,
     ConfigurationError,
@@ -146,10 +147,24 @@ def estimate_gain(pa_in: IqBuffer, pa_out: IqBuffer) -> complex:
 
 
 def _gain(a: np.ndarray, b: np.ndarray, a_energy: float) -> complex:
-    """`estimate_gain` over complex128 samples, given sum |a|^2."""
+    """`estimate_gain` over complex128 samples, given sum |a|^2.
+
+    The cross term sum conj(a) b is summed by numpy, one block of
+    `BLOCK_LEN` products at a time in ascending order, in one workspace.
+    np.vdot would hand it to BLAS, which splits a long dot product over
+    as many threads as the CPU mask allows, so its bits would follow the
+    mask.
+    """
     if a_energy == 0.0:
         raise DegenerateInputError("cannot estimate gain from an all-zero input")
-    return complex(np.vdot(a, b) / a_energy)
+    cross = 0j
+    products = np.empty(min(BLOCK_LEN, a.size), dtype=np.complex128)
+    for start in range(0, a.size, BLOCK_LEN):
+        block = products[: min(BLOCK_LEN, a.size - start)]
+        np.conjugate(a[start : start + block.size], out=block)
+        np.multiply(block, b[start : start + block.size], out=block)
+        cross += complex(np.add.reduce(block))
+    return cross / a_energy
 
 
 def normal_matrix_condition(normal: np.ndarray) -> float:

@@ -38,10 +38,9 @@ def _reference_branches(xs: np.ndarray, cfg: AphConfig):
         (cfg.sets.main_orders, cfg.taps_main, cfg.basis.u_main, xs),
         (cfg.sets.conj_orders, cfg.taps_conj, cfg.basis.u_conj, np.conj(xs)),
     ):
-        for order, n_taps in zip(orders, taps_list):
-            members = [m for m in orders if m <= order]
+        for i, n_taps in enumerate(taps_list):
             psi = np.zeros(xs.size, dtype=np.complex128)
-            for u, m in zip(table[order], members):
+            for u, m in zip(table[i], orders[: i + 1]):
                 psi += u * mag ** (m - 1) * base
             yield n_taps, psi
 

@@ -113,8 +113,13 @@ def _file_fault(edit):
 
 
 def _basis_fault(u_main=(), u_conj=()):
+    """The plain basis of `_CFG` with the rows at the given branch
+    indexes replaced."""
     plain = PolyBasis.plain(_CFG.sets)
-    tables = {**plain.u_main, **dict(u_main)}, {**plain.u_conj, **dict(u_conj)}
+    tables = [
+        [dict(edits).get(i, row) for i, row in enumerate(rows)]
+        for rows, edits in ((plain.u_main, u_main), (plain.u_conj, u_conj))
+    ]
     return lambda: PolyBasis("plain", _CFG.sets, *tables)
 
 
@@ -170,13 +175,13 @@ class TestStructureRules:
                 "layout.basis.u_main[1]": _file_fault(
                     lambda lay: lay["basis"]["u_main"].__setitem__(1, [1.0])
                 ),
-                "u_main[1]": _basis_fault(u_main={3: [1.0]}),
+                "u_main[1]": _basis_fault(u_main={1: [1.0]}),
             },
             {
                 "layout.basis.u_conj[0]": _file_fault(
                     lambda lay: lay["basis"]["u_conj"].__setitem__(0, [0.0])
                 ),
-                "u_conj[0]": _basis_fault(u_conj={1: [0.0]}),
+                "u_conj[0]": _basis_fault(u_conj={0: [0.0]}),
             },
         ],
         ids=[
@@ -202,14 +207,26 @@ class TestPolyBasis:
     def test_plain_is_identity_table(self):
         basis = PolyBasis.plain(TABLE_SETS)
         assert basis.mode == "plain"
-        for order, row in basis.u_main.items():
+        for row in basis.u_main:
             assert row[-1] == 1.0
             assert np.all(row[:-1] == 0.0)
+
+    def test_rows_are_read_only_copies(self):
+        """A validated basis keeps its rows: writing to the caller's rows
+        afterwards changes none of them, and they cannot be written."""
+        sets = BranchSets((1, 3), (1,))
+        u_main, u_conj = [np.array([1.0]), np.array([0.5, 2.0])], [[1.0]]
+        basis = PolyBasis("plain", sets, u_main, u_conj)
+        u_main[1][1] = 0.0
+        u_conj[0][0] = 0.0
+        rows = (*basis.u_main, *basis.u_conj)
+        assert [row.tolist() for row in rows] == [[1.0], [0.5, 2.0], [1.0]]
+        assert not any(row.flags.writeable for row in rows)
 
     def test_zero_diagonal_rejected(self):
         sets = BranchSets((1, 3), (1,))
         with pytest.raises(ConfigurationError):
-            PolyBasis("plain", sets, {1: [1.0], 3: [0.5, 0.0]}, {1: [1.0]})
+            PolyBasis("plain", sets, [[1.0], [0.5, 0.0]], [[1.0]])
 
     def test_json_rejects_complex_coefficients(self):
         """A basis entry is one real number; an [re, im] pair where a number
@@ -238,8 +255,8 @@ class TestEvaluateBranch:
         """Scaling one coefficient row scales that branch's output only."""
         sets = BranchSets((1, 3), (1,))
         x = rng.normal(size=50) + 1j * rng.normal(size=50)
-        base = PolyBasis("orthogonal", sets, {1: [2.0], 3: [0.3, 1.5]}, {1: [1.0]})
-        doubled = PolyBasis("orthogonal", sets, {1: [2.0], 3: [0.6, 3.0]}, {1: [1.0]})
+        base = PolyBasis("orthogonal", sets, [[2.0], [0.3, 1.5]], [[1.0]])
+        doubled = PolyBasis("orthogonal", sets, [[2.0], [0.6, 3.0]], [[1.0]])
         got, want = evaluate_branches(x, doubled), evaluate_branches(x, base)
         assert got.shape == (3, 50)
         assert_allclose(got[1], 2.0 * want[1], rtol=1e-12)
@@ -262,7 +279,7 @@ class TestEvaluateBranch:
             basis = PolyBasis.plain(TABLE_SETS)
         elif basis_name == "from-order-3":
             sets = BranchSets((3, 5), (3,))
-            basis = PolyBasis(ORTHOGONAL, sets, {3: [-0.5], 5: [0.25, -1.5]}, {3: [-2.0]})
+            basis = PolyBasis(ORTHOGONAL, sets, [[-0.5], [0.25, -1.5]], [[-2.0]])
         else:
             config = SHIPPED_CONFIG.with_name(f"{basis_name}.json")
             basis = parse_experiment_config(json.loads(config.read_text())).aph_config().basis
@@ -280,9 +297,9 @@ class TestEvaluateBranch:
                 (basis.sets.main_orders, basis.u_main, x),
                 (basis.sets.conj_orders, basis.u_conj, np.conj(x)),
             ):
-                for order in orders:
+                for i in range(len(orders)):
                     envelope = np.zeros_like(r2)
-                    for coeff, m in zip(table[order], [m for m in orders if m <= order]):
+                    for coeff, m in zip(table[i], orders[: i + 1]):
                         power = np.ones_like(r2)
                         for _ in range((m - 1) // 2):
                             power = power * r2

@@ -113,6 +113,15 @@ class TestCoefficientVector:
         with pytest.raises(ConfigurationError):
             CoefficientVector(h)
 
+    def test_holds_a_read_only_copy(self):
+        """The checked taps are the vector's own: writing to the caller's
+        array afterwards changes none of them, and they cannot be written."""
+        h = np.ones(26, dtype=np.complex64)
+        coeffs = CoefficientVector(h)
+        h[3] = np.inf
+        assert_array_equal(coeffs.h, np.ones(26, dtype=np.complex64))
+        assert not coeffs.h.flags.writeable
+
 
 class TestKernelCorrectness:
     def test_matches_double_precision_oracle(self):
@@ -295,8 +304,8 @@ class TestCoefficientJson:
         assert cfg_back.sets == CFG.sets
         assert (cfg_back.taps_main, cfg_back.taps_conj) == (CFG.taps_main, CFG.taps_conj)
         assert cfg_back.basis.mode == CFG.basis.mode
-        for order in CFG.sets.main_orders:
-            assert_array_equal(cfg_back.basis.u_main[order], CFG.basis.u_main[order])
+        for i in range(len(CFG.sets.main_orders)):
+            assert_array_equal(cfg_back.basis.u_main[i], CFG.basis.u_main[i])
 
     def test_round_trip_orthogonal_basis(self):
         basis = fit_orthogonal_basis(_buffer(4000, seed=40), CFG.sets)
@@ -344,13 +353,16 @@ class TestCoefficientJson:
             (lambda doc: doc["layout"]["basis"]["u_main"].__setitem__(0, [0.0]),
              "layout.basis.u_main[0]"),
             (lambda doc: doc["h"].pop(), "h"),
+            (lambda doc: doc["layout"].update(main_orders=[1, 2.5, 5]),
+             "layout.main_orders[1]"),
         ],
         ids=["conj-above-main", "basis-row-length", "taps-per-branch", "zero-taps",
-             "zero-diagonal", "h-short"],
+             "zero-diagonal", "h-short", "fractional-order"],
     )
     def test_rules_across_keys_name_the_key(self, fault, key):
         """A fault that only the layout as a whole shows (orders, taps, basis
-        rows and `h` that do not agree) is reported under the key at fault."""
+        rows and `h` that do not agree) is reported under the key at fault,
+        and an order list entry of the wrong type under its index."""
         doc = coefficients_to_json_dict(identity_coefficients(CFG), CFG)
         fault(doc)
         with pytest.raises(ConfigurationError, match=re.escape(f"'{key}'")):

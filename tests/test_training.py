@@ -42,6 +42,7 @@ from aphdpd import (
     predistort_serial,
     run_tx_chain,
 )
+from aphdpd.blocks import usable_cpus
 from aphdpd.training import _linearization_nmse_db, _lstsq_ridge
 from conftest import gaussian_waveform as WAVE
 from conftest import child_peak_rss, reference_basis_matrix
@@ -229,6 +230,30 @@ class TestIlaTrain:
             )
             assert proc.returncode == 0, proc.stderr
             assert json.loads(proc.stdout) == got, seed
+
+    @pytest.mark.skipif(usable_cpus() == 1, reason="one usable CPU: no mask to narrow")
+    def test_report_is_independent_of_the_cpu_mask(self, tmp_path):
+        """`dpd train` on a shipped config writes the same report bytes in a
+        child limited to one CPU, before numpy starts (and sizes its BLAS
+        thread pool), as in a child on every CPU of this process."""
+        root = Path(__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        env.pop("DPD_SEED", None)
+        reports = []
+        for mask in ("{min(os.sched_getaffinity(0))}", "os.sched_getaffinity(0)"):
+            report = tmp_path / f"report_{len(reports)}.json"
+            argv = ["train", str(root / "configs" / "single_carrier.json"),
+                    str(tmp_path / "h.json"), str(report)]
+            code = (
+                f"import os\nos.sched_setaffinity(0, {mask})\n"
+                f"import aphdpd.cli\nassert aphdpd.cli.main({argv!r}) == 0\n"
+            )
+            proc = subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+            )
+            assert proc.returncode == 0, proc.stderr
+            reports.append(report.read_bytes())
+        assert reports[0] == reports[1]
 
     @pytest.mark.parametrize("coefficients", ["identity", "trained"])
     def test_gate_equals_nmse_of_the_normalized_output(self, coefficients):
