@@ -35,7 +35,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .blocks import SERIAL_CHUNK_LEN
 from .exceptions import ConditioningError, ConfigurationError, InsufficientDataError
 from .waveforms import IqBuffer, _abs2, _power_sum
 
@@ -199,53 +198,29 @@ def evaluate_branches(x, basis: PolyBasis) -> np.ndarray:
     main orders ascending, then conjugate (the `branch_slices` order), each
     row shaped like x.
 
-    |x|^2 and its powers are computed once for the whole set. A branch's
-    envelope is 0 + u[m] |x|^(m-1) summed over its member orders m from low
-    to high, then multiplied by x or conj(x) as a complex128 value with a
-    zero imaginary part. Every step is one ufunc written with `out=` into a
-    few arrays and the rows of the result, so each row has the bits of that
-    sum written as a plain numpy expression, without a temporary per term.
-    The steps run over blocks of `SERIAL_CHUNK_LEN` samples, so the arrays
-    stay cache-sized; every step is elementwise, so the blocking changes no
-    bit.
+    |x|^2 and its powers are computed once for the whole set, the powers by
+    repeated products from 1. A branch's envelope is 0 + u[m] |x|^(m-1)
+    summed over its member orders m from low to high, then multiplied by x
+    or conj(x). These are plain numpy expressions with temporaries as long
+    as x, so callers bound its length: `build_normal_equations` passes at
+    most `_NORMAL_BLOCK_LEN` + l_max - 1 samples at a time.
     """
     x = np.asarray(x, dtype=np.complex128)
-    shape = x.shape
-    x = np.ascontiguousarray(x).reshape(-1)
-    out = np.empty((basis.sets.n_branches, x.size), dtype=np.complex128)
-    top = (basis.sets.main_orders[-1] - 1) // 2  # the highest power of |x|^2 used
-    size = min(SERIAL_CHUNK_LEN, x.size)
-    conj_ws, envelope_ws, term_ws = np.empty(size, np.complex128), np.empty(size), np.empty(size)
-    powers_ws = [np.empty(size) for _ in range(max(top, 1))]
-    for start in range(0, x.size, SERIAL_CHUNK_LEN):
-        block = x[start : start + SERIAL_CHUNK_LEN]
-        m = block.size
-        conj, envelope, term = conj_ws[:m], envelope_ws[:m], term_ws[:m]
-        # powers[j] = |x|^(2j); 1 * r2 is r2 exactly, so powers[1] is r2.
-        powers = [None] + [p[:m] for p in powers_ws]
-        # r2 = re^2 + im^2, from the squares of the float64 view (held in `conj`).
-        squares = np.square(block.view(np.float64), out=conj.view(np.float64))
-        np.add(squares[0::2], squares[1::2], out=powers[1])
-        for j in range(2, top + 1):
-            np.multiply(powers[j - 1], powers[1], out=powers[j])
-        np.conjugate(block, out=conj)
-        rows = iter(out[:, start : start + m])
-        for orders, table, base in (
-            (basis.sets.main_orders, basis.u_main, block),
-            (basis.sets.conj_orders, basis.u_conj, conj),
-        ):
-            for u in table:
-                for k, (coeff, member) in enumerate(zip(u, orders)):
-                    if member == 1:
-                        term.fill(coeff)  # coeff * |x|^0
-                    else:
-                        np.multiply(coeff, powers[(member - 1) // 2], out=term)
-                    # The first term is added to 0, as to a zero-filled envelope.
-                    np.add(envelope if k else 0.0, term, out=envelope)
-                row = next(rows)
-                np.copyto(row, envelope)
-                np.multiply(row, base, out=row)
-    return out.reshape((len(out),) + shape)
+    r2 = x.real**2 + x.imag**2
+    powers = [1.0]  # powers[j] = |x|^(2j)
+    for _ in range((basis.sets.main_orders[-1] - 1) // 2):
+        powers.append(powers[-1] * r2)
+    rows = []
+    for orders, table, base in (
+        (basis.sets.main_orders, basis.u_main, x),
+        (basis.sets.conj_orders, basis.u_conj, np.conj(x)),
+    ):
+        for u in table:
+            envelope = 0.0
+            for coeff, member in zip(u, orders):
+                envelope = envelope + coeff * powers[(member - 1) // 2]
+            rows.append(envelope * base)
+    return np.array(rows)
 
 
 def _lower_triangular_inverse(chol: np.ndarray) -> np.ndarray:
@@ -272,7 +247,9 @@ def fit_orthogonal_basis(training: IqBuffer, sets: BranchSets) -> PolyBasis:
 
     Uses the Cholesky factor of the sample moment matrix
     A[i,j] = mean(|x|^(m_i + m_j)): with psi = inv(L) @ phi the sample
-    correlation matrix of the branch outputs is the identity.
+    correlation matrix of the branch outputs is the identity. A[i,j]
+    depends only on m_i + m_j, so each distinct moment of either family
+    takes one pass over the training samples.
     """
     if len(training) < 10 * sets.n_branches:
         raise InsufficientDataError(
@@ -284,12 +261,12 @@ def fit_orthogonal_basis(training: IqBuffer, sets: BranchSets) -> PolyBasis:
     def _rms() -> float:
         return float(np.sqrt(np.mean(r2)))
 
+    # mean(|x|^(2p)), once for each p = (m_i + m_j) / 2 within a family.
+    ps = {(a + b) // 2 for fam in (sets.main_orders, sets.conj_orders) for a in fam for b in fam}
+    mean = {p: float(np.mean(r2**p)) for p in ps}
+
     def family(orders: tuple[int, ...]) -> list[np.ndarray]:
-        k = len(orders)
-        moments = np.empty((k, k))
-        for i, mi in enumerate(orders):
-            for j, mj in enumerate(orders[: i + 1]):
-                moments[i, j] = moments[j, i] = float(np.mean(r2 ** ((mi + mj) // 2)))
+        moments = np.array([[mean[(mi + mj) // 2] for mj in orders] for mi in orders])
         # Scaling x by a scales M by a diagonal matrix, so the raw cond(M)
         # tracks the drive level; cond(D M D) with D = diag(M)^-1/2 does not.
         with np.errstate(divide="ignore", invalid="ignore"):

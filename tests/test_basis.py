@@ -265,15 +265,15 @@ class TestEvaluateBranch:
     @pytest.mark.parametrize(
         "basis_name", ["plain", "from-order-3", "single_carrier", "ca_3mhz_x2"]
     )
-    @pytest.mark.parametrize("n", ["0-d", 1, 200_000])
+    @pytest.mark.parametrize("n", ["0-d", 1, pytest.param((3, 7), id="3x7"), 200_000])
     def test_equals_per_branch_expressions(self, basis_name, n):
         """Each row has the bits of its branch written as whole-array numpy
         expressions, one branch at a time: 0 + u[m] * |x|^(m-1) summed
         over the members from low to high, |x|^(m-1) raised from 1 by
-        repeated products with |x|^2, times x or conj(x). Across the
-        evaluator's blocks, for the plain basis, both shipped configs'
-        fitted bases and a basis whose branches start at order 3 (where
-        the 0 + turns a first term of -0.0 at x = 0 into +0.0), on one
+        repeated products with |x|^2, times x or conj(x). For the plain
+        basis, both shipped configs' fitted bases and a basis whose
+        branches start at order 3 (where the 0 + turns a first term of
+        -0.0 at x = 0 into +0.0), on many samples, on a 2-D array, on one
         sample and on a scalar."""
         if basis_name == "plain":
             basis = PolyBasis.plain(TABLE_SETS)
@@ -381,6 +381,36 @@ class TestFitOrthogonalBasis:
             norm = np.sqrt(np.diag(corr).real)
             corr /= np.outer(norm, norm)
             assert np.max(np.abs(corr - np.diag(np.diag(corr)))) < 1e-3
+
+    @pytest.mark.parametrize(
+        "sets",
+        [
+            BranchSets.odd_orders_up_to(5, 3),
+            BranchSets.odd_orders_up_to(9, 9),
+            BranchSets((1, 5, 9), (3, 7)),
+            BranchSets((3, 5), (3,)),
+        ],
+        ids=["5-3", "9-9", "gapped", "from-order-3"],
+    )
+    def test_rows_keep_the_per_pair_moment_bits(self, sets):
+        """Every fitted row has the bits of moments taken pair by pair,
+        each as mean(|x|^(m_i + m_j)), then Cholesky and the triangular
+        inverse: on consecutive orders, on gapped ones and on families
+        that start at order 3."""
+        training = _training_buffer(n=6000, seed=21)
+        basis = fit_orthogonal_basis(training, sets)
+        x = training.samples.astype(np.complex128)
+        r2 = x.real**2 + x.imag**2
+        for orders, rows in ((sets.main_orders, basis.u_main), (sets.conj_orders, basis.u_conj)):
+            k = len(orders)
+            moments = np.empty((k, k))
+            for i, mi in enumerate(orders):
+                for j, mj in enumerate(orders):
+                    moments[i, j] = float(np.mean(r2 ** ((mi + mj) // 2)))
+            want = _lower_triangular_inverse(np.linalg.cholesky(moments))
+            assert len(rows) == k
+            for i, row in enumerate(rows):
+                assert np.array_equal(row.view(np.uint64), want[i, : i + 1].view(np.uint64))
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_lower_triangular_inverse(self, rng, k):
