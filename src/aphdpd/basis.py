@@ -31,7 +31,6 @@ in `predistorter`, and the coefficient file's basis block in `config`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -223,25 +222,6 @@ def evaluate_branches(x, basis: PolyBasis) -> np.ndarray:
     return np.array(rows)
 
 
-def _lower_triangular_inverse(chol: np.ndarray) -> np.ndarray:
-    """inv(L) of a small lower-triangular L by forward substitution.
-
-    The rounding follows LAPACK's triangular solve on FMA hardware: each
-    pivot row is scaled by the reciprocal of its diagonal, and each
-    elimination step c - b*l is rounded once, as a fused multiply-add does
-    (exact rational arithmetic, then one rounding to double). The fitted
-    coefficient tables therefore keep the bits a LAPACK solve gives them.
-    """
-    k = len(chol)
-    inv = np.eye(k)
-    for p in range(k):
-        inv[p] *= 1.0 / chol[p, p]
-        for i in range(p + 1, k):
-            lip = Fraction(float(chol[i, p]))
-            inv[i] = [float(Fraction(c) - Fraction(b) * lip) for c, b in zip(inv[i], inv[p])]
-    return inv
-
-
 def fit_orthogonal_basis(training: IqBuffer, sets: BranchSets) -> PolyBasis:
     """Orthogonalize both branch families over a training sample set.
 
@@ -249,7 +229,8 @@ def fit_orthogonal_basis(training: IqBuffer, sets: BranchSets) -> PolyBasis:
     A[i,j] = mean(|x|^(m_i + m_j)): with psi = inv(L) @ phi the sample
     correlation matrix of the branch outputs is the identity. A[i,j]
     depends only on m_i + m_j, so each distinct moment of either family
-    takes one pass over the training samples.
+    takes one pass over the training samples. The rows of inv(L) come
+    from numpy's solve of L against the identity.
     """
     if len(training) < 10 * sets.n_branches:
         raise InsufficientDataError(
@@ -287,7 +268,7 @@ def fit_orthogonal_basis(training: IqBuffer, sets: BranchSets) -> PolyBasis:
                 condition_estimate=cond,
             ) from err
         # Rows of inv(L): coefficients of each orthonormal branch over the monomials.
-        inv_chol = _lower_triangular_inverse(chol)
+        inv_chol = np.linalg.solve(chol, np.eye(len(orders)))
         return [inv_chol[i, : i + 1] for i in range(len(orders))]
 
     return PolyBasis(ORTHOGONAL, sets, family(sets.main_orders), family(sets.conj_orders))

@@ -12,12 +12,14 @@ read by mapping it read-only: the samples are a view of the file's pages,
 with no copy, and pages are read as they are first touched. Output is
 written straight from the sample array, with no interleaving copy.
 
-An output lands by rename: `write_iq` writes the samples to a part file
-in the output's directory, `.<name>.<pid>.part`, and `os.replace`s it
-over the path, so a failed write leaves the old file as it was and no
-half-written output. The sidecar is written after the rename. A live map
-of the old file keeps its pages after the rename, so a command may write
-over its own input without copying it first. A mapping is lost only if
+An output lands by rename: `write_iq` writes the samples and the sidecar
+each to a part file in the output's directory, `.<name>.<pid>.part`, and
+only when both are complete `os.replace`s them over their paths, samples
+first. A failed write of either part leaves the old file and its sidecar
+as they were, and no half-written output; only a failure of the second
+rename leaves the new samples beside the old sidecar. A live map of the
+old file keeps its pages after the rename, so a command may write over
+its own input without copying it first. A mapping is lost only if
 another process truncates the file it maps: touching the lost pages then
 raises SIGBUS, which kills the process.
 """
@@ -43,19 +45,23 @@ def write_iq(buf: IqBuffer, path: str | Path) -> None:
     """Write a buffer as interleaved little-endian float32 I/Q pairs, plus
     its sidecar.
 
-    The samples go to a part file beside `path`, which is renamed over it
+    The samples and the sidecar each go to a part file beside their path,
+    and both parts are complete before either is renamed over its path
     (see the module docstring); samples that `read_iq` mapped from this
     same path keep their bytes.
     """
     path = Path(path)
-    part = path.parent / f".{path.name}.{os.getpid()}.part"
-    try:
-        np.ascontiguousarray(buf.samples, dtype="<c8").tofile(part)
-        os.replace(part, path)
-    finally:
-        part.unlink(missing_ok=True)  # gone after a rename; left by a failure
     meta = {"sample_rate_hz": buf.sample_rate_hz, "n_samples": len(buf)}
-    sidecar_path(path).write_text(json.dumps(meta) + "\n")
+    outputs = (path, sidecar_path(path))
+    parts = [out.parent / f".{out.name}.{os.getpid()}.part" for out in outputs]
+    try:
+        np.ascontiguousarray(buf.samples, dtype="<c8").tofile(parts[0])
+        parts[1].write_text(json.dumps(meta) + "\n")
+        for part, out in zip(parts, outputs):
+            os.replace(part, out)
+    finally:
+        for part in parts:
+            part.unlink(missing_ok=True)  # gone after a rename; left by a failure
 
 
 # The sidecar's key table: any other key is refused, naming it.

@@ -33,7 +33,7 @@ from aphdpd import (
     identity_coefficients,
     parse_experiment_config,
 )
-from aphdpd.basis import _NORMAL_BLOCK_LEN, ORTHOGONAL, _lower_triangular_inverse
+from aphdpd.basis import _NORMAL_BLOCK_LEN, ORTHOGONAL
 from aphdpd.config import _BASIS_FIT_SEED_OFFSET
 from conftest import gram_schmidt_basis_rows, reference_basis_matrix
 
@@ -387,15 +387,17 @@ class TestFitOrthogonalBasis:
         [
             BranchSets.odd_orders_up_to(5, 3),
             BranchSets.odd_orders_up_to(9, 9),
+            BranchSets.odd_orders_up_to(13, 13),
             BranchSets((1, 5, 9), (3, 7)),
             BranchSets((3, 5), (3,)),
         ],
-        ids=["5-3", "9-9", "gapped", "from-order-3"],
+        ids=["5-3", "9-9", "13-13", "gapped", "from-order-3"],
     )
     def test_rows_keep_the_per_pair_moment_bits(self, sets):
         """Every fitted row has the bits of moments taken pair by pair,
-        each as mean(|x|^(m_i + m_j)), then Cholesky and the triangular
-        inverse: on consecutive orders, on gapped ones and on families
+        each as mean(|x|^(m_i + m_j)), then Cholesky and numpy's solve
+        against the identity: on consecutive orders up to 13, where the
+        rows' low bits are most fragile, on gapped ones and on families
         that start at order 3."""
         training = _training_buffer(n=6000, seed=21)
         basis = fit_orthogonal_basis(training, sets)
@@ -407,18 +409,10 @@ class TestFitOrthogonalBasis:
             for i, mi in enumerate(orders):
                 for j, mj in enumerate(orders):
                     moments[i, j] = float(np.mean(r2 ** ((mi + mj) // 2)))
-            want = _lower_triangular_inverse(np.linalg.cholesky(moments))
+            want = np.linalg.solve(np.linalg.cholesky(moments), np.eye(k))
             assert len(rows) == k
             for i, row in enumerate(rows):
                 assert np.array_equal(row.view(np.uint64), want[i, : i + 1].view(np.uint64))
-
-    @pytest.mark.parametrize("k", [1, 2, 3, 4])
-    def test_lower_triangular_inverse(self, rng, k):
-        chol = np.tril(rng.normal(size=(k, k)))
-        chol[np.diag_indices(k)] = rng.uniform(0.1, 3.0, size=k)
-        inv = _lower_triangular_inverse(chol)
-        assert_allclose(inv @ chol, np.eye(k), atol=1e-12)
-        assert np.all(np.triu(inv, 1) == 0.0)
 
 
 class TestBuildBasisMatrix:

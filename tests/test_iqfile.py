@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -190,6 +192,27 @@ class TestMappedRead:
         assert path.read_bytes() == data
         assert sidecar_path(path).read_bytes() == side
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a.iq", "a.iq.json"]
+
+    def test_failed_sidecar_write_leaves_the_old_file(self, tmp_path, monkeypatch):
+        """If the sidecar runs out of disk halfway, the error propagates,
+        the new samples do not land beside the old sidecar, both old files
+        keep their bytes and no part file is left behind."""
+        path = tmp_path / "a.iq"
+        write_iq(_buf(n=1000, fs=5e6, seed=1), path)
+        data, side = path.read_bytes(), sidecar_path(path).read_bytes()
+        write_text = Path.write_text
+
+        def full_disk(self, text, *args, **kwargs):
+            write_text(self, text[:5], *args, **kwargs)
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(Path, "write_text", full_disk)
+        with pytest.raises(OSError, match="No space left"):
+            write_iq(_buf(n=2000, fs=10e6, seed=2), path)
+        assert path.read_bytes() == data
+        assert sidecar_path(path).read_bytes() == side
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.iq", "a.iq.json"]
+        assert len(read_iq(path)) == 1000
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_sample_in_a_mapped_file_is_rejected(self, tmp_path, bad):

@@ -233,17 +233,19 @@ class TestIlaTrain:
 
     @pytest.mark.skipif(usable_cpus() == 1, reason="one usable CPU: no mask to narrow")
     def test_report_is_independent_of_the_cpu_mask(self, tmp_path):
-        """`dpd train` on a shipped config writes the same report bytes in a
-        child limited to one CPU, before numpy starts (and sizes its BLAS
-        thread pool), as in a child on every CPU of this process."""
+        """`dpd train` on a shipped config writes the same coefficient and
+        report bytes in a child limited to one CPU, before numpy starts (and
+        sizes its BLAS thread pool), as in a child on every CPU of this
+        process."""
         root = Path(__file__).resolve().parents[1]
         env = {**os.environ, "PYTHONPATH": str(root / "src")}
         env.pop("DPD_SEED", None)
-        reports = []
+        outputs = []
         for mask in ("{min(os.sched_getaffinity(0))}", "os.sched_getaffinity(0)"):
-            report = tmp_path / f"report_{len(reports)}.json"
+            coeffs = tmp_path / f"h_{len(outputs)}.json"
+            report = tmp_path / f"report_{len(outputs)}.json"
             argv = ["train", str(root / "configs" / "single_carrier.json"),
-                    str(tmp_path / "h.json"), str(report)]
+                    str(coeffs), str(report)]
             code = (
                 f"import os\nos.sched_setaffinity(0, {mask})\n"
                 f"import aphdpd.cli\nassert aphdpd.cli.main({argv!r}) == 0\n"
@@ -252,8 +254,8 @@ class TestIlaTrain:
                 [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
             )
             assert proc.returncode == 0, proc.stderr
-            reports.append(report.read_bytes())
-        assert reports[0] == reports[1]
+            outputs.append((coeffs.read_bytes(), report.read_bytes()))
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("coefficients", ["identity", "trained"])
     def test_gate_equals_nmse_of_the_normalized_output(self, coefficients):
