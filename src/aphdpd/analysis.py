@@ -23,10 +23,10 @@ Conventions fixed here so every consumer (tests, CLI, demos) agrees:
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import record
 from .blocks import run_blocks
 from .exceptions import ConfigurationError, DegenerateInputError, InsufficientDataError
 from .waveforms import IqBuffer, _power_sum
@@ -55,7 +55,7 @@ _WELCH_GROUP_BATCHES = 16
 _WELCH_MAX_WORKERS = 4
 
 
-@dataclass(frozen=True)
+@record
 class Spectrum:
     """A two-sided PSD: bin center frequencies (Hz) and linear density."""
 

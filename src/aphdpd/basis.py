@@ -30,10 +30,9 @@ in `predistorter`, and the coefficient file's basis block in `config`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ._record import record
 from .exceptions import ConditioningError, ConfigurationError, InsufficientDataError
 from .waveforms import IqBuffer, _abs2, _power_sum
 
@@ -119,7 +118,7 @@ def _check_basis_rows(orders, rows, key: str) -> None:
             raise ConfigurationError(f"'{key}[{i}]' has a zero diagonal (last) entry")
 
 
-@dataclass(frozen=True)
+@record
 class BranchSets:
     """Polynomial orders of the main and conjugate branch families."""
 
@@ -152,7 +151,7 @@ class BranchSets:
         return len(self.main_orders) + len(self.conj_orders)
 
 
-@dataclass(frozen=True)
+@record
 class PolyBasis:
     """Per-branch polynomial coefficient tables u, one row per branch in
     the family's order, as the coefficient file lists them.
@@ -274,7 +273,7 @@ def fit_orthogonal_basis(training: IqBuffer, sets: BranchSets) -> PolyBasis:
     return PolyBasis(ORTHOGONAL, sets, family(sets.main_orders), family(sets.conj_orders))
 
 
-@dataclass(frozen=True)
+@record
 class AphConfig:
     """Branch structure of the predistorter: orders, tap counts, basis.
 
@@ -333,7 +332,7 @@ class AphConfig:
         return out
 
 
-@dataclass(frozen=True)
+@record
 class NormalEquations:
     """The normal equations G h = r of the regression matrix A (G = A^H A,
     r = A^H b) and the target power ||b||^2; nothing as long as the buffer.

@@ -19,12 +19,11 @@ throughput) because wall clocks on shared hosts jitter upward.
 from __future__ import annotations
 
 import csv
-import statistics
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import record
 from .exceptions import ConfigurationError, CorrectnessError
 from .basis import AphConfig
 from .blocks import default_chunk_len
@@ -45,7 +44,7 @@ _BUFFER_RMS = 0.2
 _BUFFER_RATE_HZ = 61.44e6
 
 
-@dataclass(frozen=True)
+@record
 class BenchResult:
     """Timings of one worker configuration over repeated runs."""
 
@@ -60,7 +59,11 @@ class BenchResult:
 
     @property
     def latency_s_median(self) -> float:
-        return statistics.median(self.latencies_s)
+        """The median latency as a float, the middle one of an odd count or
+        the mean of the two middle ones of an even count."""
+        ordered = sorted(self.latencies_s)
+        mid = len(ordered) // 2
+        return ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2
 
     @property
     def throughput_sps_median(self) -> float:

@@ -17,21 +17,21 @@ function because numpy keeps it per context and a pool thread starts in
 a fresh one, so a caller's `np.errstate` would not reach it. Each stage
 that can overflow turns the error into one that names the stage.
 
-The worker threads live as long as the process. The first call that needs
-more than one worker makes a pool of `n_workers` threads, and every later
-call with that count reuses it, so a stage that calls the runner once per
-group of blocks (Welch) starts no threads after its first group. One pool
-per worker count bounds the threads by the sum of the distinct counts
-asked: `dpd` commands ask for the usable CPU count and Welch's capped
-count. A call made from inside a block runs inline, so a block never
-waits on the pool it occupies.
+The worker threads are daemons that live as long as the process and never
+hold up its exit. The first call that needs more than one worker makes a
+pool of `n_workers` threads, and every later call with that count reuses
+it, so a stage that calls the runner once per group of blocks (Welch)
+starts no threads after its first group. One pool per worker count bounds
+the threads by the sum of the distinct counts asked: `dpd` commands ask
+for the usable CPU count and Welch's capped count. A call made from inside
+a block runs inline, so a block never waits on the pool it occupies.
 """
 
 from __future__ import annotations
 
 import os
+import queue
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -61,18 +61,57 @@ def default_chunk_len(n_workers: int) -> int:
     when the caller gives none."""
     return SERIAL_CHUNK_LEN if n_workers == 1 else PARALLEL_CHUNK_LEN
 
-_pools: dict[int, ThreadPoolExecutor] = {}
+
+class _Pool:
+    """`n_workers` daemon threads that run the jobs of one queue.
+
+    A job is (fn, index, start, done): its thread puts (index, fn(start),
+    None), or (index, None, error) if fn raised, on the caller's `done`
+    queue.
+    """
+
+    def __init__(self, n_workers: int):
+        self._jobs = queue.SimpleQueue()
+        for _ in range(n_workers):
+            threading.Thread(target=self._serve, name="aphdpd-block", daemon=True).start()
+
+    def _serve(self) -> None:
+        while True:
+            fn, index, start, done = self._jobs.get()
+            try:
+                outcome = (index, fn(start), None)
+            except BaseException as err:  # handed to the caller, which raises it
+                outcome = (index, None, err)
+            done.put(outcome)
+            # Hold nothing while waiting: a block's closure may reach a
+            # stage's whole input and output arrays.
+            del fn, start, done, outcome
+
+    def run(self, fn, starts: list) -> list:
+        """[fn(start) for start in starts] once every block has finished; if
+        any raised, the exception of the first failing block in start order."""
+        done = queue.SimpleQueue()
+        for index, start in enumerate(starts):
+            self._jobs.put((fn, index, start, done))
+        outcomes = sorted((done.get() for _ in starts), key=lambda outcome: outcome[0])
+        for _, _, err in outcomes:
+            if err is not None:
+                raise err
+        return [result for _, result, _ in outcomes]
+
+
+_pools: dict[int, _Pool] = {}
 _pools_lock = threading.Lock()
 # A child made by fork() has no pool threads, only the parent's pool objects.
 os.register_at_fork(after_in_child=_pools.clear)
 _in_block = threading.local()
 
 
-def _pool(n_workers: int) -> ThreadPoolExecutor:
+def _pool(n_workers: int) -> _Pool:
     """The process's pool of `n_workers` threads, made on first use."""
     with _pools_lock:
         if n_workers not in _pools:
-            _pools[n_workers] = ThreadPoolExecutor(n_workers, thread_name_prefix="aphdpd-block")
+            _pools[n_workers] = _Pool(n_workers)
         return _pools[n_workers]
 
 
@@ -102,10 +141,7 @@ def run_blocks(fn, starts, n_workers: int) -> list:
 
     if n_workers == 1 or len(starts) <= 1 or getattr(_in_block, "active", False):
         return [block(start) for start in starts]
-    pool = _pool(n_workers)
-    futures = [pool.submit(block, start) for start in starts]
-    wait(futures)
-    return [future.result() for future in futures]
+    return _pool(n_workers).run(block, starts)
 
 
 def map_blocks(stage, x, block_len: int, n_workers: int, workspace, halo: int = 0):

@@ -17,7 +17,6 @@ All failures print a single `error: ...` line to stderr and exit nonzero
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import os
 import sys
@@ -29,7 +28,7 @@ from .bench import run_bench, write_bench_csv
 from .blocks import PARALLEL_CHUNK_LEN, SERIAL_CHUNK_LEN, usable_cpus
 from .config import coefficients_to_json_dict, load_coefficients, load_experiment_config
 from .exceptions import DpdError
-from .iqfile import read_iq, write_iq
+from .iqfile import land, read_iq, write_iq
 from .predistorter import (
     CoefficientVector,
     identity_coefficients,
@@ -46,12 +45,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
-def _write_json(doc, path) -> None:
-    """`doc` as indented JSON and a newline, to the file at `path` or, when
-    `path` is None, to stdout."""
-    with open(path, "w") if path is not None else contextlib.nullcontext(sys.stdout) as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+def _json_text(doc) -> str:
+    """`doc` as indented JSON and a newline."""
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def _cmd_generate(args) -> int:
@@ -67,8 +63,14 @@ def _cmd_train(args) -> int:
     cfg = load_experiment_config(args.config)
     aph = cfg.aph_config()
     coeffs, report = ila_train(cfg.tx_chain(), aph, cfg.training, cfg.waveform_factory())
-    _write_json(coefficients_to_json_dict(coeffs, aph), args.coeffs_out)
-    _write_json(report.to_json_list(), args.report_out)
+    coefficients = _json_text(coefficients_to_json_dict(coeffs, aph))
+    records = _json_text(report.to_json_list())
+    land(
+        [
+            (args.coeffs_out, lambda part: part.write_text(coefficients)),
+            (args.report_out, lambda part: part.write_text(records)),
+        ]
+    )
     print(f"baseline NMSE: {report.baseline_nmse_db:.2f} dB")
     for rec in report.records:
         if rec.accepted:
@@ -107,7 +109,10 @@ def _cmd_evaluate(args) -> int:
     buf_a = read_iq(args.in_iq)
     spec_a = welch_psd(buf_a, cfg.nfft, cfg.overlap, n_workers=workers)
     if args.in_iq_b is None:
-        write_spectrum_csv(spec_a, sys.stdout if args.out is None else args.out)
+        if args.out is None:
+            write_spectrum_csv(spec_a, sys.stdout)
+        else:
+            land([(args.out, lambda part: write_spectrum_csv(spec_a, part))])
         return 0
     buf_b = read_iq(args.in_iq_b)
     spec_b = welch_psd(buf_b, cfg.nfft, cfg.overlap, n_workers=workers)
@@ -122,7 +127,11 @@ def _cmd_evaluate(args) -> int:
                 "suppression_db": suppression_db(spec_a, spec_b, lo, hi),
             }
         )
-    _write_json({"reference": args.in_iq, "test": args.in_iq_b, "bands": bands}, args.out)
+    text = _json_text({"reference": args.in_iq, "test": args.in_iq_b, "bands": bands})
+    if args.out is None:
+        sys.stdout.write(text)
+    else:
+        land([(args.out, lambda part: part.write_text(text))])
     return 0
 
 

@@ -24,10 +24,10 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import record
 from .analysis import welch_step
 from .basis import (
     ORTHOGONAL,
@@ -61,7 +61,7 @@ _INT64 = np.iinfo(np.int64)
 _MAX_SAMPLES = np.iinfo(np.intp).max // np.dtype(np.complex128).itemsize
 
 _REQUIRED = object()  # a key the object must give
-_OWN = object()  # an optional key that keeps the dataclass field's own default
+_OWN = object()  # an optional key that keeps the value class field's own default
 
 
 def _fields(doc: dict, where: str, table: dict) -> dict:
@@ -188,7 +188,7 @@ _tap_counts = _list_of(_integer, "tap counts")
 _orders = _list_of(_any_integer, "orders")  # `basis` bounds each order under the list's key
 
 
-@dataclass(frozen=True)
+@record
 class ExperimentConfig:
     """Validated, fully typed view of one experiment document."""
 

@@ -29,16 +29,16 @@ DivergenceError when a block overflows single precision.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import record
 from .blocks import default_chunk_len, map_blocks
 from .exceptions import ConfigurationError, DivergenceError
 from .waveforms import IqBuffer
 
 
-@dataclass(frozen=True)
+@record
 class PaModel:
     """Memoryless polynomial power amplifier with odd-order terms 1, 3, 5.
     The coefficients are stored as Python complex numbers."""
@@ -57,7 +57,7 @@ class PaModel:
             raise ConfigurationError("alpha1 must be nonzero (invertible small-signal gain)")
 
 
-@dataclass(frozen=True)
+@record
 class IqModulatorModel:
     gain_imbalance_db: float = 0.0
     phase_imbalance_deg: float = 0.0
@@ -84,7 +84,7 @@ class IqModulatorModel:
         return (1.0 - self._imbalance) / 2.0
 
 
-@dataclass(frozen=True)
+@record
 class TxChain:
     """Modulator first, then PA — composition order is part of the contract."""
 

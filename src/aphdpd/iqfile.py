@@ -12,16 +12,13 @@ read by mapping it read-only: the samples are a view of the file's pages,
 with no copy, and pages are read as they are first touched. Output is
 written straight from the sample array, with no interleaving copy.
 
-An output lands by rename: `write_iq` writes the samples and the sidecar
-each to a part file in the output's directory, `.<name>.<pid>.part`, and
-only when both are complete `os.replace`s them over their paths, samples
-first. A failed write of either part leaves the old file and its sidecar
-as they were, and no half-written output; only a failure of the second
-rename leaves the new samples beside the old sidecar. A live map of the
-old file keeps its pages after the rename, so a command may write over
-its own input without copying it first. A mapping is lost only if
-another process truncates the file it maps: touching the lost pages then
-raises SIGBUS, which kills the process.
+An output lands by rename (`land`): `write_iq` lands the samples and the
+sidecar together, samples first, so a failed write of either leaves the
+old file and its sidecar as they were. A live map of the old file keeps
+its pages after the rename, so a command may write over its own input
+without copying it first. A mapping is lost only if another process
+truncates the file it maps: touching the lost pages then raises SIGBUS,
+which kills the process.
 """
 
 from __future__ import annotations
@@ -41,27 +38,44 @@ def sidecar_path(path: str | Path) -> Path:
     return Path(str(path) + ".json")
 
 
-def write_iq(buf: IqBuffer, path: str | Path) -> None:
-    """Write a buffer as interleaved little-endian float32 I/Q pairs, plus
-    its sidecar.
+def land(outputs) -> None:
+    """Write a command's output files so that each appears whole or not at
+    all: for each (path, write) pair in turn, `write(part)` writes the
+    complete file to a part file beside its path, `.<name>.<pid>.<i>.part`;
+    only when every part is complete is each `os.replace`d over its path,
+    in the given order.
 
-    The samples and the sidecar each go to a part file beside their path,
-    and both parts are complete before either is renamed over its path
-    (see the module docstring); samples that `read_iq` mapped from this
-    same path keep their bytes.
+    A write that raises leaves every old file as it was and no part file
+    behind. One window stays open: if a rename after the first fails, the
+    outputs renamed before it are new and the rest still old. Closing it
+    needs a hard-link backup of each old file to restore from.
     """
-    path = Path(path)
-    meta = {"sample_rate_hz": buf.sample_rate_hz, "n_samples": len(buf)}
-    outputs = (path, sidecar_path(path))
-    parts = [out.parent / f".{out.name}.{os.getpid()}.part" for out in outputs]
+    outputs = [(Path(path), write) for path, write in outputs]
+    parts = [
+        path.parent / f".{path.name}.{os.getpid()}.{i}.part" for i, (path, _) in enumerate(outputs)
+    ]
     try:
-        np.ascontiguousarray(buf.samples, dtype="<c8").tofile(parts[0])
-        parts[1].write_text(json.dumps(meta) + "\n")
-        for part, out in zip(parts, outputs):
-            os.replace(part, out)
+        for part, (_, write) in zip(parts, outputs):
+            write(part)
+        for part, (path, _) in zip(parts, outputs):
+            os.replace(part, path)
     finally:
         for part in parts:
             part.unlink(missing_ok=True)  # gone after a rename; left by a failure
+
+
+def write_iq(buf: IqBuffer, path: str | Path) -> None:
+    """Write a buffer as interleaved little-endian float32 I/Q pairs, plus
+    its sidecar, landed together (see `land`); samples that `read_iq`
+    mapped from this same path keep their bytes.
+    """
+    meta = {"sample_rate_hz": buf.sample_rate_hz, "n_samples": len(buf)}
+    land(
+        [
+            (path, np.ascontiguousarray(buf.samples, dtype="<c8").tofile),
+            (sidecar_path(path), lambda part: part.write_text(json.dumps(meta) + "\n")),
+        ]
+    )
 
 
 # The sidecar's key table: any other key is refused, naming it.

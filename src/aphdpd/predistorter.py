@@ -49,16 +49,15 @@ This module only computes; `config` writes and reads the coefficient file.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ._record import record
 from .basis import AphConfig
 from .blocks import default_chunk_len, map_blocks
 from .exceptions import ConfigurationError, DivergenceError
 from .waveforms import IqBuffer
 
-@dataclass(frozen=True)
+@record
 class CoefficientVector:
     """Stacked filter taps plus the constant: [h_main..., h_conj..., c].
 

@@ -46,10 +46,9 @@ reports, on any CPU mask.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ._record import record
 from .analysis import _error_db
 from .basis import _MOMENT_COND_LIMIT, AphConfig, build_normal_equations
 from .blocks import BLOCK_LEN
@@ -65,7 +64,7 @@ from .predistorter import CoefficientVector, identity_coefficients, predistort_s
 from .waveforms import IqBuffer, _power_sum
 
 
-@dataclass(frozen=True)
+@record
 class TrainingConfig:
     """Knobs of one training session.
 
@@ -88,7 +87,7 @@ class TrainingConfig:
             raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
 
 
-@dataclass(frozen=True)
+@record
 class IterationRecord:
     """State after one training iteration (the kept state, not necessarily
     the fresh candidate: `accepted` says whether the candidate replaced it).
@@ -121,7 +120,7 @@ class IterationRecord:
         }
 
 
-@dataclass(frozen=True)
+@record
 class TrainingReport:
     """Per-iteration records plus the no-predistortion baseline."""
 

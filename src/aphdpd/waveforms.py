@@ -27,10 +27,10 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import record
 from .blocks import BLOCK_LEN, run_blocks, usable_cpus
 from .exceptions import ConfigurationError, DegenerateInputError
 
@@ -115,7 +115,7 @@ def _all_finite(samples: np.ndarray) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@record
 class IqBuffer:
     """A contiguous run of complex baseband samples at a fixed sample rate.
 
@@ -169,7 +169,7 @@ class IqBuffer:
         return float(np.sqrt(_power_sum(self.samples) / self.samples.size))
 
 
-@dataclass(frozen=True)
+@record
 class CarrierSpec:
     """One carrier: baseband center offset, occupied bandwidth, relative power."""
 

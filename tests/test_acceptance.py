@@ -8,7 +8,6 @@ hosts.
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import time
 from pathlib import Path
@@ -116,7 +115,7 @@ class TestAcceptance:
         wave = cfg.waveform_factory()
         worst = -np.inf
         for seed in range(5):
-            tcfg = dataclasses.replace(cfg.training, seed=seed)
+            tcfg = TrainingConfig(cfg.training.n_training_samples, cfg.training.iterations, seed)
             _, report = ila_train(chain, aph, tcfg, make_waveform=wave)
             nmse = report.nmse_db
             worst = max(worst, nmse[2] - nmse[0])

@@ -5,6 +5,7 @@ their bookkeeping."""
 from __future__ import annotations
 
 import csv
+import statistics
 
 import numpy as np
 import pytest
@@ -43,6 +44,13 @@ class TestBenchResult:
         assert r.latency_s_median == pytest.approx(0.4)
         assert r.throughput_sps_median == pytest.approx(10_000 / 0.4)
         assert r.throughput_sps_min == pytest.approx(10_000 / 0.5)
+
+
+    @pytest.mark.parametrize("latencies", [(0.3,), (0.5, 0.2, 0.4), (0.5, 0.2, 0.4, 0.1)])
+    def test_median_is_a_float_equal_to_statistics_median(self, latencies):
+        """Odd and even repeat counts; a numpy scalar would change the CSV."""
+        median = BenchResult(1, 1000, 10_000, latencies).latency_s_median
+        assert type(median) is float and median == statistics.median(latencies)
 
 
 class TestMakeBenchBuffer:
@@ -98,3 +106,17 @@ class TestBenchCsv:
             assert int(row[0]) == r.workers
             assert int(row[2]) == r.n_samples
             assert float(row[4]) == pytest.approx(r.throughput_sps_median)
+
+    def test_rows_hold_the_repr_of_each_float(self, tmp_path):
+        results = [
+            BenchResult(1, 1000, 10_000, (0.5, 0.2, 0.4)),
+            BenchResult(2, 1000, 10_000, (0.5, 0.2, 0.4, 0.1)),
+        ]
+        path = tmp_path / "bench.csv"
+        write_bench_csv(results, path)
+        assert path.read_bytes().decode() == (
+            "workers,chunk_len,n_samples,latency_s_median,throughput_sps_median,"
+            "throughput_sps_min\r\n"
+            "1,1000,10000,0.4,25000.0,20000.0\r\n"
+            "2,1000,10000,0.30000000000000004,33333.33333333333,20000.0\r\n"
+        )

@@ -141,6 +141,32 @@ class TestWorkerPool:
         for block_thread, inner in result:
             assert inner == [block_thread] * 4
 
+    def test_concurrent_callers_share_a_pool(self):
+        """Four threads calling at once on one 4-thread pool, with a short
+        switch interval, each get exactly their own results in order."""
+        interval = sys.getswitchinterval()
+        results, errors = {}, []
+
+        def caller(key):
+            try:
+                for _ in range(10):
+                    results[key] = run_blocks(lambda s: (key, s), range(200), 4)
+                    assert results[key] == [(key, s) for s in range(200)]
+            except AssertionError as err:
+                errors.append(err)
+
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller, args=(key,)) for key in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads), "a caller hung"
+        assert not errors and sorted(results) == [0, 1, 2, 3]
+
     def test_threads_bounded_and_process_exits(self):
         """Calls on 2 and 3 workers, each holding every thread, leave at
         most 2 + 3 pool threads, and a process that made them still exits
