@@ -41,7 +41,7 @@ def main() -> None:
     results = run_bench(cfg, coeffs, 2_000_000, [1], repeats=3)
     sps = results[0].throughput_sps_median
     print(f"\nsingle-worker throughput: {sps / 1e6:.1f} Msps "
-          f"(median of {results[0].repeats} runs)")
+          f"(median of {len(results[0].latencies_s)} runs)")
 
 
 if __name__ == "__main__":

@@ -7,10 +7,8 @@ application engine that is bit-identical to its serial reference.
 """
 
 from .analysis import (
-    NMSE_FLOOR_DB,
     Spectrum,
     band_power_db,
-    nmse_db,
     suppression_db,
     welch_psd,
     write_spectrum_csv,
@@ -45,8 +43,6 @@ from .impairments import (
     IqModulatorModel,
     PaModel,
     TxChain,
-    iq_modulate,
-    pa_evaluate,
     run_tx_chain,
 )
 from .iqfile import read_iq, write_iq
@@ -57,17 +53,16 @@ from .predistorter import (
     predistort_serial,
 )
 from .training import (
+    NMSE_FLOOR_DB,
     IterationRecord,
     TrainingConfig,
     TrainingReport,
-    estimate_gain,
     ila_train,
 )
 from .waveforms import (
     CarrierSpec,
     IqBuffer,
     compose_multicarrier,
-    generate_carrier,
 )
 
 __version__ = "0.1.0"

@@ -1,5 +1,5 @@
 """Spectral measurement: Welch power spectral densities, band power
-integration, adjacent-band suppression, and time-domain NMSE.
+integration and adjacent-band suppression.
 
 Conventions fixed here so every consumer (tests, CLI, demos) agrees:
 
@@ -15,9 +15,6 @@ Conventions fixed here so every consumer (tests, CLI, demos) agrees:
   complex128 FFT 7-9 ms. In single precision the deepest bins of a
   160 dB spectrum were off by up to 116 %; in double they are within
   2e-9 of a long-double Welch.
-* NMSE compares complex baseband streams sample-by-sample in double
-  precision and is floored at -300 dB: below that the residual is
-  indistinguishable from representation noise.
 """
 
 from __future__ import annotations
@@ -28,10 +25,9 @@ import numpy as np
 
 from ._record import record
 from .blocks import run_blocks
-from .exceptions import ConfigurationError, DegenerateInputError, InsufficientDataError
-from .waveforms import IqBuffer, _power_sum
+from .exceptions import ConfigurationError, InsufficientDataError
+from .waveforms import IqBuffer
 
-NMSE_FLOOR_DB = -300.0
 _LOG_FLOOR = 1e-300
 
 # Samples per FFT batch in welch_psd (32 segments at nfft 4096): a 2 MB
@@ -200,34 +196,6 @@ def suppression_db(reference: Spectrum, test: Spectrum, f_lo: float, f_hi: float
     ):
         raise ConfigurationError("spectra are on different frequency grids")
     return band_power_db(reference, f_lo, f_hi) - band_power_db(test, f_lo, f_hi)
-
-
-def nmse_db(test: np.ndarray, reference: np.ndarray) -> float:
-    """Normalized mean-square error of test vs reference sample arrays, in
-    dB, compared in double precision.
-
-    A complex128 `test` is used as is, so a caller's double-precision
-    result is never rounded to complex64 first.
-    """
-    if len(test) != len(reference) or len(reference) == 0:
-        raise ConfigurationError(
-            f"buffers must be nonempty and equal length, got {len(test)} vs {len(reference)}"
-        )
-    ref = reference.astype(np.complex128)
-    err = test.astype(np.complex128) - ref
-    denom = _power_sum(ref)
-    if denom == 0.0:
-        raise DegenerateInputError("reference signal is identically zero")
-    return _error_db(err, denom)
-
-
-def _error_db(err: np.ndarray, reference_energy: float) -> float:
-    """The NMSE in dB of an error `err` against a reference of nonzero
-    energy `reference_energy`, floored at NMSE_FLOOR_DB."""
-    ratio = _power_sum(err) / reference_energy
-    if ratio <= 10.0 ** (NMSE_FLOOR_DB / 10.0):
-        return NMSE_FLOOR_DB
-    return 10.0 * float(np.log10(ratio))
 
 
 def write_spectrum_csv(spec: Spectrum, path_or_file) -> None:

@@ -54,10 +54,6 @@ class BenchResult:
     latencies_s: tuple[float, ...]
 
     @property
-    def repeats(self) -> int:
-        return len(self.latencies_s)
-
-    @property
     def latency_s_median(self) -> float:
         """The median latency as a float, the middle one of an odd count or
         the mean of the two middle ones of an even count."""

@@ -143,7 +143,7 @@ def _cmd_bench(args) -> int:
     coeffs = CoefficientVector((0.05 * h).astype(np.complex64))
     coeffs = CoefficientVector(coeffs.h + identity_coefficients(aph).h)
     results = run_bench(aph, coeffs, args.n, args.workers, args.chunk_len, args.repeats)
-    write_bench_csv(results, args.out_csv)
+    land([(args.out_csv, lambda part: write_bench_csv(results, part))])
     print(f"host: {os.cpu_count()} cpus, numpy {np.__version__}, python {sys.version.split()[0]}")
     for r in results:
         print(

@@ -14,16 +14,17 @@ with g the linear gain imbalance and phi the phase imbalance: the conj(x)
 image and the constant leakage are exactly the terms the predistorter's
 conjugate branches and constant offset exist to cancel.
 
-All evaluation is pure, elementwise, and double precision internally.
-`pa_evaluate` and `iq_modulate` define the chain's arithmetic.
-`run_tx_chain` runs the same ufunc loops block by block on
-`blocks.map_blocks`, in blocks of the engine's length rule
+All evaluation is pure, elementwise, and double precision internally:
+v = K1*x + K2*conj(x) + lo_leakage, then
+(alpha1 + alpha3*r2 + alpha5*r2^2)*v with r2 = |v|^2, in complex128, cast
+to complex64 (`TxChain._evaluate`). `run_tx_chain` runs it block by block
+on `blocks.map_blocks`, in blocks of the engine's length rule
 (`blocks.default_chunk_len`: 16 Ki samples on one worker, 64 Ki on more),
 in a workspace each worker makes once per call, so a block allocates
 nothing and the chain's speed does not depend on glibc's mmap threshold
-(see `predistorter`). Its output equals
-pa_evaluate(iq_modulate(x)) cast to complex64, bit for bit, or it raises
-DivergenceError when a block overflows single precision.
+(see `predistorter`). Neither the blocking nor the worker count changes a
+bit, and it raises DivergenceError when a block overflows single
+precision.
 """
 
 from __future__ import annotations
@@ -92,24 +93,28 @@ class TxChain:
     pa: PaModel
 
     def _evaluate(self, x: np.ndarray, ws: _TxWorkspace, skip: int, out: np.ndarray) -> None:
-        """out = pa_evaluate(iq_modulate(x)), cast to complex64, computed in
-        `ws` by the same ufunc loops on the same operands in the same order.
-        `skip` is always 0: an elementwise stage has no halo.
+        """out = (alpha1 + alpha3*r2 + alpha5*r2^2) * v cast to complex64,
+        where v = K1*x + K2*conj(x) + lo_leakage and r2 = re(v)^2 + im(v)^2,
+        computed in `ws`. `skip` is always 0: an elementwise stage has no
+        halo.
 
         The workspace arrays and the PA coefficients are complex, so every
-        step runs numpy's complex128 loop, as in `pa_evaluate`. There `r2` is
-        real; here its imaginary part is zero, the cast numpy makes there.
+        step runs numpy's complex128 loop, on operands in this order:
+        v = ((K1*x) + (K2*conj(x))) + lo_leakage, then
+        ((alpha1 + alpha3*r2) + (alpha5*r2)*r2) * v. `r2` holds the real
+        r2 with a zero imaginary part, the cast numpy makes when a complex
+        scalar multiplies a real array.
         """
         m, pa, n = self.modulator, self.pa, x.size
         v, image, r2, poly = ws.v[:n], ws.image[:n], ws.r2[:n], ws.poly[:n]
-        # iq_modulate: K1*x + K2*conj(x) + lo_leakage.
+        # The modulator: K1*x + K2*conj(x) + lo_leakage.
         np.copyto(v, x)
         np.conjugate(v, out=image)
         np.multiply(m.k2, image, out=image)
         np.multiply(m.k1, v, out=v)
         np.add(v, image, out=v)
         np.add(v, m.lo_leakage, out=v)
-        # pa_evaluate: ((alpha1 + alpha3*r2) + (alpha5*r2)*r2) * v, where
+        # The PA: ((alpha1 + alpha3*r2) + (alpha5*r2)*r2) * v, where
         # r2 = re^2 + im^2 comes from the squares of the float64 view of v.
         squares = np.square(v.view(np.float64), out=image.view(np.float64))
         np.add(squares[0::2], squares[1::2], out=r2.real)
@@ -133,21 +138,6 @@ class _TxWorkspace:
         self.image = np.empty(length, dtype=np.complex128)
         self.r2 = np.zeros(length, dtype=np.complex128)
         self.poly = np.empty(length, dtype=np.complex128)
-
-
-def pa_evaluate(x, pa: PaModel):
-    """alpha1*x + alpha3*|x|^2*x + alpha5*|x|^4*x (scalar or array)."""
-    x = np.asarray(x, dtype=np.complex128)
-    r2 = x.real**2 + x.imag**2
-    y = (pa.alpha1 + pa.alpha3 * r2 + pa.alpha5 * r2 * r2) * x
-    return complex(y) if y.ndim == 0 else y
-
-
-def iq_modulate(x, m: IqModulatorModel):
-    """K1*x + K2*conj(x) + lo_leakage (scalar or array)."""
-    x = np.asarray(x, dtype=np.complex128)
-    y = m.k1 * x + m.k2 * np.conj(x) + m.lo_leakage
-    return complex(y) if y.ndim == 0 else y
 
 
 def run_tx_chain(x: IqBuffer, chain: TxChain, n_workers: int = 1) -> IqBuffer:

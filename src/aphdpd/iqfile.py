@@ -13,16 +13,17 @@ with no copy, and pages are read as they are first touched. Output is
 written straight from the sample array, with no interleaving copy.
 
 An output lands by rename (`land`): `write_iq` lands the samples and the
-sidecar together, samples first, so a failed write of either leaves the
-old file and its sidecar as they were. A live map of the old file keeps
-its pages after the rename, so a command may write over its own input
-without copying it first. A mapping is lost only if another process
-truncates the file it maps: touching the lost pages then raises SIGBUS,
-which kills the process.
+sidecar together, samples first, so a failed write or rename of either
+leaves the old file and its sidecar as they were. A live map of the old
+file keeps its pages after the rename, so a command may write over its
+own input without copying it first. A mapping is lost only if another
+process truncates the file it maps: touching the lost pages then raises
+SIGBUS, which kills the process.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from pathlib import Path
@@ -39,29 +40,52 @@ def sidecar_path(path: str | Path) -> Path:
 
 
 def land(outputs) -> None:
-    """Write a command's output files so that each appears whole or not at
-    all: for each (path, write) pair in turn, `write(part)` writes the
-    complete file to a part file beside its path, `.<name>.<pid>.<i>.part`;
-    only when every part is complete is each `os.replace`d over its path,
-    in the given order.
+    """Write a command's output files so that they land together or not
+    at all. For each (path, write) pair in turn, `write(part)` writes the
+    complete file to `.<name>.<pid>.<i>.part` beside its path. Once every
+    part is complete, each path in the given order has its old file kept
+    by a hard link, `.<name>.<pid>.<i>.old` (no copy), and its part
+    `os.replace`d over it.
 
-    A write that raises leaves every old file as it was and no part file
-    behind. One window stays open: if a rename after the first fails, the
-    outputs renamed before it are new and the rest still old. Closing it
-    needs a hard-link backup of each old file to restore from.
+    If a step fails, each path already replaced gets its old file back
+    from its link, or is removed if it had none, and the error propagates.
+    Parts and links are removed either way; only a failed undo keeps the
+    links, so no old bytes are lost. An old file that cannot be linked (on
+    a file system without hard links) cannot be put back: a later failed
+    rename leaves that output new beside the old rest.
     """
     outputs = [(Path(path), write) for path, write in outputs]
-    parts = [
-        path.parent / f".{path.name}.{os.getpid()}.{i}.part" for i, (path, _) in enumerate(outputs)
-    ]
+    pid = os.getpid()
+    parts = [p.parent / f".{p.name}.{pid}.{i}.part" for i, (p, _) in enumerate(outputs)]
+    links = [p.parent / f".{p.name}.{pid}.{i}.old" for i, (p, _) in enumerate(outputs)]
+    undo = []  # for each path replaced so far, what puts its old state back
+    undoing = False
     try:
         for part, (_, write) in zip(parts, outputs):
             write(part)
-        for part, (path, _) in zip(parts, outputs):
+        for part, link, (path, _) in zip(parts, links, outputs):
+            try:
+                os.link(path, link, follow_symlinks=False)
+                put_back = functools.partial(os.replace, link, path)
+            except FileNotFoundError:
+                put_back = path.unlink  # no old file
+            except OSError:
+                put_back = None  # no link: this output cannot be undone
             os.replace(part, path)
+            if put_back is not None:
+                undo.append(put_back)
+    except BaseException:
+        undoing = True
+        for put_back in reversed(undo):
+            put_back()
+        undoing = False
+        raise
     finally:
         for part in parts:
             part.unlink(missing_ok=True)  # gone after a rename; left by a failure
+        if not undoing:  # a failed undo keeps the old files' links
+            for link in links:
+                link.unlink(missing_ok=True)
 
 
 def write_iq(buf: IqBuffer, path: str | Path) -> None:

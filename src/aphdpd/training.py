@@ -49,7 +49,6 @@ from __future__ import annotations
 import numpy as np
 
 from ._record import record
-from .analysis import _error_db
 from .basis import _MOMENT_COND_LIMIT, AphConfig, build_normal_equations
 from .blocks import BLOCK_LEN
 from .exceptions import (
@@ -62,6 +61,10 @@ from .exceptions import (
 from .impairments import TxChain, run_tx_chain
 from .predistorter import CoefficientVector, identity_coefficients, predistort_serial
 from .waveforms import IqBuffer, _power_sum
+
+# The linearization NMSE's floor, in dB: below it the residual is
+# indistinguishable from representation noise.
+NMSE_FLOOR_DB = -300.0
 
 
 @record
@@ -135,18 +138,9 @@ class TrainingReport:
         return [r.nmse_db for r in self.records]
 
 
-def estimate_gain(pa_in: IqBuffer, pa_out: IqBuffer) -> complex:
-    """Least-squares complex gain: argmin_g sum |pa_out - g*pa_in|^2."""
-    if len(pa_in) != len(pa_out) or len(pa_in) == 0:
-        raise ConfigurationError(
-            f"buffers must be nonempty and equal length, got {len(pa_in)} vs {len(pa_out)}"
-        )
-    a = pa_in.samples.astype(np.complex128)
-    return _gain(a, pa_out.samples.astype(np.complex128), _power_sum(a))
-
-
 def _gain(a: np.ndarray, b: np.ndarray, a_energy: float) -> complex:
-    """`estimate_gain` over complex128 samples, given sum |a|^2.
+    """The least-squares complex gain argmin_g sum |b - g*a|^2 of
+    complex128 samples, given sum |a|^2: sum conj(a) b / sum |a|^2.
 
     The cross term sum conj(a) b is summed by numpy, one block of
     `BLOCK_LEN` products at a time in ascending order, in one workspace.
@@ -224,10 +218,11 @@ def _linearization_nmse_db(
     """NMSE (dB) between the gain-normalized chain output and the stimulus;
     DivergenceError when the predistorter or the chain overflows.
 
-    `reference` is the stimulus in complex128 and `reference_energy` its
-    sum |x|^2, both made once per session. The output is cast to complex128
-    once, then divided by the gain and reduced to the error in place: the
-    value `nmse_db(s / gain, stimulus)` gives, to the bit.
+    `reference` is the stimulus x in complex128 and `reference_energy` its
+    sum |x|^2, both made once per session. The output s is cast to
+    complex128 once, then divided by its gain (`_gain`) and reduced to the
+    error in place: sum |s/gain - x|^2 / sum |x|^2 in dB, each sum taken
+    by `_power_sum`, floored at NMSE_FLOOR_DB.
     """
     s = run_tx_chain(predistort_serial(stimulus, coeffs, cfg), chain)
     err = s.samples.astype(np.complex128)
@@ -236,7 +231,10 @@ def _linearization_nmse_db(
         return float("inf")
     np.divide(err, gain, out=err)
     np.subtract(err, reference, out=err)
-    return _error_db(err, reference_energy)
+    ratio = _power_sum(err) / reference_energy
+    if ratio <= 10.0 ** (NMSE_FLOOR_DB / 10.0):
+        return NMSE_FLOOR_DB
+    return 10.0 * float(np.log10(ratio))
 
 
 def ila_train(

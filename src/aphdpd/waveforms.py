@@ -188,7 +188,6 @@ class CarrierSpec:
         if not gain <= float(np.finfo(np.float32).max):  # also refuses NaN
             msg = f"carrier power_db {self.power_db} overflows single precision (gain {gain:g})"
             raise ConfigurationError(msg)
-        object.__setattr__(self, "_gain", gain)
 
     def check_fits(self, sample_rate_hz: float) -> None:
         """Raise unless the occupied band lies inside Nyquist."""
@@ -198,17 +197,6 @@ class CarrierSpec:
                 f"carrier at {self.center_offset_hz} Hz with bandwidth {self.bandwidth_hz} Hz "
                 f"exceeds Nyquist for fs={sample_rate_hz} Hz"
             )
-
-
-def generate_carrier(
-    spec: CarrierSpec, n_samples: int, sample_rate_hz: float, seed: int
-) -> IqBuffer:
-    """One random-QAM multitone carrier over [center − BW/2, center + BW/2],
-    at the RMS of its power_db gain, applied as its one scale factor
-    (`_carrier`). An overflow of single precision raises ConfigurationError."""
-    what = f"carrier power_db {spec.power_db}"
-    samples = _carrier(spec, n_samples, sample_rate_hz, seed, spec._gain, what)
-    return IqBuffer(samples, sample_rate_hz)
 
 
 def _carrier(

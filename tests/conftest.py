@@ -1,13 +1,22 @@
-"""Shared test helpers: independent double-precision oracles, and one
-bit oracle.
+"""Shared test helpers: independent double-precision oracles, and the
+reference forms the package is pinned to bit for bit.
 
-The reference implementations here deliberately avoid the package's own
-evaluation code paths (no shared kernels, no reused branch evaluators):
-plain Python loops over the defining sums, in double precision, so that a
-bug in the production engine cannot hide in its own oracle. The one
-exception is `reference_kernel`, which runs the engine's compiled program
-by allocating numpy expressions, the way the engine once did, to pin its
-bits.
+The oracles deliberately avoid the package's own evaluation code paths
+(no shared kernels, no reused branch evaluators): plain Python loops over
+the defining sums, in double precision, so that a bug in the production
+engine cannot hide in its own oracle. They are `reference_predistort`,
+`reference_basis_matrix`, `gram_schmidt_basis_rows` and `reference_welch`.
+
+The reference forms state an arithmetic the package must reproduce to
+the bit, so they share its operation order, and where a sum's order is
+the point, its summation:
+* `reference_kernel` runs the engine's compiled program by allocating
+  numpy expressions, the way the engine once did;
+* `pa_evaluate` and `iq_modulate` are the transmit chain's elementwise
+  expressions, which `run_tx_chain` equals cast to complex64;
+* `estimate_gain` and `nmse_db` are the gain and the NMSE of two sample
+  arrays, summed as training sums them (`_gain`, `_power_sum`), which the
+  training gate equals.
 """
 
 from __future__ import annotations
@@ -20,8 +29,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from aphdpd import AphConfig, CoefficientVector, IqBuffer
-from aphdpd.waveforms import white_gaussian
+from aphdpd import (
+    NMSE_FLOOR_DB,
+    AphConfig,
+    CoefficientVector,
+    ConfigurationError,
+    DegenerateInputError,
+    IqBuffer,
+    IqModulatorModel,
+    PaModel,
+)
+from aphdpd.training import _gain
+from aphdpd.waveforms import _power_sum, white_gaussian
 
 # Drive of the Gaussian training stimulus: well below the fold-over
 # amplitude of the tests' compressive PA models, so out-of-model
@@ -175,6 +194,49 @@ def reference_welch(samples, fs: float, nfft: int, overlap: float):
     freq = np.where(freq > fs / 2, freq - fs, freq)
     order = np.argsort(freq)
     return freq[order], psd[order]
+
+
+def pa_evaluate(x, pa: PaModel):
+    """alpha1*x + alpha3*|x|^2*x + alpha5*|x|^4*x (scalar or array)."""
+    x = np.asarray(x, dtype=np.complex128)
+    r2 = x.real**2 + x.imag**2
+    y = (pa.alpha1 + pa.alpha3 * r2 + pa.alpha5 * r2 * r2) * x
+    return complex(y) if y.ndim == 0 else y
+
+
+def iq_modulate(x, m: IqModulatorModel):
+    """K1*x + K2*conj(x) + lo_leakage (scalar or array)."""
+    x = np.asarray(x, dtype=np.complex128)
+    y = m.k1 * x + m.k2 * np.conj(x) + m.lo_leakage
+    return complex(y) if y.ndim == 0 else y
+
+
+def estimate_gain(pa_in: IqBuffer, pa_out: IqBuffer) -> complex:
+    """Least-squares complex gain: argmin_g sum |pa_out - g*pa_in|^2."""
+    a = pa_in.samples.astype(np.complex128)
+    return _gain(a, pa_out.samples.astype(np.complex128), _power_sum(a))
+
+
+def nmse_db(test: np.ndarray, reference: np.ndarray) -> float:
+    """Normalized mean-square error of test vs reference sample arrays, in
+    dB, compared in double precision and floored at NMSE_FLOOR_DB.
+
+    A complex128 `test` is used as is, so a caller's double-precision
+    result is never rounded to complex64 first.
+    """
+    if len(test) != len(reference) or len(reference) == 0:
+        raise ConfigurationError(
+            f"buffers must be nonempty and equal length, got {len(test)} vs {len(reference)}"
+        )
+    ref = reference.astype(np.complex128)
+    err = test.astype(np.complex128) - ref
+    denom = _power_sum(ref)
+    if denom == 0.0:
+        raise DegenerateInputError("reference signal is identically zero")
+    ratio = _power_sum(err) / denom
+    if ratio <= 10.0 ** (NMSE_FLOOR_DB / 10.0):
+        return NMSE_FLOOR_DB
+    return 10.0 * float(np.log10(ratio))
 
 
 def gaussian_waveform(n: int, seed: int) -> IqBuffer:

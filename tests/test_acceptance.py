@@ -28,7 +28,6 @@ from aphdpd import (
     ila_train,
     load_experiment_config,
     make_bench_buffer,
-    pa_evaluate,
     predistort_parallel,
     predistort_serial,
     run_bench,
@@ -38,7 +37,7 @@ from aphdpd import (
     write_bench_csv,
 )
 from aphdpd.training import _lstsq_ridge
-from conftest import reference_basis_matrix
+from conftest import pa_evaluate, reference_basis_matrix
 
 ROOT = Path(__file__).resolve().parents[1]
 SC_CONFIG = ROOT / "configs" / "single_carrier.json"

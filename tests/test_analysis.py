@@ -24,14 +24,13 @@ from aphdpd import (
     Spectrum,
     band_power_db,
     load_experiment_config,
-    nmse_db,
     run_tx_chain,
     suppression_db,
     welch_psd,
     write_spectrum_csv,
 )
 from aphdpd import analysis
-from conftest import reference_welch
+from conftest import nmse_db, reference_welch
 
 FS = 61.44e6
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"

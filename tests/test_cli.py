@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import errno
 import json
 import os
 import subprocess
@@ -153,6 +155,29 @@ class TestTrain:
         assert "missing_dir" in _one_error_line(capsys)
         assert coeffs.read_bytes() == old
         assert sorted(p.name for p in tmp_path.iterdir()) == ["coeffs.json", "exp.json"]
+
+    def test_failed_second_rename_keeps_the_old_pair(
+        self, config_path, tmp_path, monkeypatch, capsys
+    ):
+        """If the report's rename fails after the coefficient file's, the
+        old coefficient file is put back: both old files keep their bytes,
+        with one error line and no part or link file."""
+        coeffs, report = tmp_path / "coeffs.json", tmp_path / "report.json"
+        coeffs.write_text('{"older": "coefficients"}\n')
+        report.write_text('[{"older": "report"}]\n')
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        replace, calls = os.replace, []
+
+        def second_rename_fails(src, dst):
+            calls.append(dst)
+            if len(calls) == 2:
+                raise OSError("rename refused")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", second_rename_fails)
+        assert cli.main(["train", config_path, str(coeffs), str(report)]) == 1
+        assert _one_error_line(capsys) == "rename refused"
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_report_is_iteration_array(self, config_path, tmp_path, capsys):
         coeffs = tmp_path / "coeffs.json"
@@ -475,6 +500,31 @@ class TestBench:
         assert len(lines) == 3
         assert "Msps" in capsys.readouterr().out
 
+    def test_failed_csv_write_keeps_the_old_csv(self, config_path, tmp_path, monkeypatch, capsys):
+        """The CSV lands by rename: a write that fails after the header
+        leaves the old CSV byte for byte, with one error line, exit 1 and
+        no part file."""
+        out = tmp_path / "bench.csv"
+        out.write_text("older,bench\n1,2\n")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        real_writer = csv.writer
+
+        class FullDisk:
+            def __init__(self, fh, **kwargs):
+                self.inner, self.rows = real_writer(fh, **kwargs), 0
+
+            def writerow(self, row):
+                if self.rows:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                self.rows += 1
+                self.inner.writerow(row)
+
+        monkeypatch.setattr(csv, "writer", FullDisk)
+        argv = ["bench", config_path, str(out), "--n", "30000", "--workers", "1", "--repeats", "1"]
+        assert cli.main(argv) == 1
+        assert "No space left on device" in _one_error_line(capsys)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
     def test_bad_worker_list_is_a_usage_error(self, config_path, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc_info:
             cli.main(["bench", config_path, str(tmp_path / "b.csv"), "--workers", "x"])
@@ -689,12 +739,17 @@ class TestRangeErrorsNameTheirPlace:
 def _loaded_by_import(names) -> list[str]:
     """The modules among `names` that a fresh interpreter holds in
     sys.modules after `import aphdpd.cli`."""
-    src = Path(cli.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    code = (
+    return _fresh_json(
         "import json, sys, aphdpd.cli; "
         f"print(json.dumps([m for m in {list(names)!r} if m in sys.modules]))"
     )
+
+
+def _fresh_json(code: str):
+    """What a fresh interpreter running `code` against the source tree
+    prints as JSON, with warnings as errors and nothing on stderr."""
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
     proc = subprocess.run(
         [sys.executable, "-W", "error", "-c", code],
         env=env, capture_output=True, text=True, timeout=120,
@@ -718,6 +773,23 @@ def test_import_skips_the_costly_standard_modules():
     `fractions` and `decimal`. The package needs none of them."""
     costly = ["dataclasses", "concurrent.futures", "logging", "statistics", "fractions", "decimal"]
     assert _loaded_by_import(costly) == []
+
+
+def test_import_binds_no_reference_form():
+    """The elementwise TX chain, the NMSE of two arrays, the gain of two
+    buffers and the one-carrier generator were expressions that only tests
+    called. The first four are test oracles now (`conftest.py`), and the
+    last is `compose_multicarrier` with one spec: a fresh `import aphdpd`
+    binds none of them, in the package or in any of its modules."""
+    names = ["pa_evaluate", "iq_modulate", "nmse_db", "estimate_gain", "generate_carrier"]
+    bound = _fresh_json(
+        "import json, sys, aphdpd\n"
+        "modules = [m for key, m in sys.modules.items() if key.split('.')[0] == 'aphdpd']\n"
+        f"names = {names!r}\n"
+        "print(json.dumps([m.__name__ + '.' + n for m in modules for n in names "
+        "if hasattr(m, n)]))\n"
+    )
+    assert bound == []
 
 
 class TestUsage:

@@ -15,11 +15,10 @@ from aphdpd import (
     IqModulatorModel,
     PaModel,
     TxChain,
-    iq_modulate,
-    pa_evaluate,
     run_tx_chain,
 )
 from aphdpd.blocks import BLOCK_LEN, SERIAL_CHUNK_LEN
+from conftest import iq_modulate, pa_evaluate
 
 REF_PA = PaModel(
     alpha1=0.9490 - 0.0197j,

@@ -214,6 +214,69 @@ class TestMappedRead:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a.iq", "a.iq.json"]
         assert len(read_iq(path)) == 1000
 
+    @pytest.mark.parametrize("existed", [True, False], ids=["over-old-pair", "fresh-path"])
+    def test_failed_second_rename_leaves_the_old_pair(self, tmp_path, monkeypatch, existed):
+        """If the sidecar's rename fails after the samples' rename, the
+        error propagates and the samples are put back: an old pair keeps
+        its bytes, a fresh path stays absent, and no part or link file is
+        left behind."""
+        path = tmp_path / "a.iq"
+        before = {}
+        if existed:
+            write_iq(_buf(n=1000, fs=5e6, seed=1), path)
+            before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        replace, calls = os.replace, []
+
+        def second_rename_fails(src, dst):
+            calls.append(dst)
+            if len(calls) == 2:
+                raise OSError("rename refused")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", second_rename_fails)
+        with pytest.raises(OSError, match="rename refused"):
+            write_iq(_buf(n=2000, fs=10e6, seed=2), path)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        if existed:
+            assert len(read_iq(path)) == 1000
+
+    def test_failed_undo_keeps_the_old_file_linked(self, tmp_path, monkeypatch):
+        """If putting the old samples back fails too, the error propagates
+        and the old samples stay, byte for byte, under their link."""
+        path = tmp_path / "a.iq"
+        write_iq(_buf(n=1000, fs=5e6, seed=1), path)
+        data = path.read_bytes()
+        replace, calls = os.replace, []
+
+        def later_renames_fail(src, dst):
+            calls.append(dst)
+            if len(calls) >= 2:
+                raise OSError("rename refused")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", later_renames_fail)
+        with pytest.raises(OSError, match="rename refused"):
+            write_iq(_buf(n=2000, fs=10e6, seed=2), path)
+        assert (tmp_path / f".a.iq.{os.getpid()}.0.old").read_bytes() == data
+        assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".part")]
+
+    def test_without_hard_links_the_pair_still_lands(self, tmp_path, monkeypatch):
+        """Where an old file cannot be linked, the new pair lands as before,
+        with no part or link file left behind."""
+        path = tmp_path / "a.iq"
+        write_iq(_buf(n=1000, fs=5e6, seed=1), path)
+
+        def no_link(src, dst, **kwargs):
+            raise OSError(errno.EPERM, "Operation not permitted")
+
+        monkeypatch.setattr(os, "link", no_link)
+        new = _buf(n=2000, fs=10e6, seed=2)
+        write_iq(new, path)
+        back = read_iq(path)
+        assert_array_equal(back.samples.view(np.uint64), new.samples.view(np.uint64))
+        assert back.sample_rate_hz == 10e6
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.iq", "a.iq.json"]
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_sample_in_a_mapped_file_is_rejected(self, tmp_path, bad):
         """One bad value past the first finiteness block still fails the

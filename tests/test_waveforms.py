@@ -21,7 +21,6 @@ from aphdpd import (
     DegenerateInputError,
     IqBuffer,
     compose_multicarrier,
-    generate_carrier,
 )
 from aphdpd import waveforms
 from aphdpd.blocks import BLOCK_LEN
@@ -144,26 +143,28 @@ class TestCarrierSpec:
             CarrierSpec(28e6, 9e6).check_fits(FS)
 
 
+def _one_carrier(spec: CarrierSpec, n: int, seed: int):
+    """A lone carrier composed at the RMS of its power_db gain."""
+    return compose_multicarrier([spec], n, FS, seed, rms=10.0 ** (spec.power_db / 20.0))
+
+
 class TestGenerateCarrier:
+    """One carrier's synthesis, through `compose_multicarrier` with one spec."""
+
     def test_unit_power_and_determinism(self):
         spec = CarrierSpec(0.0, 9e6)
-        a = generate_carrier(spec, 50_000, FS, seed=7)
-        b = generate_carrier(spec, 50_000, FS, seed=7)
+        a = _one_carrier(spec, 50_000, seed=7)
+        b = _one_carrier(spec, 50_000, seed=7)
         assert a.rms() == pytest.approx(1.0, abs=1e-3)
         assert_array_equal(a.samples, b.samples)
-        c = generate_carrier(spec, 50_000, FS, seed=8)
+        c = _one_carrier(spec, 50_000, seed=8)
         assert not np.array_equal(a.samples, c.samples)
-
-    def test_power_db_scaling(self):
-        spec = CarrierSpec(0.0, 9e6, power_db=-6.0)
-        buf = generate_carrier(spec, 50_000, FS, seed=3)
-        assert buf.rms() == pytest.approx(10 ** (-6 / 20), abs=2e-3)
 
     def test_occupied_band_containment(self):
         """At least 99% of the energy inside the band; the tails are far
         below a -20 dB containment bound."""
         spec = CarrierSpec(8e6, 5e6)
-        buf = generate_carrier(spec, 1 << 16, FS, seed=11)
+        buf = _one_carrier(spec, 1 << 16, seed=11)
         spectrum = np.fft.fft(buf.samples.astype(np.complex128))
         freqs = np.fft.fftfreq(len(buf), d=1 / FS)
         in_band = np.abs(freqs - 8e6) <= 2.5e6 + FS / len(buf)
@@ -178,7 +179,7 @@ class TestGenerateCarrier:
         block edges and a partial last block."""
         spec = CarrierSpec(offset, 9e6, power_db=-4.5)
         n = 3 * BLOCK_LEN + 1234
-        buf = generate_carrier(spec, n, FS, seed=21)
+        buf = _one_carrier(spec, n, seed=21)
         want = _reference([spec], n, 21, 10.0 ** (spec.power_db / 20.0))
         assert_array_equal(buf.samples.view(np.uint64), want.view(np.uint64))
 
@@ -195,7 +196,7 @@ class TestGenerateCarrier:
         spec = CarrierSpec(offset, 9e6, power_db=-3.0)
         tracemalloc.start()
         try:
-            buf = generate_carrier(spec, 1 << 20, FS, seed=5)
+            buf = _one_carrier(spec, 1 << 20, seed=5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -210,7 +211,7 @@ class TestGenerateCarrier:
     def test_power_property(self, offset, bandwidth, seed):
         if abs(offset) + bandwidth / 2 > FS / 2:
             return
-        buf = generate_carrier(CarrierSpec(offset, bandwidth), 20_000, FS, seed)
+        buf = _one_carrier(CarrierSpec(offset, bandwidth), 20_000, seed)
         assert buf.rms() == pytest.approx(1.0, abs=1e-3)
 
 
@@ -227,8 +228,7 @@ def _reference(specs: list[CarrierSpec], n: int, seed: int, rms: float) -> np.nd
     buffer in place, and it is cast to complex64. The gain is `rms` for a
     lone carrier, else 10^((power_db − max power_db)/20). Several carriers
     are summed in complex64, in order, and the sum is scaled by rms / √p.
-    Each mean power p is np.mean over a whole float64 |x|² array. For one
-    spec at gain 10^(power_db/20) this is `generate_carrier`.
+    Each mean power p is np.mean over a whole float64 |x|² array.
     """
     freqs = np.fft.fftfreq(n, d=1.0 / FS)
     loudest = max(spec.power_db for spec in specs)
@@ -276,7 +276,7 @@ class TestInPlaceDowncast:
         overlaps itself and the second is the first to write below its
         own input; and 2048², the four-step IFFT's smallest length."""
         spec = self.SPECS[0]
-        got = generate_carrier(spec, n, FS, seed=21).samples
+        got = _one_carrier(spec, n, seed=21).samples
         assert got.shape == (n,)
         want = _reference([spec], n, 21, 10.0 ** (spec.power_db / 20.0))
         assert_array_equal(got.view(np.uint64), want.view(np.uint64))
@@ -423,12 +423,12 @@ class TestCompose:
         assert buf.rms() == pytest.approx(1.0, abs=1e-3)
 
     def test_single_spec_matches_generate(self):
-        """A lone carrier is generate_carrier's carrier, bit for bit, when
-        the drive equals the carrier's own gain."""
+        """A lone carrier is the whole-buffer reference's carrier, bit for
+        bit, when the drive equals the carrier's own gain."""
         spec = CarrierSpec(3e6, 4e6, power_db=6.0)
         composed = compose_multicarrier([spec], 30_000, FS, seed=9, rms=10.0 ** (6.0 / 20.0))
-        direct = generate_carrier(spec, 30_000, FS, seed=9)
-        assert_array_equal(composed.samples.view(np.uint64), direct.samples.view(np.uint64))
+        direct = _reference([spec], 30_000, 9, 10.0 ** (6.0 / 20.0))
+        assert_array_equal(composed.samples.view(np.uint64), direct.view(np.uint64))
 
     def test_lone_carrier_power_db_changes_no_bit(self):
         """One carrier is scaled straight to the drive, so its power_db,
