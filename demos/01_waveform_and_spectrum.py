@@ -36,7 +36,8 @@ def main() -> None:
               f"{band_power_db(spec, lo, hi):.1f} dB (clean stimulus floor)")
 
     out = Path("stimulus_psd.csv").resolve()
-    write_spectrum_csv(spec, out)
+    with open(out, "w", newline="") as fh:
+        write_spectrum_csv(spec, fh)
     print(f"spectrum written to {out}")
 
 

@@ -198,18 +198,10 @@ def suppression_db(reference: Spectrum, test: Spectrum, f_lo: float, f_hi: float
     return band_power_db(reference, f_lo, f_hi) - band_power_db(test, f_lo, f_hi)
 
 
-def write_spectrum_csv(spec: Spectrum, path_or_file) -> None:
-    """Write `freq_hz,psd_db` rows (header included) to a path or stream."""
-    db = spec.psd_db
-
-    def emit(fh):
-        writer = csv.writer(fh)
-        writer.writerow(["freq_hz", "psd_db"])
-        for f, p in zip(spec.freq_hz, db):
-            writer.writerow([repr(float(f)), repr(float(p))])
-
-    if hasattr(path_or_file, "write"):
-        emit(path_or_file)
-    else:
-        with open(path_or_file, "w", newline="") as fh:
-            emit(fh)
+def write_spectrum_csv(spec: Spectrum, fh) -> None:
+    """Write `freq_hz,psd_db` rows (header included) to an open text
+    stream; open a file for it with newline=""."""
+    writer = csv.writer(fh)
+    writer.writerow(["freq_hz", "psd_db"])
+    for f, p in zip(spec.freq_hz, spec.psd_db):
+        writer.writerow([repr(float(f)), repr(float(p))])

@@ -122,18 +122,19 @@ def run_bench(
     return results
 
 
-def write_bench_csv(results, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(BENCH_CSV_HEADER)
-        for r in results:
-            writer.writerow(
-                [
-                    r.workers,
-                    r.chunk_len,
-                    r.n_samples,
-                    repr(r.latency_s_median),
-                    repr(r.throughput_sps_median),
-                    repr(r.throughput_sps_min),
-                ]
-            )
+def write_bench_csv(results, fh) -> None:
+    """Write the `BENCH_CSV_HEADER` row and one row per result to an open
+    text stream; open a file for it with newline=""."""
+    writer = csv.writer(fh)
+    writer.writerow(BENCH_CSV_HEADER)
+    for r in results:
+        writer.writerow(
+            [
+                r.workers,
+                r.chunk_len,
+                r.n_samples,
+                repr(r.latency_s_median),
+                repr(r.throughput_sps_median),
+                repr(r.throughput_sps_min),
+            ]
+        )

@@ -50,6 +50,16 @@ def _json_text(doc) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _csv_part(write, data):
+    """A `land` writer: `write(data, fh)` into its part, opened as CSV text."""
+
+    def write_part(part):
+        with open(part, "w", newline="") as fh:
+            write(data, fh)
+
+    return write_part
+
+
 def _cmd_generate(args) -> int:
     cfg = load_experiment_config(args.config)
     wave = cfg.waveform_factory()
@@ -112,7 +122,7 @@ def _cmd_evaluate(args) -> int:
         if args.out is None:
             write_spectrum_csv(spec_a, sys.stdout)
         else:
-            land([(args.out, lambda part: write_spectrum_csv(spec_a, part))])
+            land([(args.out, _csv_part(write_spectrum_csv, spec_a))])
         return 0
     buf_b = read_iq(args.in_iq_b)
     spec_b = welch_psd(buf_b, cfg.nfft, cfg.overlap, n_workers=workers)
@@ -143,7 +153,7 @@ def _cmd_bench(args) -> int:
     coeffs = CoefficientVector((0.05 * h).astype(np.complex64))
     coeffs = CoefficientVector(coeffs.h + identity_coefficients(aph).h)
     results = run_bench(aph, coeffs, args.n, args.workers, args.chunk_len, args.repeats)
-    land([(args.out_csv, lambda part: write_bench_csv(results, part))])
+    land([(args.out_csv, _csv_part(write_bench_csv, results))])
     print(f"host: {os.cpu_count()} cpus, numpy {np.__version__}, python {sys.version.split()[0]}")
     for r in results:
         print(

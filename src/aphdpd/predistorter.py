@@ -26,13 +26,13 @@ discarded, so workers never communicate mid-stream and output writes are
 disjoint.
 
 Arithmetic is single precision throughout (complex64 samples, float32
-envelopes). Every scalar touching the hot loop is pre-cast: numpy 2 promotes
-complex64 * float64-scalar to complex128, which would silently break both
-the precision contract and bit identity.
+powers of |x|^2). Every scalar touching the hot loop is pre-cast: numpy 2
+promotes complex64 * float64-scalar to complex128, which would silently
+break both the precision contract and bit identity.
 
-Per sample, branch envelopes are evaluated once from low to high order with
-incremental magnitude powers (r2, then r2*r2, ...), so lower-order partial
-results are reused by higher-order branches.
+The basis is folded into the taps when the kernel is compiled, so every
+branch it runs is a monomial |x|^(2j) x (or conj x), and the powers of
+|x|^2 are built once per window, low to high (r2, then r2*r2, ...).
 
 The chunks run on `blocks.map_blocks`, at the one block-length rule of
 its stages (`blocks.default_chunk_len`: 16 Ki samples on one worker,
@@ -89,8 +89,8 @@ def identity_coefficients(cfg: AphConfig) -> CoefficientVector:
     """Coefficients that make the predistorter the identity map.
 
     Exact (bit-for-bit passthrough) for a plain basis; for an orthogonal
-    basis the first branch is x scaled by u_main[0][0], so the inverse
-    scale is identity only to single-precision rounding.
+    basis the folded linear tap is u_main[0][0] times its inverse rounded
+    to single precision: the identity only to that rounding.
     """
     if cfg.sets.main_orders[0] != 1:
         raise ConfigurationError("identity needs a linear main branch (order 1)")
@@ -106,9 +106,8 @@ class _Workspace:
 
     def __init__(self, length: int, max_power: int, has_conj: bool):
         f32, c64 = np.float32, np.complex64
-        self.squares = np.empty(2 * length, dtype=f32)  # I^2, Q^2 interleaved; then a temp
+        self.squares = np.empty(2 * length, dtype=f32)  # I^2, Q^2 interleaved
         self.powers = [None] + [np.empty(length, dtype=f32) for _ in range(max_power)]
-        self.envelope = np.empty(length, dtype=f32)
         self.conj = np.empty(length, dtype=c64) if has_conj else None
         self.psi = np.empty(length, dtype=c64)
         self.term = np.empty(length, dtype=c64)
@@ -116,30 +115,31 @@ class _Workspace:
         self.acc = np.empty(length, dtype=c64)
 
 
-def _compile_branches(coeffs: CoefficientVector, cfg: AphConfig) -> tuple[list, int]:
-    """The kernel's branches, one entry per branch in accumulation order,
-    and the highest envelope power they use.
+def _compile_branches(coeffs: CoefficientVector, cfg: AphConfig) -> list:
+    """The kernel's branches, one monomial per member order of each family
+    (main, then conjugate; orders ascending), in accumulation order.
 
-    An entry is (conjugate?, taps[c64], envelope terms [(power_index, f32
-    coeff)] or None). A None envelope means psi(x) = x (or conj x) with the
-    single basis coefficient pre-folded into the taps in double precision.
+    An entry is (conjugate?, taps[c64], power index q): the branch filters
+    psi = |x|^(2q) x, or conj x in place of x, and q = 0 is x itself.
+    Basis branch i is sum_j u[i][j] |x|^(p_j - 1) x, so the member of
+    order p_j = 2q + 1 carries the taps g_j[k] = sum over i >= j of
+    u[i][j] h_i[k], summed over i ascending in double precision with a
+    missing tap read as 0, then cast to single precision. g_j is as long
+    as the longest h_i with i >= j, so no more than l_max.
     """
+    slices = cfg.branch_slices()
     branches = []
-    max_power = 0
-    orders = {"main": cfg.sets.main_orders, "conj": cfg.sets.conj_orders}
-    rows = (*cfg.basis.u_main, *cfg.basis.u_conj)
-    for (family, order, sl), u in zip(cfg.branch_slices(), rows):
-        taps = coeffs.h[sl]
-        if order == 1:
-            # Pure linear branch: psi(x) = u*x, so fold u into the taps
-            # (in double, before the single-precision cast).
-            folded = (taps.astype(np.complex128) * float(u[0])).astype(np.complex64)
-            branches.append((family == "conj", folded, None))
-        else:
-            terms = [((m - 1) // 2, np.float32(coeff)) for coeff, m in zip(u, orders[family])]
-            max_power = max(max_power, terms[-1][0])
-            branches.append((family == "conj", taps.copy(), terms))
-    return branches, max_power
+    for is_conj, orders, rows in (
+        (False, cfg.sets.main_orders, cfg.basis.u_main),
+        (True, cfg.sets.conj_orders, cfg.basis.u_conj),
+    ):
+        family = [coeffs.h[sl] for name, _, sl in slices if (name == "conj") == is_conj]
+        for j, order in enumerate(orders):
+            folded = np.zeros(max(h.size for h in family[j:]), dtype=np.complex128)
+            for u, h in zip(rows[j:], family[j:]):
+                folded[: h.size] += h.astype(np.complex128) * float(u[j])
+            branches.append((is_conj, folded.astype(np.complex64), (order - 1) // 2))
+    return branches
 
 
 class _CompiledKernel:
@@ -150,13 +150,15 @@ class _CompiledKernel:
         self.c = np.complex64(coeffs.h[-1])
         # Every constant must be finite in single precision: only then is
         # the engine's output finite by construction (see
-        # `IqBuffer._of_finite`).
+        # `IqBuffer._of_finite`). Taps that do not fit are runaway
+        # coefficients, which diverge like any stage that overflows.
         try:
             with np.errstate(over="raise", invalid="raise"):
-                self.branches, self.max_power = _compile_branches(coeffs, cfg)
+                self.branches = _compile_branches(coeffs, cfg)
         except FloatingPointError as err:
             msg = f"coefficients scaled by the basis overflow single precision ({err})"
-            raise ConfigurationError(msg) from err
+            raise DivergenceError(msg) from err
+        self.max_power = max(power for _, _, power in self.branches)
 
     def workspace(self, length: int) -> _Workspace:
         has_conj = any(is_conj for is_conj, _, _ in self.branches)
@@ -183,27 +185,15 @@ class _CompiledKernel:
 
         conj_window = None
         acc = None
-        for is_conj, taps, terms in self.branches:
+        for is_conj, taps, power in self.branches:
             if is_conj and conj_window is None:
                 conj_window = np.conjugate(window, out=ws.conj[:n])
-            base = conj_window if is_conj else window
-            if terms is None:
-                psi = base
-            else:
-                envelope = ws.envelope[:n]
-                first_power, first_coeff = terms[0]
-                if first_power == 0:
-                    envelope.fill(first_coeff)
-                else:
-                    np.multiply(first_coeff, powers[first_power], out=envelope)
-                scaled = ws.squares[:n]
-                for power_index, coeff in terms[1:]:
-                    np.multiply(coeff, powers[power_index], out=scaled)
-                    np.add(envelope, scaled, out=envelope)
-                # envelope * base: the float32 envelope is cast to complex64,
+            base = psi = conj_window if is_conj else window
+            if power:
+                # |x|^(2q) * base: the float32 power is cast to complex64,
                 # the cast numpy's mixed-type multiply makes, then multiplied.
                 psi = ws.psi[:n]
-                np.copyto(psi, envelope)
+                np.copyto(psi, powers[power])
                 np.multiply(psi, base, out=psi)
             # Tap-ascending shifted accumulation: fixed per-sample op order.
             branch_acc = ws.acc[:n] if acc is None else ws.branch[:n]

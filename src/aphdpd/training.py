@@ -36,8 +36,9 @@ so sessions run back to back in one process share nothing.
 Overflow follows the block runner's rule: the predistorter and the chain
 (`run_tx_chain`) raise DivergenceError. For the kept coefficients, at the
 baseline and in each iteration's training pass, that ends training; a
-candidate whose validation overflows, or whose coefficients do not fit in
-single precision, scores +inf and is rejected.
+candidate whose validation overflows (its taps folded with the basis
+included), or whose coefficients do not fit in single precision, scores
++inf and is rejected.
 
 Everything is deterministic given the caller's waveform factory and the
 seed: the stimuli and the solver, so two runs produce bit-identical

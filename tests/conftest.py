@@ -10,8 +10,9 @@ engine cannot hide in its own oracle. They are `reference_predistort`,
 The reference forms state an arithmetic the package must reproduce to
 the bit, so they share its operation order, and where a sum's order is
 the point, its summation:
-* `reference_kernel` runs the engine's compiled program by allocating
-  numpy expressions, the way the engine once did;
+* `reference_kernel` runs the engine's compiled program, monomial
+  branches whose taps carry the basis, by allocating numpy expressions,
+  the way the engine once did;
 * `pa_evaluate` and `iq_modulate` are the transmit chain's elementwise
   expressions, which `run_tx_chain` equals cast to complex64;
 * `estimate_gain` and `nmse_db` are the gain and the NMSE of two sample
@@ -81,12 +82,11 @@ def reference_kernel(kernel, window: np.ndarray) -> np.ndarray:
     """The engine kernel's program (`_CompiledKernel.branches`,
     `max_power`, `c`) evaluated over one whole window by plain numpy
     expressions that allocate every result, in the operation order the
-    engine defines: powers of |x|^2 low to high, each envelope summed from
-    its lowest term, psi = envelope * base, tap-ascending shifted
-    accumulation, branches in order, then the constant. Unlike the
-    oracles above it shares the engine's single-precision arithmetic, so
-    the engine must equal it bit for bit at any chunk length and worker
-    count."""
+    engine defines: powers of |x|^2 low to high, psi = power * base,
+    tap-ascending shifted accumulation, branches in order, then the
+    constant. Unlike the oracles above it shares the engine's
+    single-precision arithmetic, so the engine must equal it bit for bit
+    at any chunk length and worker count."""
     n = window.size
     powers = [None]  # powers[j] = |x|^(2j), built low to high
     if kernel.max_power:
@@ -98,21 +98,11 @@ def reference_kernel(kernel, window: np.ndarray) -> np.ndarray:
 
     conj_window = None
     acc = None
-    for is_conj, taps, terms in kernel.branches:
+    for is_conj, taps, power in kernel.branches:
         if is_conj and conj_window is None:
             conj_window = np.conj(window)
         base = conj_window if is_conj else window
-        if terms is None:
-            psi = base
-        else:
-            first_power, first_coeff = terms[0]
-            if first_power == 0:
-                envelope = np.full(n, first_coeff, dtype=np.float32)
-            else:
-                envelope = first_coeff * powers[first_power]
-            for power_index, coeff in terms[1:]:
-                envelope += coeff * powers[power_index]
-            psi = envelope * base
+        psi = powers[power] * base if power else base
         branch_acc = taps[0] * psi
         for k in range(1, taps.size):
             branch_acc[k:] += taps[k] * psi[: n - k]

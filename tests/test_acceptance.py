@@ -182,7 +182,8 @@ class TestAcceptance:
         ).astype(np.complex64)
         results = run_bench(cfg, CoefficientVector(h), 2_000_000, [1], repeats=3)
         csv_path = tmp_path / "bench.csv"
-        write_bench_csv(results, csv_path)
+        with open(csv_path, "w", newline="") as fh:
+            write_bench_csv(results, fh)
         sps = results[0].throughput_sps_median
         ok = sps >= 5e6 and csv_path.exists() and csv_path.read_text().startswith("workers,")
         _verdict(

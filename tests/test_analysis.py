@@ -269,7 +269,8 @@ class TestSpectrumCsv:
         written as repr() of its float."""
         spec = welch_psd(_noise(50_000, seed=15), nfft=1024)
         path = tmp_path / "spec.csv"
-        write_spectrum_csv(spec, path)
+        with open(path, "w", newline="") as fh:
+            write_spectrum_csv(spec, fh)
         assert path.read_text().splitlines()[0] == "freq_hz,psd_db"
         back = np.loadtxt(path, delimiter=",", skiprows=1)
         assert_array_equal(back[:, 0], spec.freq_hz)

@@ -96,7 +96,8 @@ class TestBenchCsv:
     def test_schema(self, tmp_path):
         results = run_bench(CFG, _coeffs(), 20_000, [1, 2], chunk_len=5000, repeats=2)
         path = tmp_path / "bench.csv"
-        write_bench_csv(results, path)
+        with open(path, "w", newline="") as fh:
+            write_bench_csv(results, fh)
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == BENCH_CSV_HEADER
@@ -112,7 +113,8 @@ class TestBenchCsv:
             BenchResult(2, 1000, 10_000, (0.5, 0.2, 0.4, 0.1)),
         ]
         path = tmp_path / "bench.csv"
-        write_bench_csv(results, path)
+        with open(path, "w", newline="") as fh:
+            write_bench_csv(results, fh)
         assert path.read_bytes().decode() == (
             "workers,chunk_len,n_samples,latency_s_median,throughput_sps_median,"
             "throughput_sps_min\r\n"

@@ -25,20 +25,24 @@ from aphdpd import (
     BranchSets,
     CoefficientVector,
     ConfigurationError,
+    DivergenceError,
     IqBuffer,
     PolyBasis,
+    TrainingConfig,
     coefficients_from_json_dict,
     coefficients_to_json_dict,
     fit_orthogonal_basis,
     identity_coefficients,
+    ila_train,
     load_experiment_config,
     predistort_parallel,
     predistort_serial,
 )
 from aphdpd.predistorter import _CompiledKernel
-from conftest import reference_kernel, reference_predistort
+from conftest import gaussian_waveform, reference_kernel, reference_predistort
 
 CFG = AphConfig.default()
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def _random_coeffs(cfg, seed=7, scale=0.05):
@@ -139,6 +143,28 @@ class TestKernelCorrectness:
         got = predistort_serial(training, coeffs, cfg).samples
         want = reference_predistort(training.samples, coeffs, cfg)
         assert_allclose(got, want.astype(np.complex64), rtol=2e-4, atol=1e-6)
+
+    @pytest.mark.parametrize("top_main, top_conj", [(5, 3), (9, 5), (13, 13)])
+    def test_oracle_rms_error_orthogonal_basis(self, top_main, top_conj):
+        """Trained coefficients on a fitted basis, folded into the taps of
+        monomial branches: the engine's relative RMS error against the
+        double-precision oracle stays at single-precision rounding, about
+        1e-7, at every order. The coefficients are trained, not random:
+        equal random taps on every orthonormal branch make the monomial
+        outputs cancel to a part in hundreds, which single precision does
+        not sum to 1e-7 in either branch form."""
+        sets = BranchSets.odd_orders_up_to(top_main, top_conj)
+        basis = fit_orthogonal_basis(gaussian_waveform(8000, 2), sets)
+        cfg = AphConfig(sets, (5,) * len(sets.main_orders), (5,) * len(sets.conj_orders), basis)
+        shipped = load_experiment_config(CONFIGS / "single_carrier.json", respect_env=False)
+        tcfg = TrainingConfig(n_training_samples=4000, iterations=1)
+        coeffs, report = ila_train(shipped.tx_chain(), cfg, tcfg, gaussian_waveform)
+        assert report.records[0].accepted
+        x = gaussian_waveform(1 << 14, 5)
+        got = predistort_serial(x, coeffs, cfg).samples
+        want = reference_predistort(x.samples, coeffs, cfg)
+        assert_allclose(got, want.astype(np.complex64), rtol=2e-4, atol=1e-6)
+        assert np.linalg.norm(got - want) / np.linalg.norm(want) < 2.5e-7
 
     def test_identity_passthrough_bit_exact(self):
         x = _buffer(3000, seed=5)
@@ -246,7 +272,7 @@ class TestBitIdentity:
 def layouts():
     """The shipped configs' layouts (fitted bases), and a short plain one
     with unequal tap counts."""
-    configs = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+    configs = sorted(CONFIGS.glob("*.json"))
     layouts = {p.stem: load_experiment_config(p, respect_env=False).aph_config() for p in configs}
     sets = BranchSets.odd_orders_up_to(5, 3)
     layouts["taps_312_11"] = AphConfig(sets, (3, 1, 2), (1, 1), PolyBasis.plain(sets))
@@ -371,8 +397,8 @@ class TestCoefficientJson:
     def test_taps_times_basis_must_fit_single_precision(self):
         """A tap and a basis entry that each fit in single precision, but
         whose product folded into the linear taps does not: the engine
-        refuses them instead of running with an infinite tap, which gives
-        infinite samples without any overflow."""
+        refuses them as diverged instead of running with an infinite tap,
+        which gives infinite samples without any overflow."""
         doc = coefficients_to_json_dict(identity_coefficients(CFG), CFG)
         doc["h"][0] = [1e30, 0.0]
         doc["layout"]["basis"]["u_main"][0][0] = 1e30
@@ -380,5 +406,5 @@ class TestCoefficientJson:
         x = IqBuffer(np.full(100, 0.5 + 0.5j, dtype=np.complex64), 1e6)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ConfigurationError, match="basis overflow single precision"):
+            with pytest.raises(DivergenceError, match="basis overflow single precision"):
                 predistort_parallel(x, coeffs, cfg)

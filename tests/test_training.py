@@ -35,6 +35,7 @@ from aphdpd import (
     TrainingConfig,
     TxChain,
     build_normal_equations,
+    fit_orthogonal_basis,
     identity_coefficients,
     ila_train,
     predistort_serial,
@@ -308,31 +309,44 @@ class TestIlaTrain:
             ila_train(REF_CHAIN, CFG, tcfg, make_waveform=lambda n, seed: _buffer(n, seed, 50.0))
 
     @pytest.mark.parametrize(
-        "blow_up",
-        [lambda h: 1e30 * h, lambda h: np.full_like(h, 3e38), lambda h: 1e40 * h],
-        ids=["chain-overflows", "predistorter-overflows", "coefficients-overflow"],
+        "fitted, blow_up",
+        [
+            pytest.param(fitted, blow_up, id=f"fitted-basis-{name}" if fitted else name)
+            for fitted in (False, True)
+            for name, blow_up in (
+                ("chain-overflows", lambda h: 1e30 * h),
+                ("predistorter-overflows", lambda h: np.full_like(h, 3e38)),
+                ("coefficients-overflow", lambda h: 1e40 * h),
+            )
+        ],
     )
-    def test_overflowing_candidate_is_rejected(self, monkeypatch, blow_up):
+    def test_overflowing_candidate_is_rejected(self, monkeypatch, fitted, blow_up):
         """A candidate whose validation overflows single precision, in the
         transmit chain or in the predistorter itself, or whose coefficients
         do not fit in single precision at all, is recorded as rejected with
         no candidate NMSE, the kept state stays the baseline, and no
-        warning is raised."""
+        warning is raised. On a fitted basis the candidate's coefficients
+        may fit while the taps the basis folds them into do not: that too
+        is a rejection, not the end of training."""
 
         def huge_solve(*args):
             h, cond = _lstsq_ridge(*args)
             return blow_up(h), cond
 
+        cfg = CFG
+        if fitted:
+            basis = fit_orthogonal_basis(WAVE(4000, 2), CFG.sets)
+            cfg = AphConfig(CFG.sets, CFG.taps_main, CFG.taps_conj, basis)
         monkeypatch.setattr("aphdpd.training._lstsq_ridge", huge_solve)
         tcfg = TrainingConfig(n_training_samples=2000, iterations=1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            coeffs, report = ila_train(REF_CHAIN, CFG, tcfg, WAVE)
+            coeffs, report = ila_train(REF_CHAIN, cfg, tcfg, WAVE)
         (record,) = report.records
         assert not record.accepted and record.candidate_nmse_db is None
         assert record.nmse_db == report.baseline_nmse_db
         assert report.to_json_list()[0]["candidate_nmse_db"] is None
-        assert_array_equal(coeffs.h, identity_coefficients(CFG).h)
+        assert_array_equal(coeffs.h, identity_coefficients(cfg).h)
 
     def test_stage_configuration_error_is_not_divergence(self, monkeypatch):
         """Only an overflow means divergence: a ConfigurationError raised
@@ -359,8 +373,6 @@ class TestIlaTrain:
 
     def test_orthogonal_basis_path(self):
         training = _buffer(3000, seed=77, rms=0.15)
-        from aphdpd import fit_orthogonal_basis
-
         basis = fit_orthogonal_basis(training, CFG.sets)
         cfg = AphConfig(CFG.sets, CFG.taps_main, CFG.taps_conj, basis)
         _, report = ila_train(
